@@ -251,7 +251,7 @@ def scan_stream(path, mode: CensusMode = CensusMode.LIST_SPIN_MODELS) -> CensusR
         verdict = classify_symmetric(g)
         report = full_report(g)
         result.bump(verdict.case.value)
-        if verdict.is_spin_model != report.is_spin_model:
+        if verdict.is_spin_model != report.is_spin_model and result.disagreement is None:
             result.disagreement = Disagreement(
                 g.n, lineno, line.decode() if isinstance(line, bytes) else line,
                 verdict.is_spin_model, report.is_spin_model)
@@ -302,7 +302,7 @@ def run_tournament_census(ns=(3, 5), exhaustive_limit: int = 5,
             verdict = classify_tournament(t)
             oracle = spin_model_verdict(t)
             result.bump(verdict.case.value)
-            if verdict.is_spin_model != oracle:
+            if verdict.is_spin_model != oracle and result.disagreement is None:
                 result.disagreement = Disagreement(n, index, "", verdict.is_spin_model, oracle)
                 if assert_equivalence:
                     raise CounterexampleFound(result.disagreement)

@@ -23,8 +23,7 @@ import enum
 from dataclasses import dataclass
 
 from .graphs import Graph, Tournament, complement, connected_components
-from .regularity import (freeness, q_condition, srg_params,
-                         three_point_params)
+from .regularity import q_condition, srg_params, three_point_params
 
 
 class NotASpinModel(ValueError):
@@ -132,10 +131,9 @@ def classify_symmetric(g: Graph) -> Verdict:
 
     params_c = three_point_params(gc)
     assert params_c is not None, "3-point regularity must survive complementation"
-    for side, tag, p in ((g, AppliedTo.GRAPH, params),
-                         (gc, AppliedTo.COMPLEMENT, params_c)):
-        free = freeness(side)
-        if free.none_free():
+    # a vacuity flag is set exactly when no triple of that type occurs
+    for tag, p in ((AppliedTo.GRAPH, params), (AppliedTo.COMPLEMENT, params_c)):
+        if not p.any_vacuous():
             value = q_condition(p)
             if value != 0:
                 return Verdict(True, VerdictCase.Q_CONDITION_HOLDS, tag,
@@ -145,7 +143,7 @@ def classify_symmetric(g: Graph) -> Verdict:
             return Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None,
                            "Smith graph: 3-point regular with q-condition 0",
                            q_value=0)
-        if free.triangle_free and not free.lambda_free:
+        if p.q3_vacuous and not p.q2_vacuous:
             # pentagon (k = 2) was already caught; k <= 1 would be lambda-free
             k = p.srg.k
             assert k >= 3, "triangle-free non-lambda-free srg with k <= 2 escaped"

@@ -161,27 +161,23 @@ def cmd_verify(ns) -> int:
         if ns.json:
             print(json.dumps({
                 "input": label, "n": obj.n, "directed": report.directed,
-                "relations": dict(zip(("1b", "2b", "3a", "3b"),
-                                      report.booleans())),
+                "relations": {rel: check.holds for rel, check in report.checks()},
                 "is_spin_model": report.is_spin_model,
                 "coefficients": {
                     rel: ({key: str(value) for key, value in check.coefficients.items()}
                           if check.coefficients else None)
-                    for rel, check in zip(("1b", "2b", "3a", "3b"),
-                                          (report.r1b, report.r2b, report.r3a, report.r3b))},
+                    for rel, check in report.checks()},
                 "witnesses": {
                     rel: (None if check.witness is None else {
                         "site": list(check.witness.site),
                         "lhs": str(check.witness.lhs),
                         "rhs": str(check.witness.rhs),
                         "detail": check.witness.detail})
-                    for rel, check in zip(("1b", "2b", "3a", "3b"),
-                                          (report.r1b, report.r2b, report.r3a, report.r3b))},
+                    for rel, check in report.checks()},
             }))
         else:
             print(f"{label}:")
-            for rel, check in zip(("1b", "2b", "3a", "3b"),
-                                  (report.r1b, report.r2b, report.r3a, report.r3b)):
+            for rel, check in report.checks():
                 if check.holds:
                     coeff = ""
                     if rel in ("1b", "2b") and check.coefficients:
@@ -233,9 +229,8 @@ def cmd_census(ns) -> int:
     for hit in result.hits:
         fam = hit.verdict.family.kind.value if hit.verdict.family else "-"
         dims = ",".join(map(str, hit.verdict.family.dims)) if hit.verdict.family else "-"
-        flags = " ".join(f"{rel}={'T' if ok else 'F'}"
-                         for rel, ok in zip(("1b", "2b", "3a", "3b"),
-                                            hit.report.booleans()))
+        flags = " ".join(f"{rel}={'T' if check.holds else 'F'}"
+                         for rel, check in hit.report.checks())
         name = hit.graph6 or f"n={hit.n}#{hit.index}"
         print(f"{name}\t{hit.verdict.case.value}\t{fam}\tdim={dims or '-'}\t{flags}")
     for lineno, message in result.line_errors:
@@ -297,7 +292,8 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except (CliError, Graph6Error, BadOrder, ZeroGenerator, ValueError) as exc:
+    except (CliError, Graph6Error, BadOrder, ZeroGenerator, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

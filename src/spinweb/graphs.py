@@ -148,21 +148,7 @@ def triple_type(g: Graph, a: int, b: int, c: int) -> TripleType:
 
 
 def is_connected(g: Graph) -> bool:
-    """BFS reachability from vertex 0."""
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        a = 0
-        f = frontier
-        while f:
-            if f & 1:
-                nxt |= g.adj[a]
-            f >>= 1
-            a += 1
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    return len(connected_components(g)) == 1
 
 
 def connected_components(g: Graph) -> list[list[int]]:

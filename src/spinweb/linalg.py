@@ -1,93 +1,71 @@
-"""Exact linear algebra over the rationals for small dense systems.
+"""Exact linear algebra over the integers for small dense systems.
 
 Everything the state-sum oracle solves arrives as integer matrices whose
-duplicate rows have already been collapsed, so plain fraction-pivot
-Gaussian elimination is fast enough and, unlike floating point, settles
-span membership and rank questions exactly.
+duplicate rows have already been collapsed.  One fraction-free
+Gauss-Jordan pass (in the spirit of Bareiss, Math. Comp. 22, 1968) settles
+rank, span membership and the fitted coefficients exactly: rows are only
+ever scaled by nonzero integers and divided by their gcd, so no rational
+arithmetic happens until a coefficient is read out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
-def _eliminate(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Row-reduce in place (forward elimination), return pivot columns."""
+def _eliminate(rows: list[list[int]], ncols: int) -> list[int]:
+    """Row-reduce the first ncols columns in place, return pivot columns.
+
+    The pivot of column c is the first row at or below the current one with
+    a nonzero entry there; it is swapped into place and the column cleared
+    above and below it.
+    """
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                new = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*new)
+                rows[i] = [v // g for v in new] if g > 1 else new
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
     return pivots
 
 
 def matrix_rank(rows) -> int:
     """Rank of an integer matrix given as an iterable of equal-length rows."""
-    work = [[Fraction(v) for v in row] for row in rows]
+    work = [list(row) for row in rows]
     if not work:
         return 0
     return len(_eliminate(work, len(work[0])))
 
 
-def solve_membership(rows, targets) -> list[Fraction] | None:
-    """Solve sum_j c_j * rows[i][j] = targets[i] for all i.
+def solve_membership(rows, targets) -> tuple[list[Fraction], bool]:
+    """Fit sum_j c_j * rows[i][j] = targets[i] with one elimination pass.
 
-    Returns one solution (free variables set to 0), or None when the
-    system is inconsistent, i.e. the target is outside the column span.
+    Returns (fit, consistent).  The fit solves the largest consistent
+    subsystem the pivots select, with free variables 0; consistent is False
+    when the target lies outside the column span, in which case some
+    original equation disagrees with the fit.
     """
-    rows = list(rows)
-    targets = list(targets)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    work = [[Fraction(v) for v in row] + [Fraction(t)]
-            for row, t in zip(rows, targets)]
-    pivots = _eliminate(work, ncols + 1)
-    if pivots and pivots[-1] == ncols:
-        return None
-    solution = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        solution[c] = work[r][ncols]
-    return solution
-
-
-def best_effort_solution(rows, targets) -> list[Fraction]:
-    """Solution of the maximal consistent subsystem (free variables 0).
-
-    Used to produce a pointwise witness when membership fails: the returned
-    coefficients fit every equation the system can satisfy at once, so some
-    original row must disagree and can be reported with both side values.
-    """
-    rows = list(rows)
-    targets = list(targets)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    solution = solve_membership(rows, targets)
-    if solution is not None:
-        return solution
-    # Re-run elimination ignoring the target column for pivoting, then read
-    # off the consistent part: rows that became 0 = nonzero are dropped.
-    work = [[Fraction(v) for v in row] + [Fraction(t)]
-            for row, t in zip(rows, targets)]
+    work = [list(row) + [t] for row, t in zip(rows, targets)]
+    if not work:
+        return [], True
+    ncols = len(work[0]) - 1
     pivots = _eliminate(work, ncols)
-    solution = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        solution[c] = work[r][ncols]
-    return solution
+    fit = [Fraction(0)] * ncols
+    for row, c in zip(work, pivots):
+        fit[c] = Fraction(row[ncols], row[c])
+    consistent = not any(row[ncols] for row in work[len(pivots):])
+    return fit, consistent

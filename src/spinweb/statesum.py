@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import product
 
 from .graphs import Graph, Tournament
-from .linalg import best_effort_solution, matrix_rank, solve_membership
+from .linalg import matrix_rank, solve_membership
 
 ONE = "One"
 DELTA = "Delta"
@@ -150,24 +150,12 @@ class RelationReport:
     r3b: RelationCheck
     nonsymmetric_premise: bool = True
 
-    @property
-    def holds_1b(self) -> bool:
-        return self.r1b.holds
-
-    @property
-    def holds_2b(self) -> bool:
-        return self.r2b.holds
-
-    @property
-    def holds_3a(self) -> bool:
-        return self.r3a.holds
-
-    @property
-    def holds_3b(self) -> bool:
-        return self.r3b.holds
+    def checks(self) -> tuple[tuple[str, RelationCheck], ...]:
+        """(relation name, check) pairs in the order 1b, 2b, 3a, 3b."""
+        return (("1b", self.r1b), ("2b", self.r2b), ("3a", self.r3a), ("3b", self.r3b))
 
     def booleans(self) -> tuple[bool, bool, bool, bool]:
-        return (self.r1b.holds, self.r2b.holds, self.r3a.holds, self.r3b.holds)
+        return tuple(check.holds for _, check in self.checks())
 
     @property
     def is_spin_model(self) -> bool:
@@ -194,28 +182,43 @@ def check_1b(obj) -> RelationCheck:
     return RelationCheck(True, coefficients={"k": Fraction(k)})
 
 
+def _fit_or_witness(equations):
+    """Solve sum_j c_j * row[j] = target over (row, target, site) equations.
+
+    Duplicate equations are dropped first, keeping the first site, and the
+    rest are eliminated once.  Returns (coefficients, None) when the system
+    is consistent; otherwise (None, (site, target, fitted)) for the first
+    equation, in that order, that the fit of the largest consistent
+    subsystem misses.
+    """
+    dedup: dict[tuple, tuple] = {}
+    for row, target, site in equations:
+        dedup.setdefault(row + (target,), (row, target, site))
+    entries = list(dedup.values())
+    fit, consistent = solve_membership([row for row, _, _ in entries],
+                                       [target for _, target, _ in entries])
+    if consistent:
+        return fit, None
+    for row, target, site in entries:
+        fitted = sum(f * v for f, v in zip(fit, row))
+        if fitted != target:
+            return None, (site, target, fitted)
+    raise AssertionError("inconsistent system without a pointwise witness")
+
+
 def check_2b(obj) -> RelationCheck:
     """Relation 2b: sum_x C_P(a,x) C_P(b,x) in span{Delta, P, Q}."""
     pf = _pair_functions(obj)
-    dedup: dict[tuple, tuple] = {}
-    for a in range(pf.n):
-        for b in range(pf.n):
-            row = (pf.value(DELTA, a, b), pf.value(P, a, b), pf.value(Q, a, b))
-            target = (pf.rows[P][a] & pf.rows[P][b]).bit_count()
-            dedup.setdefault(row + (target,), (row, target, (a, b)))
-    rows = [entry[0] for entry in dedup.values()]
-    targets = [entry[1] for entry in dedup.values()]
-    solution = solve_membership(rows, targets)
-    if solution is None:
-        fit = best_effort_solution(rows, targets)
-        for row, target, site in dedup.values():
-            fitted = sum(f * v for f, v in zip(fit, row))
-            if fitted != target:
-                return RelationCheck(False, witness=Witness(
-                    site=site, lhs=target, rhs=fitted,
-                    detail=(f"pair {site}: common-neighbor count {target} vs "
-                            f"{fitted} from coefficients fitted elsewhere")))
-        raise AssertionError("inconsistent system without a pointwise witness")
+    solution, miss = _fit_or_witness(
+        ((pf.value(DELTA, a, b), pf.value(P, a, b), pf.value(Q, a, b)),
+         (pf.rows[P][a] & pf.rows[P][b]).bit_count(), (a, b))
+        for a in range(pf.n) for b in range(pf.n))
+    if miss is not None:
+        site, target, fitted = miss
+        return RelationCheck(False, witness=Witness(
+            site=site, lhs=target, rhs=fitted,
+            detail=(f"pair {site}: common-neighbor count {target} vs "
+                    f"{fitted} from coefficients fitted elsewhere")))
     kp, lam, mu = solution
     return RelationCheck(True, coefficients={"k": kp, "lambda": lam, "mu": mu})
 
@@ -290,25 +293,17 @@ def _span_check(pf: PairFunctions, span_family: str, target_family: str) -> Rela
     span_eval = d_value if span_family == "D" else s_value
     target_eval = s_value if span_family == "D" else d_value
     target_word = (P, P, P)
-    dedup: dict[tuple, tuple] = {}
-    for a, b, c in _representative_triples(pf):
-        row = tuple(span_eval(pf, w, a, b, c) for w in words)
-        target = target_eval(pf, target_word, a, b, c)
-        dedup.setdefault(row + (target,), (row, target, (a, b, c)))
-    rows = [entry[0] for entry in dedup.values()]
-    targets = [entry[1] for entry in dedup.values()]
-    solution = solve_membership(rows, targets)
-    if solution is None:
-        fit = best_effort_solution(rows, targets)
-        for row, target, site in dedup.values():
-            fitted = sum(f * v for f, v in zip(fit, row))
-            if fitted != target:
-                lhs_label = word_label(target_family, target_word)
-                return RelationCheck(False, witness=Witness(
-                    site=site, lhs=target, rhs=fitted,
-                    detail=(f"triple {site}: {lhs_label} = {target} vs "
-                            f"{fitted} from coefficients fitted elsewhere")))
-        raise AssertionError("inconsistent system without a pointwise witness")
+    solution, miss = _fit_or_witness(
+        (tuple(span_eval(pf, w, a, b, c) for w in words),
+         target_eval(pf, target_word, a, b, c), (a, b, c))
+        for a, b, c in _representative_triples(pf))
+    if miss is not None:
+        site, target, fitted = miss
+        lhs_label = word_label(target_family, target_word)
+        return RelationCheck(False, witness=Witness(
+            site=site, lhs=target, rhs=fitted,
+            detail=(f"triple {site}: {lhs_label} = {target} vs "
+                    f"{fitted} from coefficients fitted elsewhere")))
     coeffs = {word_label(span_family, w): v
               for w, v in zip(words, solution) if v != 0}
     return RelationCheck(True, coefficients=coeffs)
@@ -378,13 +373,3 @@ def spin_model_verdict(obj) -> bool:
     return (check_1b(pf).holds and check_2b(pf).holds
             and check_3a(pf).holds and check_3b(pf).holds)
 
-
-def report_record(name: str, report: RelationReport,
-                  dim: int | None = None, params: str = "") -> str:
-    """One-line structured record: name, four booleans, dim, parameters."""
-    flags = " ".join(f"{rel}={'T' if ok else 'F'}" for rel, ok in
-                     zip(("1b", "2b", "3a", "3b"), report.booleans()))
-    dim_text = "-" if dim is None else str(dim)
-    spin = "T" if report.is_spin_model else "F"
-    tail = f" {params}" if params else ""
-    return f"{name}\t{flags}\tspin={spin}\tdim={dim_text}{tail}"

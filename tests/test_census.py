@@ -99,6 +99,16 @@ class TestScanStream:
         assert res.graphs_seen == 2
         assert len(res.line_errors) == 1 and res.line_errors[0][0] == 2
 
+    def test_first_disagreement_is_kept(self, tmp_path, monkeypatch):
+        from spinweb.classifier import Verdict, VerdictCase
+        always = Verdict(True, VerdictCase.PENTAGON, None, None, "patched")
+        monkeypatch.setattr("spinweb.census.classify_symmetric", lambda g: always)
+        stream = tmp_path / "two.g6"
+        stream.write_bytes(b"DJG\nFUmOo\n")  # neither is a spin model
+        res = scan_stream(str(stream), CensusMode.LIST_SPIN_MODELS)
+        assert res.disagreement is not None
+        assert (res.disagreement.index, res.disagreement.graph6) == (1, "DJG")
+
 
 class TestTournamentCensus:
     def test_only_the_3cycle_passes(self):
@@ -107,6 +117,13 @@ class TestTournamentCensus:
         assert len(res.hits) == 2  # the two labeled 3-cycles
         assert all(h.n == 3 for h in res.hits)
         assert res.disagreement is None
+
+    def test_first_disagreement_is_kept(self, monkeypatch):
+        from spinweb.classifier import Verdict, VerdictCase
+        always = Verdict(True, VerdictCase.THREE_CYCLE, None, None, "patched")
+        monkeypatch.setattr("spinweb.census.classify_tournament", lambda t: always)
+        res = run_tournament_census(ns=(3,), assert_equivalence=False)
+        assert res.disagreement is not None and res.disagreement.index == 0
 
     def test_equivalence_on_every_tournament_up_to_5(self):
         res = run_tournament_census(ns=(1, 2, 3, 4, 5))

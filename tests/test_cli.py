@@ -1,5 +1,8 @@
 import io
 import json
+from pathlib import Path
+
+import pytest
 
 from spinweb.cli import main
 from spinweb.graph6 import write_graph6
@@ -86,6 +89,28 @@ class TestVerify:
         assert code == 1 and "3b: FAILS" in out
 
 
+GOLDEN = Path(__file__).resolve().parent / "data" / "verify_golden.jsonl"
+GOLDEN_INPUTS = (
+    *(("--gen", spec) for spec in (
+        "cycle:5", "cycle:6", "petersen", "paley:9", "paley:13", "clebsch",
+        "complete:4", "union_complete:3,2", "schlafli", "higman_sims")),
+    ("--gen", "circulant_tournament:5,1,2", "--tournament"),
+    ("--gen", "circulant_tournament:7,1,2,4", "--tournament"),
+    ("--graph6", "DJG"),     # irregular, witnesses on all four relations
+    ("--graph6", "FUmOo"),   # irregular, negative fitted value in the 3b witness
+)
+
+
+class TestVerifyGolden:
+    """verify --json output (verdicts, coefficients, witnesses) pinned verbatim."""
+
+    @pytest.mark.parametrize("index", range(len(GOLDEN_INPUTS)))
+    def test_matches_golden_line(self, capsys, fixture_env, index):
+        expected = GOLDEN.read_text().splitlines()[index]
+        _, out, _ = run(capsys, "verify", "--json", *GOLDEN_INPUTS[index])
+        assert out.splitlines() == [expected]
+
+
 class TestDimsGenerate:
     def test_dims(self, capsys):
         code, out, _ = run(capsys, "dims", "--gen", "union_complete:3,3")
@@ -132,6 +157,13 @@ class TestCensusCommand:
         code, out, _ = run(capsys, "census", "--tournament", "--ns", "3,5")
         assert code == 0
         assert "OK, 1032 graphs, 0 disagreements" in out
+
+    def test_missing_input_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "absent.g6"
+        code, out, err = run(capsys, "census", "--input", str(missing))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert str(missing) in err
 
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         from spinweb.census import CounterexampleFound, Disagreement

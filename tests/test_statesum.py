@@ -9,7 +9,7 @@ from spinweb.graphs import (Graph, Tournament, circulant_tournament, clebsch,
 from spinweb.regularity import srg_params, three_point_params
 from spinweb.statesum import (PairFunctions, ZeroGenerator, check_1b,
                               check_2b, check_3a, check_3b, d_value, dim_v3,
-                              full_report, report_record, s_value,
+                              full_report, s_value,
                               spin_model_verdict, triple_words)
 from tests.conftest import load_fixture
 
@@ -187,9 +187,10 @@ class TestFullReport:
         assert report.booleans() == (True, True, True, True)
         assert not report.is_spin_model  # no arc: generator equals its rotation
 
-    def test_record_line(self):
-        line = report_record("DqK", full_report(cycle(5)), dim=13, params="srg(5,2,0,1)")
-        assert line == "DqK\t1b=T 2b=T 3a=T 3b=T\tspin=T\tdim=13 srg(5,2,0,1)"
+    def test_checks_name_the_relations_in_order(self):
+        report = full_report(petersen())
+        assert [rel for rel, _ in report.checks()] == ["1b", "2b", "3a", "3b"]
+        assert tuple(check.holds for _, check in report.checks()) == report.booleans()
 
 
 class TestInvariants:
