@@ -26,7 +26,7 @@ import numpy as np
 
 from .classifier import (Verdict, VerdictCase, classify_symmetric,
                          classify_tournament)
-from .graph6 import Graph6Error, parse_graph6, write_graph6
+from .graph6 import read_graph6_lines, write_graph6
 from .graphs import Graph, Tournament
 from .regularity import three_point_params
 from .statesum import full_report, spin_model_verdict
@@ -238,23 +238,14 @@ def scan_stream(path, mode: CensusMode = CensusMode.LIST_SPIN_MODELS) -> CensusR
     else:
         with open(path, "rb") as handle:
             lines = handle.read().splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            g = parse_graph6(line)
-        except Graph6Error as exc:
-            result.line_errors.append((lineno, str(exc)))
-            continue
+    for lineno, text, g in read_graph6_lines(lines, result.line_errors):
         result.graphs_seen += 1
         verdict = classify_symmetric(g)
         report = full_report(g)
         result.bump(verdict.case.value)
         if verdict.is_spin_model != report.is_spin_model and result.disagreement is None:
             result.disagreement = Disagreement(
-                g.n, lineno, line.decode() if isinstance(line, bytes) else line,
-                verdict.is_spin_model, report.is_spin_model)
+                g.n, lineno, text, verdict.is_spin_model, report.is_spin_model)
             if mode is CensusMode.ASSERT_EQUIVALENCE:
                 raise CounterexampleFound(result.disagreement)
         keep = (mode is not CensusMode.LIST_3PT_REGULAR and
@@ -262,9 +253,7 @@ def scan_stream(path, mode: CensusMode = CensusMode.LIST_SPIN_MODELS) -> CensusR
         if mode is CensusMode.LIST_3PT_REGULAR:
             keep = three_point_params(g) is not None
         if keep:
-            result.hits.append(Hit(
-                g.n, lineno,
-                line.decode() if isinstance(line, bytes) else line, verdict, report))
+            result.hits.append(Hit(g.n, lineno, text, verdict, report))
     return result
 
 

@@ -2,10 +2,13 @@
 
 A graph gives a symmetric spin model iff, up to complementation, it is
 (i) the pentagon, (ii) a disjoint union of equal-size complete graphs, or
-(iii) 3-point regular with q3 - 3*q2 + 3*q1 - q0 != 0.  Cases are tested
-in that order, on the graph and then on its complement, and the first
-match is recorded; ties (K3 is both complete and a triangle) therefore
-resolve to the union case.
+(iii) 3-point regular with q3 - 3*q2 + 3*q1 - q0 != 0.  All three need a
+strongly regular graph, so a graph that is not one is rejected first.
+Cases are then tested in that order, on the graph and then on its
+complement, and the first match is recorded; ties (K3 is both complete
+and a triangle) therefore resolve to the union case.  The complement's
+3-point parameters come from the graph's by inclusion-exclusion, so the
+triple scan runs once.
 
 Case (iii) splits on freeness.  When all four triple types occur the
 q-condition decides directly.  A 3-point regular graph that is
@@ -23,7 +26,8 @@ import enum
 from dataclasses import dataclass
 
 from .graphs import Graph, Tournament, complement, connected_components
-from .regularity import q_condition, srg_params, three_point_params
+from .regularity import (complement_three_point_params, q_condition,
+                         srg_params, three_point_params)
 
 
 class NotASpinModel(ValueError):
@@ -104,6 +108,12 @@ def _family_for_union(m: int, size: int) -> Family:
 
 def classify_symmetric(g: Graph) -> Verdict:
     """Decide the symmetric spin-model question for a graph."""
+    # every case needs a strongly regular graph: the pentagon, unions of
+    # equal completes and their complements, and 3-point regular graphs
+    srg = srg_params(g)
+    if srg is None:
+        return Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None,
+                       "not strongly regular")
     gc = complement(g)
     sides = ((g, AppliedTo.GRAPH), (gc, AppliedTo.COMPLEMENT))
 
@@ -121,16 +131,12 @@ def classify_symmetric(g: Graph) -> Verdict:
                            _family_for_union(m, size),
                            f"{tag.value} is {m} disjoint K_{size}")
 
-    params = three_point_params(g)
+    params = three_point_params(g, srg)
     if params is None:
-        if srg_params(g) is None:
-            return Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None,
-                           "not strongly regular")
         return Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None,
                        "strongly regular but not 3-point regular")
 
-    params_c = three_point_params(gc)
-    assert params_c is not None, "3-point regularity must survive complementation"
+    params_c = complement_three_point_params(params)
     # a vacuity flag is set exactly when no triple of that type occurs
     for tag, p in ((AppliedTo.GRAPH, params), (AppliedTo.COMPLEMENT, params_c)):
         if not p.any_vacuous():

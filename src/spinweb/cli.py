@@ -3,19 +3,24 @@
 Exit codes: classify returns 0 for a spin model, 1 for not, 2 on error;
 verify returns 0 iff all four relations hold; census returns 1 when an
 asserted equivalence finds a counterexample.  ``--graph6 -`` reads graph6
-lines from stdin, one verdict per line.
+lines from stdin, one result per line; a malformed line is reported as
+``line N: <message>`` on stderr, the other lines are still processed, and
+the exit code is then 2.  ``census --input`` reports malformed lines the
+same way but keeps its exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from . import census as census_mod
 from .classifier import (Verdict, classify_symmetric, classify_tournament)
-from .graph6 import Graph6Error, parse_graph6, write_graph6
+from .graph6 import (Graph6Error, parse_graph6, read_graph6_lines,
+                     write_graph6)
 from .graphs import (BadOrder, Graph, Tournament, circulant_tournament,
                      clebsch, complete, cycle, paley, petersen, union_complete)
 from .statesum import ZeroGenerator, dim_v3, full_report
@@ -77,8 +82,11 @@ def build_generator(spec: str):
     raise CliError(f"unknown generator {name!r}")
 
 
-def _inputs(ns) -> list[tuple[str, Graph | Tournament]]:
-    """Resolve the (unique) input source to a list of (label, graph) pairs."""
+def _inputs(ns) -> tuple[list[tuple[str, Graph | Tournament]], list[tuple[int, str]]]:
+    """Resolve the (unique) input source to (label, graph) pairs.
+
+    Also returns the (line number, message) of each malformed stdin line.
+    """
     if (ns.graph6 is None) == (ns.gen is None):
         raise CliError("provide exactly one of --graph6 and --gen")
     if ns.gen is not None:
@@ -87,19 +95,28 @@ def _inputs(ns) -> list[tuple[str, Graph | Tournament]]:
             raise CliError("--tournament given but the generator makes a graph")
         if isinstance(obj, Tournament) and not ns.tournament:
             raise CliError("tournament generators need the --tournament flag")
-        return [(ns.gen, obj)]
+        return [(ns.gen, obj)], []
     if ns.tournament:
         raise CliError("graph6 encodes undirected graphs; --tournament needs --gen")
     if ns.graph6 == "-":
-        pairs = []
-        for raw in sys.stdin.buffer.read().splitlines():
-            line = raw.strip()
-            if line:
-                pairs.append((line.decode("latin-1"), parse_graph6(line)))
-        if not pairs:
+        errors: list[tuple[int, str]] = []
+        pairs = [(text, g) for _, text, g in
+                 read_graph6_lines(sys.stdin.buffer.read().splitlines(), errors)]
+        if not pairs and not errors:
             raise CliError("no graph6 lines on stdin")
-        return pairs
-    return [(ns.graph6, parse_graph6(ns.graph6))]
+        return pairs, errors
+    return [(ns.graph6, parse_graph6(ns.graph6))], []
+
+
+def _report_line_errors(line_errors: list[tuple[int, str]]) -> None:
+    for lineno, message in line_errors:
+        print(f"line {lineno}: {message}", file=sys.stderr)
+
+
+def _finish(status: int, line_errors: list[tuple[int, str]]) -> int:
+    """Report malformed input lines; any of them makes the exit code 2."""
+    _report_line_errors(line_errors)
+    return 2 if line_errors else status
 
 
 def _family_json(verdict: Verdict):
@@ -123,8 +140,9 @@ def _dim_text(verdict: Verdict, exact: int | None) -> str:
 
 
 def cmd_classify(ns) -> int:
+    inputs, line_errors = _inputs(ns)
     worst = 0
-    for label, obj in _inputs(ns):
+    for label, obj in inputs:
         verdict = (classify_tournament(obj) if isinstance(obj, Tournament)
                    else classify_symmetric(obj))
         exact = None
@@ -151,12 +169,13 @@ def cmd_classify(ns) -> int:
         else:
             print(f"not a spin model: {verdict.reason}")
         worst = max(worst, 0 if verdict.is_spin_model else 1)
-    return worst
+    return _finish(worst, line_errors)
 
 
 def cmd_verify(ns) -> int:
+    inputs, line_errors = _inputs(ns)
     worst = 0
-    for label, obj in _inputs(ns):
+    for label, obj in inputs:
         report = full_report(obj)
         if ns.json:
             print(json.dumps({
@@ -188,17 +207,18 @@ def cmd_verify(ns) -> int:
                     print(f"  {rel}: FAILS  [{check.witness.detail}]")
             print(f"  spin model: {'yes' if report.is_spin_model else 'no'}")
         worst = max(worst, 0 if report.is_spin_model else 1)
-    return worst
+    return _finish(worst, line_errors)
 
 
 def cmd_dims(ns) -> int:
-    for label, obj in _inputs(ns):
+    inputs, line_errors = _inputs(ns)
+    for label, obj in inputs:
         value = dim_v3(obj)
         if ns.json:
             print(json.dumps({"input": label, "n": obj.n, "dim_v3": value}))
         else:
             print(value)
-    return 0
+    return _finish(0, line_errors)
 
 
 def cmd_generate(ns) -> int:
@@ -233,8 +253,7 @@ def cmd_census(ns) -> int:
                          for rel, check in hit.report.checks())
         name = hit.graph6 or f"n={hit.n}#{hit.index}"
         print(f"{name}\t{hit.verdict.case.value}\t{fam}\tdim={dims or '-'}\t{flags}")
-    for lineno, message in result.line_errors:
-        print(f"line {lineno}: {message}", file=sys.stderr)
+    _report_line_errors(result.line_errors)
     disagreements = 1 if result.disagreement else 0
     status = "OK" if disagreements == 0 else "FAIL"
     print(f"{status}, {result.graphs_seen} graphs, {disagreements} disagreements")
@@ -251,7 +270,15 @@ def _add_input_flags(sub, tournament=True):
                      help="one JSON object per input line")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing does not change it, and rebuilding it on every ``main`` call
+    left in-process callers (tests, benchmarks) with resident memory that
+    grew with the number of calls.  ``main`` looks the subcommand's
+    ``cmd_<name>`` function up when it runs, not when the parser is built.
+    """
     parser = argparse.ArgumentParser(
         prog="spinweb",
         description="spin-model classification for graphs and tournaments")
@@ -261,19 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(sub)
     sub.add_argument("--exact-dim", action="store_true",
                      help="compute dim V3 with the state-sum oracle")
-    sub.set_defaults(func=cmd_classify)
 
     sub = subs.add_parser("verify", help="state-sum oracle relation report")
     _add_input_flags(sub)
-    sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("dims", help="dim V3 by exact rank computation")
     _add_input_flags(sub)
-    sub.set_defaults(func=cmd_dims)
 
     sub = subs.add_parser("generate", help="print a named graph as graph6")
     sub.add_argument("--gen", required=True)
-    sub.set_defaults(func=cmd_generate)
 
     sub = subs.add_parser("census", help="exhaustive or stream census")
     sub.add_argument("--max-n", type=int, default=7)
@@ -284,14 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--tournament", action="store_true",
                      help="tournament census instead of graphs")
     sub.add_argument("--ns", help="comma-separated tournament sizes (default 3,5)")
-    sub.set_defaults(func=cmd_census)
     return parser
 
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        return globals()[f"cmd_{ns.command}"](ns)
     except (CliError, Graph6Error, BadOrder, ZeroGenerator, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -83,6 +83,25 @@ def parse_graph6(text) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def read_graph6_lines(lines, errors: list[tuple[int, str]]):
+    """Yield (line number, text, Graph) for each well-formed graph6 line.
+
+    Lines are numbered from 1, blank lines included, and skipped when
+    blank.  A malformed line is appended to ``errors`` as (line number,
+    message) and skipped, so one bad line never stops a stream.
+    """
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            g = parse_graph6(line)
+        except Graph6Error as exc:
+            errors.append((lineno, str(exc)))
+            continue
+        yield lineno, line if isinstance(line, str) else line.decode("latin-1"), g
+
+
 def write_graph6(g: Graph) -> bytes:
     if g.n >= _MAX_N:
         raise Graph6Error(f"n = {g.n} too large for the supported graph6 forms")

@@ -4,8 +4,11 @@ Parameter conventions: a class with no pair (or triple) of the relevant
 kind reports value 0 with its vacuity flag set, mirroring the usual habit
 of writing srg(3,2,1,0) for the triangle while keeping vacuity detectable.
 
-Common-neighbor counts are three-way bitset ANDs plus popcounts, so the
-triple scan is O(n^3 * n/w); that is census-grade and accepted.
+Common-neighbor counts are bitset ANDs plus popcounts.  The one triple
+scan, ``three_point_params``, is a pure-Python O(n^3 * n/w) loop over the
+C(n, 3) distinct triples of the graph; the complement's parameters are
+derived from the graph's by inclusion-exclusion
+(``complement_three_point_params``), so the classifier scans once.
 """
 
 from __future__ import annotations
@@ -105,14 +108,16 @@ def srg_params(g: Graph) -> SrgParams | None:
     )
 
 
-def three_point_params(g: Graph) -> ThreePointParams | None:
+def three_point_params(g: Graph, srg: SrgParams | None = None) -> ThreePointParams | None:
     """3-point-regularity parameters over distinct triples, or None.
 
     Returns a value only when the graph is already strongly regular and the
     common-neighbor count of every distinct triple depends only on its
-    induced type.
+    induced type.  ``srg`` is g's ``srg_params`` when the caller already
+    has them.
     """
-    srg = srg_params(g)
+    if srg is None:
+        srg = srg_params(g)
     if srg is None:
         return None
     counts: list[int | None] = [None, None, None, None]  # index = edge count
@@ -129,6 +134,48 @@ def three_point_params(g: Graph) -> ThreePointParams | None:
         q3_vacuous=counts[3] is None, q2_vacuous=counts[2] is None,
         q1_vacuous=counts[1] is None, q0_vacuous=counts[0] is None,
     )
+
+
+def complement_srg_params(p: SrgParams) -> SrgParams:
+    """srg_params of the complement, from the graph's own parameters.
+
+    Adjacent pairs of the complement are the non-adjacent pairs of the
+    graph, so the vacuity flags swap; a vacuous class reports 0.
+    """
+    n, k = p.n, p.k
+    return SrgParams(
+        n=n, k=n - 1 - k,
+        lam=0 if p.mu_vacuous else n - 2 - 2 * k + p.mu,
+        mu=0 if p.lam_vacuous else n - 2 * k + p.lam,
+        lam_vacuous=p.mu_vacuous, mu_vacuous=p.lam_vacuous)
+
+
+def complement_three_point_params(p: ThreePointParams) -> ThreePointParams:
+    """three_point_params of the complement, from the graph's own parameters.
+
+    A triple with e edges has 3 - e edges in the complement, and its common
+    neighbors there are the vertices outside it adjacent in the graph to
+    none of the three.  By inclusion-exclusion over the three neighborhoods,
+    with p_e = (0, 0, 1, 3) triple vertices adjacent to both others,
+
+        q'_(3-e) = (n - 3) - (3k - 2e) + (e*lam + (3-e)*mu - p_e) - q_e.
+
+    A type occurs in the complement iff its mirror occurs in the graph, so
+    the vacuity flags carry over, and where a type occurs the lam and mu it
+    uses are not vacuous.
+    """
+    s = p.srg
+    q = p.q_vector()[::-1]                                  # index = edge count
+    vacuous = (p.q0_vacuous, p.q1_vacuous, p.q2_vacuous, p.q3_vacuous)
+    mirrored = [0 if vacuous[e] else
+                (s.n - 3) - (3 * s.k - 2 * e)
+                + (e * s.lam + (3 - e) * s.mu - (0, 0, 1, 3)[e]) - q[e]
+                for e in range(4)]
+    return ThreePointParams(
+        srg=complement_srg_params(s),
+        q3=mirrored[0], q2=mirrored[1], q1=mirrored[2], q0=mirrored[3],
+        q3_vacuous=vacuous[0], q2_vacuous=vacuous[1],
+        q1_vacuous=vacuous[2], q0_vacuous=vacuous[3])
 
 
 def freeness(g: Graph) -> Freeness:

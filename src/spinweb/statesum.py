@@ -26,7 +26,12 @@ alphabet is {One, Delta, P, Q} there.
 
 Rows of every linear system are deduplicated before elimination; duplicate
 equations cannot change span membership or rank, and on the structured
-graphs met in practice n^3 rows collapse to a few dozen.
+graphs met in practice n^3 rows collapse to a few dozen.  The 3-box systems
+take one representative triple per evaluation profile, found by an exact
+numpy slab kernel (``_representative_triples``): rows packed into 62-bit
+int64 words, 3-way intersections by AND plus ``np.bitwise_count``, and each
+profile packed into one int64 key while 3 * bits(pair ids) + bits(n) <= 63,
+else into two.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from .graphs import Graph, Tournament
 from .linalg import matrix_rank, solve_membership
 
@@ -42,6 +49,11 @@ ONE = "One"
 DELTA = "Delta"
 P = "P"
 Q = "Q"
+
+_WORD_BITS = 62      # bits per packed int64 word; np.bitwise_count counts |x|
+_WORD_MASK = (1 << _WORD_BITS) - 1
+_KEY_BITS = 63       # a packed profile key is a nonnegative int64
+_SLAB = 1 << 12      # (b, c) cells per slab buffer of the triple kernel
 
 UNDIRECTED_ALPHABET = (ONE, DELTA, P)
 DIRECTED_ALPHABET = (ONE, DELTA, P, Q)
@@ -223,69 +235,132 @@ def check_2b(obj) -> RelationCheck:
     return RelationCheck(True, coefficients={"k": kp, "lambda": lam, "mu": mu})
 
 
-def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
-    """One ordered triple per distinct evaluation profile.
+def _window(array: np.ndarray, start: int, count: int) -> np.ndarray:
+    """``count`` elements of a flat array from ``start``, as a writable view."""
+    return np.frombuffer(array, dtype=array.dtype, count=count,
+                         offset=start * array.itemsize)
 
-    The profile (pair classes, degrees, pairwise intersection counts, and
-    the 3-way intersection counts) determines every D- and S-family value
-    of a triple, so span membership and ranks computed on representatives
-    agree with the full n^3 systems while touching far fewer rows.
+
+def _cells(words: tuple[np.ndarray, ...]):
+    """The cells of a slab as hashable keys: ints for one word, else pairs."""
+    views = [memoryview(word.reshape(-1)) for word in words]
+    return views[0] if len(views) == 1 else zip(*views)
+
+
+def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
+    """One ordered triple per distinct evaluation profile, in (a, b, c) order.
+
+    The profile of (a, b, c) is the profile id of each of the pairs (a, b),
+    (b, c) and (a, c) -- pair class, the two out-degrees and |P_u & P_v| --
+    plus T = |P_a & P_b & P_c|.  Since One = Delta + P + Q pointwise (Q is
+    the complement of P for a graph and its transpose for a tournament, so
+    Q_v is every vertex but v outside P_v), inclusion-exclusion turns these
+    counts into every D- and S-family value of the triple.  Span membership
+    and ranks computed on the first triple of each profile therefore agree
+    with the full n^3 systems while touching far fewer rows.
+
+    The kernel is exact integer numpy.  Rows are packed into int64 words of
+    _WORD_BITS bits (``np.bitwise_count`` counts the bits of |x|, so bit 63
+    stays clear).  For each a, slabs of at most _SLAB (b, c) cells get T
+    from word-wise AND plus popcount, and the fields (ab, ac, T, bc), high
+    to low, are packed into one nonnegative int64 key while
+    3 * bits(pair ids) + bits(n) fits in _KEY_BITS; beyond that (only for
+    n >= 512 with more than 2^17 distinct pair profiles) a key is the two
+    words (ab, ac) and (T, bc), exact while 2 * bits(pair ids) <= 63, that
+    is for every n whose n x n table of int32 pair ids fits in memory
+    (n <= 46340).  A Python set over a memoryview of each slab finds the
+    keys not seen before, and only a slab holding one is scanned for its
+    first site.
+
+    Every array operation is elementwise on equal shapes or broadcasts a
+    column; rows are laid out by memoryview copies and windows
+    (``np.frombuffer``).  Indexing an array, ``len()`` of one and row
+    broadcasts each run numpy code that nothing else on the oracle's path
+    runs, and faulting that code in raised the process's peak resident
+    memory by 64 KB per code region, more than the buffers themselves.
     """
     cached = getattr(pf, "_triple_reps", None)
     if cached is not None:
         return cached
     n = pf.n
-    rows_p, rows_q = pf.rows[P], pf.rows[Q]
+    rows = pf.rows[P]
+    deg = [row.bit_count() for row in rows]
+    ids: dict[tuple[int, int, int, int], int] = {}
+    pid = np.fromiter((ids.setdefault((0 if u == v else 1 if (ru >> v) & 1 else 2,
+                                       deg[u], deg[v], (ru & rv).bit_count()), len(ids))
+                       for u, ru in enumerate(rows) for v, rv in enumerate(rows)),
+                      dtype=np.int32, count=n * n)
+    id_bits, t_bits = (len(ids) - 1).bit_length(), n.bit_length()
+    one_word = 3 * id_bits + t_bits <= _KEY_BITS
+    shift_ac = id_bits + t_bits if one_word else 0
+    shift_ab = shift_ac + id_bits
 
-    def pair_class(u, v):
-        if u == v:
-            return 0
-        return 1 if (rows_p[u] >> v) & 1 else 2
+    height = max(1, min(n, _SLAB // n))
+    size = height * n
+    words = [np.fromiter(((row >> shift) & _WORD_MASK for row in rows),
+                         dtype=np.int64, count=n) for shift in range(0, n, _WORD_BITS)]
+    tiles = [np.empty(size, dtype=np.int64) for _ in words]   # `height` copies of a word
+    for tile, word in zip(tiles, words):
+        _fill_rows(tile, word, n, height)
+    ab_row, ac_row = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    ac_tile = np.empty(size, dtype=np.int64)
+    low = np.empty(size, dtype=np.int64)
+    high = low if one_word else np.empty(size, dtype=np.int64)
+    scratch = np.empty(size, dtype=np.int64)
+    counts = np.empty(size, dtype=np.uint8)
+    meet = np.empty(height, dtype=np.int64)
+    slabs = []
+    for b0 in range(0, n, height):
+        m = min(height, n - b0)
 
-    classes = [[pair_class(u, v) for v in range(n)] for u in range(n)]
-    reps: dict[tuple, tuple[int, int, int]] = {}
-    if not pf.directed:
-        deg = [row.bit_count() for row in rows_p]
-        common = [[(rows_p[u] & rows_p[v]).bit_count() for v in range(n)]
-                  for u in range(n)]
-        for a in range(n):
-            ca, pa, ra = classes[a], common[a], rows_p[a]
-            for b in range(n):
-                cb, pb = classes[b], common[b]
-                rab = ra & rows_p[b]
-                for c in range(n):
-                    key = (ca[b], cb[c], ca[c], deg[a], deg[b], deg[c],
-                           pa[b], pb[c], pa[c], (rab & rows_p[c]).bit_count())
-                    if key not in reps:
-                        reps[key] = (a, b, c)
-    else:
-        degs = ([row.bit_count() for row in rows_p],
-                [row.bit_count() for row in rows_q])
-        tabs = {}
-        for gi, grows in ((0, rows_p), (1, rows_q)):
-            for hi, hrows in ((0, rows_p), (1, rows_q)):
-                tabs[gi, hi] = [[(grows[u] & hrows[v]).bit_count()
-                                 for v in range(n)] for u in range(n)]
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    pair_part = tuple(tabs[g, h][u][v]
-                                      for g in (0, 1) for h in (0, 1)
-                                      for u, v in ((a, b), (a, c), (b, c)))
-                    pop3 = tuple(
-                        (g1[a] & g2[b] & g3[c]).bit_count()
-                        for g1 in (rows_p, rows_q)
-                        for g2 in (rows_p, rows_q)
-                        for g3 in (rows_p, rows_q))
-                    key = (classes[a][b], classes[b][c], classes[a][c],
-                           degs[0][a], degs[0][b], degs[0][c],
-                           degs[1][a], degs[1][b], degs[1][c],
-                           pair_part, pop3)
-                    if key not in reps:
-                        reps[key] = (a, b, c)
-    result = list(reps.values())
-    object.__setattr__(pf, "_triple_reps", result)  # frozen dataclass memo
-    return result
+        def block(array, m=m):
+            return _window(array, 0, m * n).reshape(m, n)
+
+        slabs.append((b0, [_window(word, b0, m) for word in words], [block(t) for t in tiles],
+                      _window(pid, b0 * n, m * n).reshape(m, n),
+                      _window(ab_row, b0, m).reshape(m, 1), block(ac_tile),
+                      _window(meet, 0, m), _window(meet, 0, m).reshape(m, 1),
+                      block(low), block(high), block(scratch), block(counts)))
+
+    seen: set = set()
+    reps: list[tuple[int, int, int]] = []
+    for a, ra in enumerate(rows):
+        pid_a = _window(pid, a * n, n)
+        np.left_shift(pid_a, shift_ab, out=ab_row, dtype=np.int64)
+        np.left_shift(pid_a, shift_ac, out=ac_row, dtype=np.int64)
+        _fill_rows(ac_tile, ac_row, n, height)
+        masks = [(ra >> shift) & _WORD_MASK for shift in range(0, n, _WORD_BITS)]
+        for b0, bits_b, bits_c, bc, ab, ac, meet_b, meet_col, lo, hi, tmp, cnt in slabs:
+            for w, mask in enumerate(masks):
+                np.bitwise_and(bits_b[w], mask, out=meet_b)
+                np.bitwise_and(meet_col, bits_c[w], out=tmp)
+                if w == 0:
+                    np.bitwise_count(tmp, out=lo)
+                else:
+                    lo += np.bitwise_count(tmp, out=cnt)
+            lo <<= id_bits
+            lo += bc
+            if one_word:
+                lo += ac
+                lo += ab
+                key = (lo,)
+            else:
+                np.add(ac, ab, out=hi)
+                key = (hi, lo)
+            if not seen.issuperset(_cells(key)):
+                for i, cell in enumerate(_cells(key)):
+                    if cell not in seen:
+                        seen.add(cell)
+                        reps.append((a, b0 + i // n, i % n))
+    object.__setattr__(pf, "_triple_reps", reps)  # frozen dataclass memo
+    return reps
+
+
+def _fill_rows(tile: np.ndarray, row: np.ndarray, n: int, height: int) -> None:
+    """Copy the n-element ``row`` into each of ``height`` rows of a flat tile."""
+    source, target = memoryview(row), memoryview(tile)
+    for start in range(0, height * n, n):
+        target[start:start + n] = source
 
 
 def _span_check(pf: PairFunctions, span_family: str, target_family: str) -> RelationCheck:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from spinweb.census import graph_from_index, tournament_from_index
@@ -74,6 +76,32 @@ class TestClassifySymmetric:
             g = graph_from_index(6, idx)
             assert classify_symmetric(g).is_spin_model == \
                 classify_symmetric(complement(g)).is_spin_model
+
+    def test_not_strongly_regular_rejected_before_complement(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("complement built for a graph that is not srg")
+
+        monkeypatch.setattr("spinweb.classifier.complement", refuse)
+        for g in (cycle(6), Graph.from_edges(3, [(0, 1)]), Graph.from_edges(3, [(0, 1), (1, 2)])):
+            v = classify_symmetric(g)
+            assert not v.is_spin_model and v.reason == "not strongly regular"
+
+    def test_one_srg_scan_per_classification(self, monkeypatch):
+        # the package attribute spinweb.regularity is a function: patch the module
+        regularity_module = sys.modules["spinweb.regularity"]
+        scan = regularity_module.srg_params
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return scan(g)
+
+        monkeypatch.setattr(regularity_module, "srg_params", counted)
+        monkeypatch.setattr("spinweb.classifier.srg_params", counted)
+        for g in (paley(9), clebsch(), petersen(), union_complete(2, 3), cycle(6)):
+            calls.clear()
+            classify_symmetric(g)
+            assert calls == [g]
 
     def test_total_function_on_random_inputs(self):
         import random

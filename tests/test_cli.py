@@ -56,6 +56,16 @@ class TestClassify:
         assert code == 0 and len(lines) == 2
         assert all(line["is_spin_model"] for line in lines)
 
+    @pytest.mark.parametrize("command", ["classify", "verify", "dims"])
+    def test_stdin_malformed_line_reported_and_skipped(self, capsys, monkeypatch,
+                                                        command):
+        data = b"DqK\nnot graph6!!\nDJG\n"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, err = run(capsys, command, "--graph6", "-", "--json")
+        assert code == 2
+        assert [json.loads(line)["input"] for line in out.splitlines()] == ["DqK", "DJG"]
+        assert err.splitlines() == ["line 2: byte 32 outside graph6 range 63..126"]
+
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "classify", "--graph6", "A_trailing")
         assert code == 2 and "error:" in err
@@ -98,6 +108,7 @@ GOLDEN_INPUTS = (
     ("--gen", "circulant_tournament:7,1,2,4", "--tournament"),
     ("--graph6", "DJG"),     # irregular, witnesses on all four relations
     ("--graph6", "FUmOo"),   # irregular, negative fitted value in the 3b witness
+    ("--gen", "mclaughlin"),
 )
 
 

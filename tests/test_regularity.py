@@ -4,8 +4,9 @@ from spinweb.census import iter_all_regular_labeled_graphs
 from spinweb.graphs import (Graph, clebsch, complement, complete,
                             connected_components, cycle, paley, petersen,
                             union_complete)
-from spinweb.regularity import (VacuousParameter, freeness, q_condition,
-                                regularity, srg_params, three_point_params)
+from spinweb.regularity import (VacuousParameter, complement_three_point_params,
+                                freeness, q_condition, regularity, srg_params,
+                                three_point_params)
 from tests.conftest import load_fixture
 
 
@@ -103,6 +104,19 @@ class TestThreePointParams:
                 p = three_point_params(g)
                 if p is not None:
                     assert srg_params(g) is not None
+
+    def test_complement_derived_by_inclusion_exclusion(self):
+        # values, vacuity flags and srg parameters equal a scan of the complement
+        graphs = [g for n in range(1, 8) for g in iter_all_regular_labeled_graphs(n)]
+        graphs += [paley(9), paley(13), paley(17), clebsch(), petersen(),
+                   load_fixture("schlafli"), load_fixture("higman_sims")]
+        checked = 0
+        for g in graphs:
+            p = three_point_params(g)
+            if p is not None:
+                assert complement_three_point_params(p) == three_point_params(complement(g))
+                checked += 1
+        assert checked == 85
 
 
 class TestFreeness:

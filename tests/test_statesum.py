@@ -1,16 +1,18 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from spinweb.census import graph_from_index, iter_all_regular_labeled_graphs
+from spinweb.census import (graph_from_index, iter_all_regular_labeled_graphs,
+                            iter_circulant_tournaments, tournament_from_index)
 from spinweb.graphs import (Graph, Tournament, circulant_tournament, clebsch,
                             complete, cycle, paley, petersen, union_complete)
 from spinweb.regularity import srg_params, three_point_params
-from spinweb.statesum import (PairFunctions, ZeroGenerator, check_1b,
-                              check_2b, check_3a, check_3b, d_value, dim_v3,
-                              full_report, s_value,
-                              spin_model_verdict, triple_words)
+from spinweb.statesum import (PairFunctions, ZeroGenerator, _pair_functions,
+                              _representative_triples, check_1b, check_2b,
+                              check_3a, check_3b, d_value, dim_v3, full_report,
+                              s_value, spin_model_verdict, triple_words)
 from tests.conftest import load_fixture
 
 
@@ -229,3 +231,111 @@ class TestInvariants:
             for idx in range(1 << (n * (n - 1) // 2)):
                 g = graph_from_index(n, idx)
                 assert spin_model_verdict(g) == full_report(g).is_spin_model
+
+
+def reference_representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
+    """The pure-Python n^3 profile scan the numpy kernel replaced.
+
+    Graphs key a triple on pair classes, degrees, pairwise and 3-way
+    intersection counts; tournaments on classes, out- and in-degrees, the
+    four P/Q pairwise counts of each pair and all eight P/Q 3-way counts.
+    """
+    n = pf.n
+    rows_p, rows_q = pf.rows["P"], pf.rows["Q"]
+
+    def pair_class(u, v):
+        if u == v:
+            return 0
+        return 1 if (rows_p[u] >> v) & 1 else 2
+
+    classes = [[pair_class(u, v) for v in range(n)] for u in range(n)]
+    reps = {}
+    if not pf.directed:
+        deg = [row.bit_count() for row in rows_p]
+        common = [[(rows_p[u] & rows_p[v]).bit_count() for v in range(n)]
+                  for u in range(n)]
+        for a, b, c in product(range(n), repeat=3):
+            key = (classes[a][b], classes[b][c], classes[a][c], deg[a], deg[b], deg[c],
+                   common[a][b], common[b][c], common[a][c],
+                   (rows_p[a] & rows_p[b] & rows_p[c]).bit_count())
+            reps.setdefault(key, (a, b, c))
+    else:
+        degs = ([row.bit_count() for row in rows_p], [row.bit_count() for row in rows_q])
+        tabs = {(g, h): [[(grows[u] & hrows[v]).bit_count() for v in range(n)]
+                         for u in range(n)]
+                for g, grows in enumerate((rows_p, rows_q))
+                for h, hrows in enumerate((rows_p, rows_q))}
+        for a, b, c in product(range(n), repeat=3):
+            pair_part = tuple(tabs[g, h][u][v] for g in (0, 1) for h in (0, 1)
+                              for u, v in ((a, b), (a, c), (b, c)))
+            pop3 = tuple((g1[a] & g2[b] & g3[c]).bit_count()
+                         for g1 in (rows_p, rows_q) for g2 in (rows_p, rows_q)
+                         for g3 in (rows_p, rows_q))
+            key = (classes[a][b], classes[b][c], classes[a][c],
+                   degs[0][a], degs[0][b], degs[0][c], degs[1][a], degs[1][b], degs[1][c],
+                   pair_part, pop3)
+            reps.setdefault(key, (a, b, c))
+    return list(reps.values())
+
+
+def relabel(obj, rng):
+    perm = list(range(obj.n))
+    rng.shuffle(perm)
+    rows = [0] * obj.n
+    for u, row in enumerate(obj.adj if isinstance(obj, Graph) else obj.arc):
+        for v in range(obj.n):
+            if (row >> v) & 1:
+                rows[perm[u]] |= 1 << perm[v]
+    return type(obj)(obj.n, tuple(rows))
+
+
+def triple_kernel_corpus():
+    rng = random.Random(31)
+    for _ in range(320):
+        n, density = rng.randint(1, 14), rng.random()
+        yield Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                   if rng.random() < density])
+    for n in range(1, 5):
+        for index in range(1 << (n * (n - 1) // 2)):
+            yield tournament_from_index(n, index)
+    for _ in range(40):
+        yield tournament_from_index(5, rng.getrandbits(10))
+    for n in (7, 9):
+        yield from iter_circulant_tournaments(n)
+    yield load_fixture("schlafli")
+    yield load_fixture("higman_sims")
+
+
+class TestRepresentativeTriples:
+    """The numpy slab kernel returns the reference's triples in its order."""
+
+    def test_matches_reference_and_relabelings(self):
+        rng = random.Random(32)
+        checked = 0
+        for obj in triple_kernel_corpus():
+            for subject in (obj, relabel(obj, rng)):
+                got = _representative_triples(_pair_functions(subject))
+                assert got == reference_representative_triples(_pair_functions(subject))
+                checked += 1
+        assert checked == 2 * (320 + 75 + 40 + 24 + 2)
+
+    def test_two_word_keys_match_reference(self, monkeypatch):
+        # the (ab, bc) + (ac, T) key layout used once one int64 cannot hold a key
+        monkeypatch.setattr("spinweb.statesum._KEY_BITS", 0)
+        rng = random.Random(33)
+        for n in (1, 2, 5, 9, 13):
+            for density in (0.0, 0.3, 0.7, 1.0):
+                g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                         if rng.random() < density])
+                assert _representative_triples(_pair_functions(g)) == \
+                    reference_representative_triples(_pair_functions(g))
+        for t in iter_circulant_tournaments(9):
+            assert _representative_triples(_pair_functions(t)) == \
+                reference_representative_triples(_pair_functions(t))
+
+    def test_slabs_smaller_than_a_row(self, monkeypatch):
+        # n > _SLAB: one b row per slab
+        monkeypatch.setattr("spinweb.statesum._SLAB", 4)
+        for g in (petersen(), paley(13), union_complete(3, 2)):
+            assert _representative_triples(_pair_functions(g)) == \
+                reference_representative_triples(_pair_functions(g))
