@@ -10,14 +10,24 @@ pre-filter itself, every guard_stride-th rejected graph still runs both
 full paths.
 
 Enumeration order is fixed (n ascending, edge-bit index ascending, bits
-in graph6 pair order), blocks are fixed-size, and the guard sample is a
-deterministic function of the index, so results do not depend on the
-worker count.
+in graph6 pair order), and the guard sample is a deterministic function
+of the index, so results do not depend on the worker count or the block
+size.  A task is one block of at most 2^16 indices of one n: n <= 7
+makes 38 tasks, 32 of them the n = 7 blocks of a few hundredths of a
+second each, so a pool's workers finish within one small block of each
+other and each worker's numpy pre-filter arrays stay small.  Blocks are
+merged in task order; the first disagreement in enumeration order stops
+the census and cancels the blocks not yet started.
+
+A graph is built from its index one byte at a time: each byte of the
+index selects a precomputed n x n bit matrix of its pairs, and the rows
+are the OR of one matrix per byte.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -32,7 +42,7 @@ from .regularity import three_point_params
 from .statesum import full_report, spin_model_verdict
 
 MAX_BUILTIN_N = 8
-_BLOCK = 1 << 18
+_BLOCK = 1 << 16
 
 
 class CensusMode(enum.Enum):
@@ -61,6 +71,10 @@ class CensusConfig:
     def __post_init__(self):
         if self.input is None and not 1 <= self.max_n <= MAX_BUILTIN_N:
             raise ValueError(f"built-in enumeration supports 1 <= max_n <= {MAX_BUILTIN_N}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.guard_stride < 1:
+            raise ValueError(f"guard_stride must be >= 1, got {self.guard_stride}")
         if isinstance(self.mode, str):
             object.__setattr__(self, "mode", CensusMode(self.mode))
 
@@ -100,28 +114,54 @@ class CensusResult:
 # labeled enumeration
 # ---------------------------------------------------------------------------
 
-def pair_positions(n: int) -> list[tuple[int, int]]:
+@functools.cache
+def pair_positions(n: int) -> tuple[tuple[int, int], ...]:
     """Edge-bit order: pair (i, j), i < j, sorted by j then i (graph6 order)."""
-    return [(i, j) for j in range(1, n) for i in range(j)]
+    return tuple((i, j) for j in range(1, n) for i in range(j))
+
+
+@functools.cache
+def _byte_tables(n: int, directed: bool) -> tuple[tuple[int, ...], ...]:
+    """Per index byte, the packed n x n bit matrix of each of its 256 values.
+
+    Bit ``i * n + j`` of an entry is set iff the byte's pairs put j in row
+    i: both (i, j) and (j, i) for a set bit of a graph index; i -> j for a
+    set bit of a tournament index and j -> i for a clear one.  Bits of the
+    last byte past the n(n-1)/2 pairs select nothing, as in the per-bit
+    reading of an index.
+    """
+    pairs = pair_positions(n)
+    tables = []
+    for first in range(0, len(pairs), 8):
+        cells = [(1 << (i * n + j), 1 << (j * n + i)) for i, j in pairs[first:first + 8]]
+        table = []
+        for value in range(256):
+            packed = 0
+            for b, (forward, backward) in enumerate(cells):
+                if (value >> b) & 1:
+                    packed |= forward | (0 if directed else backward)
+                elif directed:
+                    packed |= backward
+            table.append(packed)
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _rows_from_index(n: int, index: int, directed: bool) -> tuple[int, ...]:
+    packed = 0
+    for table in _byte_tables(n, directed):
+        packed |= table[index & 0xFF]
+        index >>= 8
+    mask = (1 << n) - 1
+    return tuple((packed >> shift) & mask for shift in range(0, n * n, n))
 
 
 def graph_from_index(n: int, index: int) -> Graph:
-    rows = [0] * n
-    for b, (i, j) in enumerate(pair_positions(n)):
-        if (index >> b) & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return Graph(n, _rows_from_index(n, index, False))
 
 
 def tournament_from_index(n: int, index: int) -> Tournament:
-    rows = [0] * n
-    for b, (i, j) in enumerate(pair_positions(n)):
-        if (index >> b) & 1:
-            rows[i] |= 1 << j
-        else:
-            rows[j] |= 1 << i
-    return Tournament(n, tuple(rows))
+    return Tournament(n, _rows_from_index(n, index, True))
 
 
 def _degree_bit_masks(n: int) -> list[int]:
@@ -142,14 +182,12 @@ def _regular_mask(n: int, indices: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _classify_and_compare(n: int, index: int) -> tuple[Verdict, bool]:
-    g = graph_from_index(n, index)
-    verdict = classify_symmetric(g)
-    oracle = spin_model_verdict(g)
-    return verdict, oracle
-
-
 def _census_block(args) -> CensusResult:
+    """Census of the graphs with index in [start, stop) on n vertices.
+
+    The regular graphs and the guard samples run both full paths in index
+    order, so the disagreement a block reports is its first one.
+    """
     n, start, stop, mode_value, guard_stride = args
     mode = CensusMode(mode_value)
     out = CensusResult()
@@ -158,29 +196,25 @@ def _census_block(args) -> CensusResult:
         regular = np.ones(1, dtype=bool)
     else:
         regular = _regular_mask(n, indices)
-    out.graphs_seen = len(indices)
+    out.graphs_seen = stop - start
+    out.bump(VerdictCase.NOT_SPIN_MODEL.value, out.graphs_seen - int(np.count_nonzero(regular)))
 
-    irregular = indices[~regular]
-    out.bump(VerdictCase.NOT_SPIN_MODEL.value, len(irregular))
-    for index in irregular[irregular % guard_stride == 0]:
-        verdict, oracle = _classify_and_compare(n, int(index))
-        out.guarded += 1
-        if verdict.is_spin_model or oracle:
-            g6 = write_graph6(graph_from_index(n, int(index))).decode()
-            out.disagreement = Disagreement(n, int(index), g6,
-                                            verdict.is_spin_model, oracle)
-            return out
-
-    for index in indices[regular]:
-        index = int(index)
+    checked = regular | (indices % guard_stride == 0)
+    for index, is_regular in zip(indices[checked].tolist(), regular[checked].tolist()):
         g = graph_from_index(n, index)
         verdict = classify_symmetric(g)
         oracle = spin_model_verdict(g)
-        out.bump(verdict.case.value)
-        if verdict.is_spin_model != oracle:
+        if is_regular:
+            out.bump(verdict.case.value)
+        else:
+            out.guarded += 1
+        # the pre-filter has already said "not a spin model" for an irregular graph
+        if verdict.is_spin_model != oracle or (oracle and not is_regular):
             out.disagreement = Disagreement(
                 n, index, write_graph6(g).decode(), verdict.is_spin_model, oracle)
             return out
+        if not is_regular:
+            continue
         if mode is CensusMode.LIST_SPIN_MODELS and verdict.is_spin_model:
             out.hits.append(Hit(n, index, write_graph6(g).decode(),
                                 verdict, full_report(g)))
@@ -213,9 +247,11 @@ def run_census(cfg: CensusConfig) -> CensusResult:
     result = CensusResult()
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for part in pool.map(_census_block, tasks):
-                _merge(result, part)
+            futures = [pool.submit(_census_block, task) for task in tasks]
+            for future in futures:
+                _merge(result, future.result())
                 if result.disagreement is not None:
+                    pool.shutdown(cancel_futures=True)
                     break
     else:
         for task in tasks:

@@ -36,9 +36,12 @@ else into two.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import xor
 
 import numpy as np
 
@@ -76,22 +79,22 @@ class PairFunctions:
 
     @classmethod
     def from_graph(cls, g: Graph) -> "PairFunctions":
-        full = (1 << g.n) - 1
+        one, delta = _constant_rows(g.n)
         return cls(n=g.n, directed=False, rows={
-            ONE: tuple(full for _ in range(g.n)),
-            DELTA: tuple(1 << u for u in range(g.n)),
+            ONE: one,
+            DELTA: delta,
             P: g.adj,
-            Q: tuple(full & ~(1 << u) & ~g.adj[u] for u in range(g.n)),
+            Q: tuple(map(xor, one, map(xor, delta, g.adj))),
         })
 
     @classmethod
     def from_tournament(cls, t: Tournament) -> "PairFunctions":
-        full = (1 << t.n) - 1
+        one, delta = _constant_rows(t.n)
         transpose = tuple(
             sum(((t.arc[x] >> u) & 1) << x for x in range(t.n)) for u in range(t.n))
         return cls(n=t.n, directed=True, rows={
-            ONE: tuple(full for _ in range(t.n)),
-            DELTA: tuple(1 << u for u in range(t.n)),
+            ONE: one,
+            DELTA: delta,
             P: t.arc,
             Q: transpose,
         })
@@ -107,6 +110,12 @@ class PairFunctions:
         return all(
             1 == self.value(DELTA, u, v) + self.value(P, u, v) + self.value(Q, u, v)
             for u in range(self.n) for v in range(self.n))
+
+
+@functools.cache
+def _constant_rows(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The One and Delta rows on n vertices, shared by every input of that size."""
+    return tuple((1 << n) - 1 for _ in range(n)), tuple(1 << u for u in range(n))
 
 
 def _pair_functions(obj) -> PairFunctions:
@@ -177,7 +186,7 @@ class RelationReport:
 def check_1b(obj) -> RelationCheck:
     """Relation 1b: constant row sums of C_P (directed also column sums)."""
     pf = _pair_functions(obj)
-    out = [pf.rows[P][a].bit_count() for a in range(pf.n)]
+    out = [row.bit_count() for row in pf.rows[P]]
     k = out[0]
     for a, deg in enumerate(out):
         if deg != k:
@@ -211,20 +220,28 @@ def _fit_or_witness(equations):
                                        [target for _, target, _ in entries])
     if consistent:
         return fit, None
+    scale = lcm(*(f.denominator for f in fit))      # the fit as integers over one denominator
+    scaled = [f.numerator * (scale // f.denominator) for f in fit]
     for row, target, site in entries:
-        fitted = sum(f * v for f, v in zip(fit, row))
-        if fitted != target:
-            return None, (site, target, fitted)
+        fitted = sum(c * v for c, v in zip(scaled, row))
+        if fitted != target * scale:
+            return None, (site, target, Fraction(fitted, scale))
     raise AssertionError("inconsistent system without a pointwise witness")
 
 
 def check_2b(obj) -> RelationCheck:
-    """Relation 2b: sum_x C_P(a,x) C_P(b,x) in span{Delta, P, Q}."""
+    """Relation 2b: sum_x C_P(a,x) C_P(b,x) in span{Delta, P, Q}.
+
+    The equation of (a, b) has the (Delta, P, Q) values of the pair as its
+    row; exactly one of them is 1, since One = Delta + P + Q pointwise.
+    """
     pf = _pair_functions(obj)
+    rows = pf.rows[P]
+    equal, joined, other = (1, 0, 0), (0, 1, 0), (0, 0, 1)   # (Delta, P, Q) rows
     solution, miss = _fit_or_witness(
-        ((pf.value(DELTA, a, b), pf.value(P, a, b), pf.value(Q, a, b)),
-         (pf.rows[P][a] & pf.rows[P][b]).bit_count(), (a, b))
-        for a in range(pf.n) for b in range(pf.n))
+        (equal if a == b else joined if (ra >> b) & 1 else other,
+         (ra & rb).bit_count(), (a, b))
+        for a, ra in enumerate(rows) for b, rb in enumerate(rows))
     if miss is not None:
         site, target, fitted = miss
         return RelationCheck(False, witness=Witness(

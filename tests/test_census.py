@@ -1,16 +1,68 @@
+import dataclasses
+import os
+import random
+import time
 from collections import Counter
 
 import pytest
 
-from spinweb.census import (CensusConfig, CensusMode,
+from spinweb import census
+from spinweb.census import (CensusConfig, CensusMode, CensusResult,
+                            CounterexampleFound, Disagreement,
                             freeness_duality_violations, graph_from_index,
                             iter_circulant_tournaments,
-                            iter_regular_labeled_graphs,
+                            iter_regular_labeled_graphs, pair_positions,
                             run_census, run_tournament_census, scan_stream,
                             tournament_from_index)
 from spinweb.graph6 import write_graph6
 from spinweb.graphs import clebsch, petersen
 from tests.conftest import FIXTURE_DIR
+
+
+def reference_graph_rows(n, index):
+    """The per-bit reading of a graph index, kept as the reference."""
+    rows = [0] * n
+    for b, (i, j) in enumerate(pair_positions(n)):
+        if (index >> b) & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def reference_tournament_rows(n, index):
+    """The per-bit reading of a tournament index, kept as the reference."""
+    rows = [0] * n
+    for b, (i, j) in enumerate(pair_positions(n)):
+        if (index >> b) & 1:
+            rows[i] |= 1 << j
+        else:
+            rows[j] |= 1 << i
+    return tuple(rows)
+
+
+_real_census_block = census._census_block
+_PLANTED = ((6, 5 << 10), (6, 6 << 10))   # (n, block start) with 2^10-index blocks
+
+
+def _planted_block(args):
+    """A census block that logs its (n, start) and fakes two disagreements.
+
+    The first planted block answers late, so the second one is merged from a
+    finished future while the first is still running; blocks after both
+    are slow, so a census that does not cancel them keeps its workers busy.
+    """
+    n, start, stop = args[:3]
+    with open(os.environ["SPINWEB_BLOCK_LOG"], "a") as log:
+        log.write(f"{n} {start}\n")
+    if (n, start) in _PLANTED:
+        if (n, start) == _PLANTED[0]:
+            time.sleep(0.2)
+        out = CensusResult(graphs_seen=stop - start)
+        out.disagreement = Disagreement(n, start + 1, "planted", True, False)
+        return out
+    if (n, start) > _PLANTED[-1]:
+        time.sleep(0.1)
+    return _real_census_block(args)
 
 
 class TestEnumeration:
@@ -35,11 +87,34 @@ class TestEnumeration:
     def test_circulant_tournaments(self):
         assert sum(1 for _ in iter_circulant_tournaments(7)) == 8
 
+    def test_table_constructors_match_per_bit_loops(self):
+        rng = random.Random(20261018)
+        cases = [(n, index) for n in range(1, 6)
+                 for index in range(1 << (n * (n - 1) // 2))]
+        for n in (6, 7, 8):
+            top = (1 << (n * (n - 1) // 2)) - 1
+            cases += [(n, 0), (n, top)]
+            cases += [(n, rng.randint(1, top - 1)) for _ in range(1998)]
+        for n, index in cases:
+            assert graph_from_index(n, index).adj == reference_graph_rows(n, index)
+            assert tournament_from_index(n, index).arc == \
+                reference_tournament_rows(n, index)
+
 
 class TestRunCensus:
     def test_config_rejects_large_n(self):
         with pytest.raises(ValueError):
             CensusConfig(max_n=9)
+
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_config_rejects_guard_stride_below_1(self, stride):
+        with pytest.raises(ValueError, match="guard_stride"):
+            CensusConfig(max_n=5, guard_stride=stride)
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_config_rejects_workers_below_1(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            CensusConfig(max_n=5, workers=workers)
 
     def test_spin_model_hits_up_to_5(self):
         res = run_census(CensusConfig(max_n=5, mode=CensusMode.LIST_SPIN_MODELS))
@@ -65,6 +140,55 @@ class TestRunCensus:
         assert one.counts == two.counts
         assert [(h.n, h.index, h.graph6) for h in one.hits] == \
             [(h.n, h.index, h.graph6) for h in two.hits]
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        outcomes = []
+        for block in (1 << 18, 1 << 16, 1 << 10):
+            monkeypatch.setattr(census, "_BLOCK", block)
+            for workers in (1, 2):
+                res = run_census(CensusConfig(max_n=6, mode=CensusMode.LIST_SPIN_MODELS,
+                                              workers=workers))
+                outcomes.append((res.graphs_seen, res.counts, res.guarded,
+                                 [(h.n, h.index, h.graph6, h.verdict) for h in res.hits],
+                                 res.disagreement))
+        assert outcomes[0][0] == 1 + 2 + 8 + 64 + 1024 + 32768
+        assert all(outcome == outcomes[0] for outcome in outcomes)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_disagreement_stops_the_census(self, workers, monkeypatch, tmp_path):
+        log = tmp_path / "blocks.log"
+        monkeypatch.setenv("SPINWEB_BLOCK_LOG", str(log))
+        monkeypatch.setattr(census, "_BLOCK", 1 << 10)
+        monkeypatch.setattr(census, "_census_block", _planted_block)
+        tasks = 5 + 32            # one block each for n <= 5, 32 for n = 6
+        with pytest.raises(CounterexampleFound) as caught:
+            run_census(CensusConfig(max_n=6, workers=workers))
+        assert (caught.value.disagreement.n, caught.value.disagreement.index) == \
+            (6, (5 << 10) + 1)
+        ran = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert len(set(ran)) == len(ran)
+        later = [block for block in ran if block > _PLANTED[-1]]
+        # the 25 blocks after the planted ones would all run without the
+        # cancel; only those already handed to a worker may still start
+        assert len(ran) < tasks and len(later) <= (0 if workers == 1 else 10)
+
+    @pytest.mark.parametrize("block", [1 << 16, 1 << 10, 1 << 4])
+    def test_first_disagreement_in_index_order(self, block, monkeypatch):
+        # a regular graph (index 236) and a later guard sample (index 300)
+        # on 5 vertices both disagree; the regular one comes first
+        targets = {graph_from_index(5, index).adj for index in (236, 300)}
+        real = census.classify_symmetric
+
+        def flipped(g):
+            verdict = real(g)
+            if g.adj in targets and g.n == 5:
+                return dataclasses.replace(verdict, is_spin_model=not verdict.is_spin_model)
+            return verdict
+
+        monkeypatch.setattr(census, "_BLOCK", block)
+        monkeypatch.setattr(census, "classify_symmetric", flipped)
+        res = run_census(CensusConfig(max_n=5, mode=CensusMode.LIST_SPIN_MODELS))
+        assert (res.disagreement.n, res.disagreement.index) == (5, 236)
 
     def test_three_point_mode(self):
         res = run_census(CensusConfig(max_n=4, mode=CensusMode.LIST_3PT_REGULAR))

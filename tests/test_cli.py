@@ -176,6 +176,13 @@ class TestCensusCommand:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert str(missing) in err
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_1_exits_2(self, capsys, workers):
+        code, out, err = run(capsys, "census", "--max-n", "4", "--workers", workers)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "workers" in err
+
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         from spinweb.census import CounterexampleFound, Disagreement
 
