@@ -128,7 +128,8 @@ def _byte_tables(n: int, directed: bool) -> tuple[tuple[int, ...], ...]:
     i: both (i, j) and (j, i) for a set bit of a graph index; i -> j for a
     set bit of a tournament index and j -> i for a clear one.  Bits of the
     last byte past the n(n-1)/2 pairs select nothing, as in the per-bit
-    reading of an index.
+    reading of an index.  The tables of one n hold 256 entries of up to
+    n^2 bits per index byte, so they grow as n^4: about 40 KB at n = 8.
     """
     pairs = pair_positions(n)
     tables = []
