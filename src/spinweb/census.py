@@ -37,7 +37,7 @@ import numpy as np
 from .classifier import (Verdict, VerdictCase, classify_symmetric,
                          classify_tournament)
 from .graph6 import read_graph6_lines, write_graph6
-from .graphs import Graph, Tournament
+from .graphs import Graph, Tournament, circulant_tournament
 from .regularity import three_point_params
 from .statesum import full_report, spin_model_verdict
 
@@ -299,14 +299,13 @@ def scan_stream(path, mode: CensusMode = CensusMode.LIST_SPIN_MODELS) -> CensusR
 # ---------------------------------------------------------------------------
 
 def iter_circulant_tournaments(n: int):
-    """All circulant tournaments on Z_n (one representative per outset)."""
+    """All circulant tournaments on Z_n (one representative per outset).
+
+    n must be odd: ``circulant_tournament`` raises ``BadOrder`` otherwise.
+    """
     halves = [(d, n - d) for d in range(1, (n + 1) // 2)]
     for choice in product(*halves):
-        rows = [0] * n
-        for d in choice:
-            for a in range(n):
-                rows[a] |= 1 << ((a + d) % n)
-        yield Tournament(n, tuple(rows))
+        yield circulant_tournament(n, choice)
 
 
 def run_tournament_census(ns=(3, 5), exhaustive_limit: int = 5,

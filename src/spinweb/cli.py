@@ -230,6 +230,8 @@ def cmd_generate(ns) -> int:
 
 
 def cmd_census(ns) -> int:
+    if ns.workers < 1:
+        raise CliError(f"workers must be >= 1, got {ns.workers}")
     if ns.tournament:
         result = census_mod.run_tournament_census(
             ns=tuple(int(x) for x in ns.ns.split(",")) if ns.ns else (3, 5),

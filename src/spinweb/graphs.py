@@ -4,6 +4,10 @@ Vertices are the integers 0..n-1.  Adjacency is stored as one Python int
 per vertex, bit b of ``adj[a]`` set iff a is adjacent to b, so that
 common-neighbor counts are word-parallel ``(adj[a] & adj[b]).bit_count()``
 calls.  That popcount trick is the performance foundation of the census.
+
+The two numpy triple kernels (the classifier's 3-point parameters and the
+oracle's triple profiles) share the bit-row plumbing at the end of this
+module: rows packed into int64 words, flat-array windows and row tiles.
 """
 
 from __future__ import annotations
@@ -11,6 +15,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
+
+WORD_BITS = 62       # bits per packed int64 word; np.bitwise_count counts |x|
+WORD_MASK = (1 << WORD_BITS) - 1
 
 
 class BadOrder(ValueError):
@@ -257,7 +266,7 @@ def circulant_tournament(n: int, outset) -> Tournament:
     """
     outset = set(outset)
     if n < 1 or n % 2 == 0:
-        raise BadOrder("circulant tournament needs odd n")
+        raise BadOrder(f"circulant tournament needs odd n, got {n}")
     if any(d < 1 or d >= n for d in outset):
         raise BadOrder("outset entries must lie in 1..n-1")
     for d in range(1, n):
@@ -265,3 +274,29 @@ def circulant_tournament(n: int, outset) -> Tournament:
             raise BadOrder("outset must contain exactly one of {d, n-d} per pair")
     return Tournament.from_arcs(
         n, [(a, (a + d) % n) for a in range(n) for d in outset])
+
+
+# ---------------------------------------------------------------------------
+# bit-row plumbing of the numpy triple kernels
+# ---------------------------------------------------------------------------
+
+def pack_rows(rows, n: int) -> list[np.ndarray]:
+    """Bitset rows on n vertices as int64 arrays, one per WORD_BITS-bit word.
+
+    Entry v of array w holds bits w*WORD_BITS.. of ``rows[v]``; bit 63 of
+    every entry stays clear, so ``np.bitwise_count`` counts exactly them.
+    """
+    return [np.fromiter(((row >> shift) & WORD_MASK for row in rows),
+                        dtype=np.int64, count=n) for shift in range(0, n, WORD_BITS)]
+
+
+def window(array: np.ndarray, start: int, count: int) -> np.ndarray:
+    """``count`` elements of a flat array from ``start``, as a writable view."""
+    return np.frombuffer(array, dtype=array.dtype, count=count,
+                         offset=start * array.itemsize)
+
+
+def fill_rows(tile: np.ndarray, row: np.ndarray, n: int, height: int) -> None:
+    """Copy the n-element ``row`` into each of ``height`` rows of a flat tile."""
+    memoryview(tile).cast("B")[:height * n * tile.itemsize] = \
+        memoryview(row).tobytes() * height

@@ -45,7 +45,8 @@ from operator import xor
 
 import numpy as np
 
-from .graphs import Graph, Tournament
+from .graphs import (WORD_BITS, WORD_MASK, Graph, Tournament, fill_rows, pack_rows,
+                     window)
 from .linalg import matrix_rank, solve_membership
 
 ONE = "One"
@@ -53,8 +54,6 @@ DELTA = "Delta"
 P = "P"
 Q = "Q"
 
-_WORD_BITS = 62      # bits per packed int64 word; np.bitwise_count counts |x|
-_WORD_MASK = (1 << _WORD_BITS) - 1
 _KEY_BITS = 63       # a packed profile key is a nonnegative int64
 _SLAB = 1 << 12      # (b, c) cells per slab buffer of the triple kernel
 
@@ -252,12 +251,6 @@ def check_2b(obj) -> RelationCheck:
     return RelationCheck(True, coefficients={"k": kp, "lambda": lam, "mu": mu})
 
 
-def _window(array: np.ndarray, start: int, count: int) -> np.ndarray:
-    """``count`` elements of a flat array from ``start``, as a writable view."""
-    return np.frombuffer(array, dtype=array.dtype, count=count,
-                         offset=start * array.itemsize)
-
-
 def _cells(words: tuple[np.ndarray, ...]):
     """The cells of a slab as hashable keys: ints for one word, else pairs."""
     views = [memoryview(word.reshape(-1)) for word in words]
@@ -277,17 +270,16 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
     with the full n^3 systems while touching far fewer rows.
 
     The kernel is exact integer numpy.  Rows are packed into int64 words of
-    _WORD_BITS bits (``np.bitwise_count`` counts the bits of |x|, so bit 63
-    stays clear).  For each a, slabs of at most _SLAB (b, c) cells get T
-    from word-wise AND plus popcount, and the fields (ab, ac, T, bc), high
-    to low, are packed into one nonnegative int64 key while
-    3 * bits(pair ids) + bits(n) fits in _KEY_BITS; beyond that (only for
-    n >= 512 with more than 2^17 distinct pair profiles) a key is the two
-    words (ab, ac) and (T, bc), exact while 2 * bits(pair ids) <= 63, that
-    is for every n whose n x n table of int32 pair ids fits in memory
-    (n <= 46340).  A Python set over a memoryview of each slab finds the
-    keys not seen before, and only a slab holding one is scanned for its
-    first site.
+    WORD_BITS bits (``graphs.pack_rows``).  For each a, slabs of at most
+    _SLAB (b, c) cells get T from word-wise AND plus popcount, and the
+    fields (ab, ac, T, bc), high to low, are packed into one nonnegative
+    int64 key while 3 * bits(pair ids) + bits(n) fits in _KEY_BITS; beyond
+    that (only for n >= 512 with more than 2^17 distinct pair profiles) a
+    key is the two words (ab, ac) and (T, bc), exact while
+    2 * bits(pair ids) <= 63, that is for every n whose n x n table of
+    int32 pair ids fits in memory (n <= 46340).  A Python set over a
+    memoryview of each slab finds the keys not seen before, and only a slab
+    holding one is scanned for its first site.
 
     Every array operation is elementwise on equal shapes or broadcasts a
     column; rows are laid out by memoryview copies and windows
@@ -314,11 +306,10 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
 
     height = max(1, min(n, _SLAB // n))
     size = height * n
-    words = [np.fromiter(((row >> shift) & _WORD_MASK for row in rows),
-                         dtype=np.int64, count=n) for shift in range(0, n, _WORD_BITS)]
+    words = pack_rows(rows, n)
     tiles = [np.empty(size, dtype=np.int64) for _ in words]   # `height` copies of a word
     for tile, word in zip(tiles, words):
-        _fill_rows(tile, word, n, height)
+        fill_rows(tile, word, n, height)
     ab_row, ac_row = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     ac_tile = np.empty(size, dtype=np.int64)
     low = np.empty(size, dtype=np.int64)
@@ -331,22 +322,22 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
         m = min(height, n - b0)
 
         def block(array, m=m):
-            return _window(array, 0, m * n).reshape(m, n)
+            return window(array, 0, m * n).reshape(m, n)
 
-        slabs.append((b0, [_window(word, b0, m) for word in words], [block(t) for t in tiles],
-                      _window(pid, b0 * n, m * n).reshape(m, n),
-                      _window(ab_row, b0, m).reshape(m, 1), block(ac_tile),
-                      _window(meet, 0, m), _window(meet, 0, m).reshape(m, 1),
+        slabs.append((b0, [window(word, b0, m) for word in words], [block(t) for t in tiles],
+                      window(pid, b0 * n, m * n).reshape(m, n),
+                      window(ab_row, b0, m).reshape(m, 1), block(ac_tile),
+                      window(meet, 0, m), window(meet, 0, m).reshape(m, 1),
                       block(low), block(high), block(scratch), block(counts)))
 
     seen: set = set()
     reps: list[tuple[int, int, int]] = []
     for a, ra in enumerate(rows):
-        pid_a = _window(pid, a * n, n)
+        pid_a = window(pid, a * n, n)
         np.left_shift(pid_a, shift_ab, out=ab_row, dtype=np.int64)
         np.left_shift(pid_a, shift_ac, out=ac_row, dtype=np.int64)
-        _fill_rows(ac_tile, ac_row, n, height)
-        masks = [(ra >> shift) & _WORD_MASK for shift in range(0, n, _WORD_BITS)]
+        fill_rows(ac_tile, ac_row, n, height)
+        masks = [(ra >> shift) & WORD_MASK for shift in range(0, n, WORD_BITS)]
         for b0, bits_b, bits_c, bc, ab, ac, meet_b, meet_col, lo, hi, tmp, cnt in slabs:
             for w, mask in enumerate(masks):
                 np.bitwise_and(bits_b[w], mask, out=meet_b)
@@ -371,13 +362,6 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
                         reps.append((a, b0 + i // n, i % n))
     object.__setattr__(pf, "_triple_reps", reps)  # frozen dataclass memo
     return reps
-
-
-def _fill_rows(tile: np.ndarray, row: np.ndarray, n: int, height: int) -> None:
-    """Copy the n-element ``row`` into each of ``height`` rows of a flat tile."""
-    source, target = memoryview(row), memoryview(tile)
-    for start in range(0, height * n, n):
-        target[start:start + n] = source
 
 
 def _span_check(pf: PairFunctions, span_family: str, target_family: str) -> RelationCheck:

@@ -122,6 +122,19 @@ class TestVerifyGolden:
         assert out.splitlines() == [expected]
 
 
+CLASSIFY_GOLDEN = GOLDEN.with_name("classify_golden.jsonl")
+
+
+class TestClassifyGolden:
+    """classify --json output (case, reason, q-value) pinned verbatim."""
+
+    @pytest.mark.parametrize("index", range(len(GOLDEN_INPUTS)))
+    def test_matches_golden_line(self, capsys, fixture_env, index):
+        expected = CLASSIFY_GOLDEN.read_text().splitlines()[index]
+        _, out, _ = run(capsys, "classify", "--json", *GOLDEN_INPUTS[index])
+        assert out.splitlines() == [expected]
+
+
 class TestDimsGenerate:
     def test_dims(self, capsys):
         code, out, _ = run(capsys, "dims", "--gen", "union_complete:3,3")
@@ -182,6 +195,25 @@ class TestCensusCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert "workers" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    @pytest.mark.parametrize("source", ["tournament", "input"])
+    def test_workers_below_1_exits_2_on_every_path(self, capsys, tmp_path, source, workers):
+        if source == "tournament":
+            argv = ["--tournament", "--ns", "3"]
+        else:
+            stream = tmp_path / "in.g6"
+            stream.write_bytes(write_graph6(cycle(5)) + b"\n")
+            argv = ["--input", str(stream)]
+        code, out, err = run(capsys, "census", *argv, "--workers", workers)
+        assert code == 2 and out == ""
+        assert err == f"error: workers must be >= 1, got {workers}\n"
+
+    @pytest.mark.parametrize("n", ["6", "8"])
+    def test_even_tournament_size_above_exhaustive_limit_exits_2(self, capsys, n):
+        code, out, err = run(capsys, "census", "--tournament", "--ns", n)
+        assert code == 2 and out == ""
+        assert err == f"error: circulant tournament needs odd n, got {n}\n"
 
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         from spinweb.census import CounterexampleFound, Disagreement

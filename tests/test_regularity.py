@@ -1,17 +1,67 @@
+import random
+import sys
+from itertools import combinations
+
 import pytest
 
-from spinweb.census import iter_all_regular_labeled_graphs
+from spinweb.census import graph_from_index, iter_all_regular_labeled_graphs
 from spinweb.graphs import (Graph, clebsch, complement, complete,
                             connected_components, cycle, paley, petersen,
                             union_complete)
-from spinweb.regularity import (VacuousParameter, complement_three_point_params,
-                                freeness, q_condition, regularity, srg_params,
+from spinweb.regularity import (ThreePointParams, VacuousParameter,
+                                complement_three_point_params, freeness,
+                                q_condition, regularity, srg_params,
                                 three_point_params)
 from tests.conftest import load_fixture
+
+# the package attribute spinweb.regularity is a function: patch the module
+regularity_module = sys.modules["spinweb.regularity"]
 
 
 def path(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def reference_counts(g):
+    """The pure-Python scan over the C(n, 3) triples that the kernel replaced:
+    the common-neighbor count of the triples with e edges, by e, or None."""
+    counts = [None, None, None, None]  # index = edge count
+    for a, b, c in combinations(range(g.n), 3):
+        edges = (((g.adj[a] >> b) & 1) + ((g.adj[b] >> c) & 1) + ((g.adj[a] >> c) & 1))
+        common = (g.adj[a] & g.adj[b] & g.adj[c]).bit_count()
+        if counts[edges] is None:
+            counts[edges] = common
+        elif counts[edges] != common:
+            return None
+    return counts
+
+
+def reference_three_point_params(g):
+    srg = srg_params(g)
+    counts = None if srg is None else reference_counts(g)
+    if counts is None:
+        return None
+    return ThreePointParams(
+        srg=srg,
+        q3=counts[3] or 0, q2=counts[2] or 0, q1=counts[1] or 0, q0=counts[0] or 0,
+        q3_vacuous=counts[3] is None, q2_vacuous=counts[2] is None,
+        q1_vacuous=counts[1] is None, q0_vacuous=counts[0] is None,
+    )
+
+
+def relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def small_srg_corpus():
+    """Every strongly regular labeled graph on at most 8 vertices (n = 1, 2
+    give all-vacuous results), then the named ones up to Schlafli."""
+    graphs = [g for n in range(1, 9) for g in iter_all_regular_labeled_graphs(n)
+              if srg_params(g) is not None]
+    return graphs + [paley(9), paley(13), paley(17), clebsch(), petersen(), cycle(5),
+                     load_fixture("schlafli")]
 
 
 class TestRegularity:
@@ -117,6 +167,78 @@ class TestThreePointParams:
                 assert complement_three_point_params(p) == three_point_params(complement(g))
                 checked += 1
         assert checked == 85
+
+
+class TestThreePointKernel:
+    """The numpy kernel returns exactly what the pure-Python scan returned."""
+
+    def test_matches_reference_and_relabelings(self):
+        graphs = small_srg_corpus() + [load_fixture("higman_sims"),
+                                       load_fixture("mclaughlin")]
+        rng = random.Random(41)
+        three_point = 0
+        for g in graphs:
+            for subject in (g, relabel(g, rng)):
+                expected = reference_three_point_params(subject)
+                assert three_point_params(subject) == expected
+                assert three_point_params(subject, srg_params(subject)) == expected
+                three_point += expected is not None
+        assert len(graphs) == 372 and three_point == 2 * 369
+
+    def test_one_and_two_vertices_are_all_vacuous(self):
+        for g in (complete(1), complete(2), union_complete(2, 1)):
+            p = three_point_params(g)
+            assert p.q_vector() == (0, 0, 0, 0)
+            assert p.q3_vacuous and p.q2_vacuous and p.q1_vacuous and p.q0_vacuous
+
+    @pytest.mark.parametrize("slab", [1, 7, 100, 1 << 12])
+    def test_slab_sizes_match_reference(self, monkeypatch, slab):
+        # slab 1: one pair per slab, and slabs narrower than a row of cells
+        monkeypatch.setattr(regularity_module, "_SLAB", slab)
+        rng = random.Random(slab)
+        for g in small_srg_corpus():
+            subject = relabel(g, rng)
+            assert three_point_params(subject) == reference_three_point_params(subject)
+        # the kernel alone, on any graph, with k its largest degree: about a
+        # quarter pass the triples through vertex 0 and differ in a slab
+        graphs = [graph_from_index(n, index) for n in range(1, 6)
+                  for index in range(1 << (n * (n - 1) // 2))]
+        for _ in range(300):
+            n, density = rng.randint(6, 14), rng.random()
+            graphs.append(Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
+                                               if rng.random() < density]))
+        for g in graphs:
+            assert regularity_module._common_counts_by_type(g, max(g.degrees())) == \
+                reference_counts(g)
+
+    def test_stops_after_the_first_slab_showing_two_values(self, monkeypatch):
+        monkeypatch.setattr(regularity_module, "_SLAB", 8)
+        slabs = regularity_module._pair_slabs
+        taken = []
+
+        def counted(n):
+            for slab in slabs(n):
+                taken.append(slab)
+                yield slab
+
+        monkeypatch.setattr(regularity_module, "_pair_slabs", counted)
+        # K4 + K3 + K4: a triangle of a K4 has one common neighbor, the K3 has
+        # none, and the triples through vertex 0 meet only the former; the
+        # K3 is first a cell of the slab holding the pair (4, 5)
+        g = Graph.from_edges(11, [pair for block in ((0, 1, 2, 3), (4, 5, 6), (7, 8, 9, 10))
+                                  for pair in combinations(block, 2)])
+        assert regularity_module._common_counts_by_type(g, 3) is None
+        holding = next(i for i, (_, pieces, _) in enumerate(slabs(11))
+                       if any(b == 5 and a0 <= 4 < a0 + take for b, a0, take in pieces))
+        assert len(taken) == holding + 1 < sum(1 for _ in slabs(11))
+        # these already show two values among the triples through vertex 0
+        for g in (petersen(), paley(13), paley(17)):
+            taken.clear()
+            assert three_point_params(g) is None and taken == []
+        for g in (clebsch(), paley(9)):
+            taken.clear()
+            assert three_point_params(g) is not None
+            assert len(taken) == sum(1 for _ in slabs(g.n)) > 1
 
 
 class TestFreeness:
