@@ -430,12 +430,3 @@ def freeness_duality_violations(max_n: int, workers: int = 1) -> int:
             return sum(pool.map(_duality_block, tasks))
     return sum(_duality_block(task) for task in tasks)
 
-
-def summary_lines(result: CensusResult) -> list[str]:
-    lines = [f"graphs: {result.graphs_seen}"]
-    for case in sorted(result.counts):
-        lines.append(f"  {case}: {result.counts[case]}")
-    lines.append(f"hits: {len(result.hits)}")
-    lines.append(f"guard samples: {result.guarded}")
-    lines.append("disagreements: " + ("1" if result.disagreement else "0"))
-    return lines

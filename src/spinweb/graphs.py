@@ -133,9 +133,6 @@ class Tournament:
     def in_degree(self, a: int) -> int:
         return sum((self.arc[b] >> a) & 1 for b in range(self.n))
 
-    def arc_count(self) -> int:
-        return sum(row.bit_count() for row in self.arc)
-
 
 def complement(g: Graph) -> Graph:
     """Graph with the same vertices and exactly the missing edges of g."""

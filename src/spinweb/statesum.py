@@ -30,8 +30,12 @@ graphs met in practice n^3 rows collapse to a few dozen.  The 3-box systems
 take one representative triple per evaluation profile, found by an exact
 numpy slab kernel (``_representative_triples``): rows packed into 62-bit
 int64 words, 3-way intersections by AND plus ``np.bitwise_count``, and each
-profile packed into one int64 key while 3 * bits(pair ids) + bits(n) <= 63,
-else into two.
+profile packed in mixed radix into one int64 key while the I^3 (n + 1)
+keys of I pair ids fit, else into two.  A slab is tested for a profile not
+seen before by an ``np.bincount`` histogram of its keys when the key space
+is at most two slabs' cells, as on the large strongly regular graphs; tiny
+graphs and wide key spaces keep a Python set, since a histogram there
+costs more to build and clear than the slab it tests.
 """
 
 from __future__ import annotations
@@ -257,6 +261,17 @@ def _cells(words: tuple[np.ndarray, ...]):
     return views[0] if len(views) == 1 else zip(*views)
 
 
+def _histogram_presence(one_word: bool, bins: int, size: int) -> bool:
+    """Whether the triple kernel tests a slab for new profiles by histogram.
+
+    ``np.bincount`` over a slab of ``size`` cells costs O(size + bins), so
+    the histogram pays only while it is about the size of a slab; it also
+    stays within two slab buffers of memory.  Tiny graphs and wide key
+    spaces (an irregular graph with a score of pair ids) keep the set.
+    """
+    return one_word and bins <= 2 * size
+
+
 def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
     """One ordered triple per distinct evaluation profile, in (a, b, c) order.
 
@@ -271,22 +286,35 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
 
     The kernel is exact integer numpy.  Rows are packed into int64 words of
     WORD_BITS bits (``graphs.pack_rows``).  For each a, slabs of at most
-    _SLAB (b, c) cells get T from word-wise AND plus popcount, and the
-    fields (ab, ac, T, bc), high to low, are packed into one nonnegative
-    int64 key while 3 * bits(pair ids) + bits(n) fits in _KEY_BITS; beyond
-    that (only for n >= 512 with more than 2^17 distinct pair profiles) a
-    key is the two words (ab, ac) and (T, bc), exact while
-    2 * bits(pair ids) <= 63, that is for every n whose n x n table of
-    int32 pair ids fits in memory (n <= 46340).  A Python set over a
-    memoryview of each slab finds the keys not seen before, and only a slab
-    holding one is scanned for its first site.
+    _SLAB (b, c) cells get T from word-wise AND plus popcount.  With I pair
+    ids, the fields are packed in mixed radix into one nonnegative int64
+    key ((ab * I + ac) * (n + 1) + T) * I + bc, below bins = I^3 (n + 1),
+    while bins <= 2^_KEY_BITS; beyond that (only for n >= 512 with more
+    than 2^17 distinct pair profiles) a key is the two words ab * I + ac
+    and T * I + bc, exact while I^2 < 2^63, that is for every n whose
+    n x n table of int32 pair ids fits in memory (n <= 46340).
 
-    Every array operation is elementwise on equal shapes or broadcasts a
-    column; rows are laid out by memoryview copies and windows
-    (``np.frombuffer``).  Indexing an array, ``len()`` of one and row
-    broadcasts each run numpy code that nothing else on the oracle's path
-    runs, and faulting that code in raised the process's peak resident
-    memory by 64 KB per code region, more than the buffers themselves.
+    Presence of a new key is tested per slab in one of two ways
+    (``_histogram_presence``).  When the one-word key space is at most two
+    slabs' cells (Schlafli, Higman-Sims, McLaughlin, Clebsch, Paley(17)),
+    ``np.bincount`` of the slab's keys is AND-ed with an int64 mask that
+    is -1 at the keys not seen yet, and the slab holds a new key iff that
+    masked histogram has a nonzero bin, that is iff its own ``np.bincount``
+    is not [bins].  (Comparing its bytes with a zero buffer is a few
+    microseconds faster per slab but holds two more histogram-sized
+    buffers, which showed in the process's peak memory.)  Otherwise (tiny
+    graphs, wide key spaces, two-word keys) a Python set over a memoryview
+    of the slab finds the keys not seen before.  Either way only a slab
+    holding a new key is scanned, cell by cell, for its first sites; the
+    histogram path clears the mask there through a memoryview.
+
+    Every array operation is elementwise on equal shapes, broadcasts a
+    column or is ``np.bincount``; rows are laid out by memoryview copies
+    and windows (``np.frombuffer``).  Indexing an array, ``len()`` of one
+    and row broadcasts each run numpy code that nothing else on the
+    oracle's path runs, and faulting that code in raised the process's peak
+    resident memory by 64 KB per code region, more than the buffers
+    themselves.
     """
     cached = getattr(pf, "_triple_reps", None)
     if cached is not None:
@@ -299,13 +327,15 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
                                        deg[u], deg[v], (ru & rv).bit_count()), len(ids))
                        for u, ru in enumerate(rows) for v, rv in enumerate(rows)),
                       dtype=np.int32, count=n * n)
-    id_bits, t_bits = (len(ids) - 1).bit_length(), n.bit_length()
-    one_word = 3 * id_bits + t_bits <= _KEY_BITS
-    shift_ac = id_bits + t_bits if one_word else 0
-    shift_ab = shift_ac + id_bits
+    n_ids = len(ids)
+    bins = n_ids ** 3 * (n + 1)
+    one_word = bins <= 1 << _KEY_BITS
+    scale_ac = (n + 1) * n_ids if one_word else 1
+    scale_ab = scale_ac * n_ids
 
     height = max(1, min(n, _SLAB // n))
     size = height * n
+    histogram = _histogram_presence(one_word, bins, size)
     words = pack_rows(rows, n)
     tiles = [np.empty(size, dtype=np.int64) for _ in words]   # `height` copies of a word
     for tile, word in zip(tiles, words):
@@ -328,17 +358,23 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
                       window(pid, b0 * n, m * n).reshape(m, n),
                       window(ab_row, b0, m).reshape(m, 1), block(ac_tile),
                       window(meet, 0, m), window(meet, 0, m).reshape(m, 1),
-                      block(low), block(high), block(scratch), block(counts)))
+                      block(low), window(low, 0, m * n), block(high), block(scratch),
+                      block(counts)))
 
-    seen: set = set()
     reps: list[tuple[int, int, int]] = []
+    seen: set = set()
+    if histogram:
+        unseen = np.frombuffer(bytearray(b"\xff") * (8 * bins), dtype=np.int64)  # all -1
+        unseen_cells = memoryview(unseen)
+        no_hits = [bins]        # np.bincount of an all-zero histogram
     for a, ra in enumerate(rows):
         pid_a = window(pid, a * n, n)
-        np.left_shift(pid_a, shift_ab, out=ab_row, dtype=np.int64)
-        np.left_shift(pid_a, shift_ac, out=ac_row, dtype=np.int64)
+        np.multiply(pid_a, scale_ab, out=ab_row, dtype=np.int64)
+        np.multiply(pid_a, scale_ac, out=ac_row, dtype=np.int64)
         fill_rows(ac_tile, ac_row, n, height)
         masks = [(ra >> shift) & WORD_MASK for shift in range(0, n, WORD_BITS)]
-        for b0, bits_b, bits_c, bc, ab, ac, meet_b, meet_col, lo, hi, tmp, cnt in slabs:
+        for (b0, bits_b, bits_c, bc, ab, ac, meet_b, meet_col, lo, flat, hi, tmp,
+             cnt) in slabs:
             for w, mask in enumerate(masks):
                 np.bitwise_and(bits_b[w], mask, out=meet_b)
                 np.bitwise_and(meet_col, bits_c[w], out=tmp)
@@ -346,7 +382,7 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
                     np.bitwise_count(tmp, out=lo)
                 else:
                     lo += np.bitwise_count(tmp, out=cnt)
-            lo <<= id_bits
+            lo *= n_ids
             lo += bc
             if one_word:
                 lo += ac
@@ -355,7 +391,15 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
             else:
                 np.add(ac, ab, out=hi)
                 key = (hi, lo)
-            if not seen.issuperset(_cells(key)):
+            if histogram:
+                hits = np.bincount(flat, minlength=bins)
+                np.bitwise_and(hits, unseen, out=hits)
+                if np.bincount(hits).tolist() != no_hits:
+                    for i, cell in enumerate(memoryview(flat)):
+                        if unseen_cells[cell]:
+                            unseen_cells[cell] = 0
+                            reps.append((a, b0 + i // n, i % n))
+            elif not seen.issuperset(_cells(key)):
                 for i, cell in enumerate(_cells(key)):
                     if cell not in seen:
                         seen.add(cell)

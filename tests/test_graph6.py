@@ -64,11 +64,15 @@ def test_roundtrip_generated_graphs():
         assert parse_graph6(write_graph6(g)) == g
 
 
-def test_four_byte_size_form():
+@pytest.mark.parametrize("n", [62, 63, 64, 70])
+def test_four_byte_size_form(n):
+    # n <= 62 is one size byte n + 63; from 63 on, "~" and three 6-bit bytes
     rng = random.Random(7)
-    g = random_graph(rng, 70)
+    g = random_graph(rng, n)
     encoded = write_graph6(g)
-    assert encoded[0] == 126 and parse_graph6(encoded) == g
+    assert encoded[0] == (125 if n == 62 else 126)
+    assert encoded == reference_graph6(g)
+    assert parse_graph6(encoded) == g
 
 
 def test_invalid_char():

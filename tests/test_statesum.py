@@ -4,9 +4,10 @@ from itertools import product
 
 import pytest
 
+from spinweb import statesum
 from spinweb.census import (graph_from_index, iter_all_regular_labeled_graphs,
                             iter_circulant_tournaments, tournament_from_index)
-from spinweb.graphs import (Graph, Tournament, circulant_tournament, clebsch,
+from spinweb.graphs import (Graph, Tournament, circulant_tournament, clebsch, complement,
                             complete, cycle, paley, petersen, union_complete)
 from spinweb.regularity import srg_params, three_point_params
 from spinweb.statesum import (PairFunctions, ZeroGenerator, _pair_functions,
@@ -306,6 +307,26 @@ def triple_kernel_corpus():
     yield load_fixture("higman_sims")
 
 
+# presence rules that force one path of the triple kernel; the forced
+# histogram stays at most 2^18 bins (2 MB), which covers 353 of the 461 inputs
+PRESENCE_PATHS = {
+    "histogram": lambda one_word, bins, size: one_word and bins <= 1 << 18,
+    "set": lambda one_word, bins, size: False,
+}
+
+
+def record_presence(monkeypatch, rule) -> list[tuple[int, bool]]:
+    """Make the triple kernel decide by ``rule``; returns its (bins, decision) list."""
+    taken = []
+
+    def decide(one_word, bins, size):
+        taken.append((bins, rule(one_word, bins, size)))
+        return taken[-1][1]
+
+    monkeypatch.setattr("spinweb.statesum._histogram_presence", decide)
+    return taken
+
+
 class TestRepresentativeTriples:
     """The numpy slab kernel returns the reference's triples in its order."""
 
@@ -319,23 +340,74 @@ class TestRepresentativeTriples:
                 checked += 1
         assert checked == 2 * (320 + 75 + 40 + 24 + 2)
 
+    @pytest.mark.parametrize("path", sorted(PRESENCE_PATHS))
+    def test_forced_presence_path_matches_reference(self, monkeypatch, path):
+        taken = record_presence(monkeypatch, PRESENCE_PATHS[path])
+        rng = random.Random(32)
+        for obj in triple_kernel_corpus():
+            for subject in (obj, relabel(obj, rng)):
+                got = _representative_triples(_pair_functions(subject))
+                assert got == reference_representative_triples(_pair_functions(subject))
+        assert len(taken) == 2 * (320 + 75 + 40 + 24 + 2)
+        assert sum(hist for _, hist in taken) == (2 * 353 if path == "histogram" else 0)
+
+    def test_presence_rule_follows_key_space(self, monkeypatch):
+        taken = record_presence(monkeypatch, statesum._histogram_presence)
+        # 3 pair ids: 3^3 * 101 bins against slabs of 40 x 100 cells
+        _representative_triples(_pair_functions(load_fixture("higman_sims")))
+        # the stream workload's irregular 6-vertex graph: 22 pair ids, 36 cells
+        irregular = Graph.from_edges(6, [(0, 1), (0, 2), (0, 5), (1, 5), (3, 4), (3, 5),
+                                         (4, 5)])
+        _representative_triples(_pair_functions(irregular))
+        assert taken == [(2727, True), (22 ** 3 * 7, False)]
+
     def test_two_word_keys_match_reference(self, monkeypatch):
-        # the (ab, bc) + (ac, T) key layout used once one int64 cannot hold a key
+        # the (ab, ac) + (T, bc) key layout used once one int64 cannot hold a
+        # key; it takes the set path even where the histogram is forced
         monkeypatch.setattr("spinweb.statesum._KEY_BITS", 0)
-        rng = random.Random(33)
-        for n in (1, 2, 5, 9, 13):
-            for density in (0.0, 0.3, 0.7, 1.0):
-                g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                         if rng.random() < density])
-                assert _representative_triples(_pair_functions(g)) == \
-                    reference_representative_triples(_pair_functions(g))
-        for t in iter_circulant_tournaments(9):
-            assert _representative_triples(_pair_functions(t)) == \
-                reference_representative_triples(_pair_functions(t))
+        for rule in PRESENCE_PATHS.values():
+            taken = record_presence(monkeypatch, rule)
+            rng = random.Random(33)
+            for n in (1, 2, 5, 9, 13):
+                for density in (0.0, 0.3, 0.7, 1.0):
+                    g = Graph.from_edges(n, [(u, v) for u in range(n)
+                                             for v in range(u + 1, n) if rng.random() < density])
+                    assert _representative_triples(_pair_functions(g)) == \
+                        reference_representative_triples(_pair_functions(g))
+            for t in iter_circulant_tournaments(9):
+                assert _representative_triples(_pair_functions(t)) == \
+                    reference_representative_triples(_pair_functions(t))
+            assert taken and not any(hist for _, hist in taken)
 
     def test_slabs_smaller_than_a_row(self, monkeypatch):
         # n > _SLAB: one b row per slab
         monkeypatch.setattr("spinweb.statesum._SLAB", 4)
-        for g in (petersen(), paley(13), union_complete(3, 2)):
-            assert _representative_triples(_pair_functions(g)) == \
-                reference_representative_triples(_pair_functions(g))
+        for path, rule in PRESENCE_PATHS.items():
+            taken = record_presence(monkeypatch, rule)
+            for g in (petersen(), paley(13), union_complete(3, 2)):
+                assert _representative_triples(_pair_functions(g)) == \
+                    reference_representative_triples(_pair_functions(g))
+            assert [hist for _, hist in taken] == [path == "histogram"] * 3
+
+
+NAMED_GRAPHS = {
+    "C5": lambda: cycle(5), "Petersen": petersen, "Clebsch": clebsch,
+    "Paley9": lambda: paley(9), "Paley13": lambda: paley(13),
+    "3K3": lambda: union_complete(3, 3), "Schlafli": lambda: load_fixture("schlafli"),
+    "Higman-Sims": lambda: load_fixture("higman_sims"),
+}
+
+
+class TestComplementInvariance:
+    """The oracle's verdict and dim V3 are the same on g and its complement.
+
+    Checked on the oracle alone: no classifier or regularity function is
+    called, so the route is tested against itself only.
+    """
+
+    @pytest.mark.parametrize("name", NAMED_GRAPHS)
+    def test_verdict_and_dim_v3(self, name):
+        g = NAMED_GRAPHS[name]()
+        h = complement(g)
+        assert full_report(h).is_spin_model == full_report(g).is_spin_model
+        assert dim_v3(h) == dim_v3(g)
