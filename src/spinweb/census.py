@@ -20,8 +20,11 @@ merged in task order; the first disagreement in enumeration order stops
 the census and cancels the blocks not yet started.
 
 A graph is built from its index one byte at a time: each byte of the
-index selects a precomputed n x n bit matrix of its pairs, and the rows
-are the OR of one matrix per byte.
+index selects a precomputed n x n bit matrix of its pairs, packed with one
+row per byte (stride 8, the layout ``graphs`` validates in), and the rows
+are the bytes of the OR of one matrix per index byte.  The ``Graph`` or
+``Tournament`` made from them is validated like any other, by one packed
+transpose.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ import numpy as np
 from .classifier import (Verdict, VerdictCase, classify_symmetric,
                          classify_tournament)
 from .graph6 import read_graph6_lines, write_graph6
-from .graphs import Graph, Tournament, circulant_tournament
+from .graphs import (Graph, Tournament, circulant_tournament, matrix_stride,
+                     unpack_rows)
 from .regularity import three_point_params
 from .statesum import full_report, spin_model_verdict
 
@@ -124,17 +128,23 @@ def pair_positions(n: int) -> tuple[tuple[int, int], ...]:
 def _byte_tables(n: int, directed: bool) -> tuple[tuple[int, ...], ...]:
     """Per index byte, the packed n x n bit matrix of each of its 256 values.
 
-    Bit ``i * n + j`` of an entry is set iff the byte's pairs put j in row
+    The layout is that of ``graphs``' packed matrices: row i at bits
+    i * stride .. of the entry, with stride = ``matrix_stride(n)``, which is
+    8 for every n <= MAX_BUILTIN_N, so that the OR of one entry per byte,
+    read as n little-endian bytes, is the tuple of rows.  Bit
+    ``i * stride + j`` of an entry is set iff the byte's pairs put j in row
     i: both (i, j) and (j, i) for a set bit of a graph index; i -> j for a
     set bit of a tournament index and j -> i for a clear one.  Bits of the
     last byte past the n(n-1)/2 pairs select nothing, as in the per-bit
     reading of an index.  The tables of one n hold 256 entries of up to
-    n^2 bits per index byte, so they grow as n^4: about 40 KB at n = 8.
+    n * stride bits per index byte: about 40 KB at n = 8.
     """
     pairs = pair_positions(n)
+    stride = matrix_stride(n)
     tables = []
     for first in range(0, len(pairs), 8):
-        cells = [(1 << (i * n + j), 1 << (j * n + i)) for i, j in pairs[first:first + 8]]
+        cells = [(1 << (i * stride + j), 1 << (j * stride + i))
+                 for i, j in pairs[first:first + 8]]
         table = []
         for value in range(256):
             packed = 0
@@ -153,8 +163,7 @@ def _rows_from_index(n: int, index: int, directed: bool) -> tuple[int, ...]:
     for table in _byte_tables(n, directed):
         packed |= table[index & 0xFF]
         index >>= 8
-    mask = (1 << n) - 1
-    return tuple((packed >> shift) & mask for shift in range(0, n * n, n))
+    return unpack_rows(packed, n)
 
 
 def graph_from_index(n: int, index: int) -> Graph:
@@ -315,6 +324,9 @@ def run_tournament_census(ns=(3, 5), exhaustive_limit: int = 5,
     Exhaustive labeled enumeration up to exhaustive_limit vertices; the
     circulant family only for larger (odd) n.
     """
+    for n in ns:
+        if n < 1:
+            raise ValueError(f"tournament census needs n >= 1, got {n}")
     result = CensusResult()
     for n in ns:
         if n <= exhaustive_limit:

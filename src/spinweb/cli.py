@@ -229,12 +229,26 @@ def cmd_generate(ns) -> int:
     return 0
 
 
+def _tournament_sizes(text: str) -> tuple[int, ...]:
+    """The sizes of ``--ns``: comma-separated integers >= 1."""
+    sizes = []
+    for entry in text.split(","):
+        try:
+            n = int(entry)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise CliError(f"--ns entries must be integers >= 1, got {entry!r}")
+        sizes.append(n)
+    return tuple(sizes)
+
+
 def cmd_census(ns) -> int:
     if ns.workers < 1:
         raise CliError(f"workers must be >= 1, got {ns.workers}")
     if ns.tournament:
         result = census_mod.run_tournament_census(
-            ns=tuple(int(x) for x in ns.ns.split(",")) if ns.ns else (3, 5),
+            ns=_tournament_sizes(ns.ns) if ns.ns else (3, 5),
             assert_equivalence=ns.mode == "assert_equivalence")
     else:
         stream = sys.stdin.buffer if ns.input == "-" else ns.input

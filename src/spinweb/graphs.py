@@ -5,6 +5,24 @@ per vertex, bit b of ``adj[a]`` set iff a is adjacent to b, so that
 common-neighbor counts are word-parallel ``(adj[a] & adj[b]).bit_count()``
 calls.  That popcount trick is the performance foundation of the census.
 
+Every ``Graph`` and ``Tournament`` is validated when it is made, by
+word-parallel operations on its rows packed into one int: row a occupies
+bits a*stride .. a*stride + stride - 1, with stride = max(8, the next power
+of two >= n), so that for n <= 8 the packed matrix is just ``bytes(rows)``
+read little-endian.  The packed matrix is transposed by log2(stride)
+masked delta-swaps (step s exchanges the cells (i, j) and (i + s, j - s)
+for i with bit s clear and j with bit s set), with the swap masks cached per
+stride; a stride-128 matrix (Higman-Sims) needs seven masks of 2 KB.
+Bits outside 0..n-1 and loops are one AND with a cached mask of the
+forbidden cells (the diagonal and columns n .. stride - 1 of each row); a
+row that does not fit in stride bits, or is negative, fails the packing.
+Either way the rows are then walked one by one to name the first bad
+row, so that its bits outside 0..n-1 are reported before its loop and a
+row's errors before any later row's.  Symmetry (or, for a tournament,
+exactly one arc per pair) is one XOR with the transpose, masked to the cells
+above the diagonal.  The lowest set bit of a failing mask names the same
+first pair, with the same message, as a pair-by-pair scan.
+
 The two numpy triple kernels (the classifier's 3-point parameters and the
 oracle's triple profiles) share the bit-row plumbing at the end of this
 module: rows packed into int64 words, flat-array windows and row tiles.
@@ -13,6 +31,7 @@ module: rows packed into int64 words, flat-array windows and row tiles.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -54,16 +73,11 @@ class Graph:
             raise ValueError("graph needs at least one vertex")
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count != n")
-        mask = (1 << self.n) - 1
-        for a, row in enumerate(self.adj):
-            if row & ~mask:
-                raise ValueError(f"row {a} has bits outside 0..n-1")
-            if (row >> a) & 1:
-                raise ValueError(f"loop at vertex {a}")
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                if ((self.adj[a] >> b) & 1) != ((self.adj[b] >> a) & 1):
-                    raise ValueError(f"asymmetric adjacency at ({a},{b})")
+        packed, transposed, upper = _checked_square(self.adj, self.n)
+        bad = (packed ^ transposed) & upper
+        if bad:
+            a, b = _first_cell(bad, self.n)
+            raise ValueError(f"asymmetric adjacency at ({a},{b})")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -104,18 +118,11 @@ class Tournament:
             raise ValueError("tournament needs at least one vertex")
         if len(self.arc) != self.n:
             raise ValueError("arc row count != n")
-        mask = (1 << self.n) - 1
-        for a, row in enumerate(self.arc):
-            if row & ~mask:
-                raise ValueError(f"row {a} has bits outside 0..n-1")
-            if (row >> a) & 1:
-                raise ValueError(f"loop at vertex {a}")
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                fwd = (self.arc[a] >> b) & 1
-                bwd = (self.arc[b] >> a) & 1
-                if fwd + bwd != 1:
-                    raise ValueError(f"pair ({a},{b}) must carry exactly one arc")
+        packed, transposed, upper = _checked_square(self.arc, self.n)
+        bad = (packed ^ transposed ^ upper) & upper
+        if bad:
+            a, b = _first_cell(bad, self.n)
+            raise ValueError(f"pair ({a},{b}) must carry exactly one arc")
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> "Tournament":
@@ -271,6 +278,108 @@ def circulant_tournament(n: int, outset) -> Tournament:
             raise BadOrder("outset must contain exactly one of {d, n-d} per pair")
     return Tournament.from_arcs(
         n, [(a, (a + d) % n) for a in range(n) for d in outset])
+
+
+# ---------------------------------------------------------------------------
+# packed n x n bit matrices: validation and transposes
+# ---------------------------------------------------------------------------
+
+_LOW_SWAP_BYTES = {4: 0xF0, 2: 0xCC, 1: 0xAA}   # columns of a byte with bit s set
+
+
+def matrix_stride(n: int) -> int:
+    """Bits per row of a packed n x n matrix: max(8, next power of two >= n)."""
+    return max(8, 1 << (n - 1).bit_length())
+
+
+def _pack(rows, n: int, stride: int) -> int:
+    """Rows below 2^n as one int, row a at bits a*stride.. of it."""
+    if stride == 8:
+        return int.from_bytes(bytes(rows), "little")
+    width = stride // 8
+    return int.from_bytes(b"".join(row.to_bytes(width, "little") for row in rows), "little")
+
+
+def unpack_rows(packed: int, n: int) -> tuple[int, ...]:
+    """The n rows of a packed matrix whose cells all lie in rows and columns < n."""
+    if n <= 8:                  # stride 8: one byte per row
+        return tuple(packed.to_bytes(n, "little"))
+    mask = (1 << n) - 1
+    stride = matrix_stride(n)
+    return tuple((packed >> shift) & mask for shift in range(0, n * stride, stride))
+
+
+@functools.cache
+def _swap_masks(stride: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each delta-swap of a stride x stride transpose.
+
+    Step s = stride/2, ..., 2, 1 swaps cell (i, j) with cell (i + s, j - s),
+    which lies s * (stride - 1) bits higher, for every row i with bit s clear
+    and column j with bit s set; the mask holds the lower cell of each pair.
+    """
+    width = stride // 8
+    steps = []
+    s = stride // 2
+    while s:
+        if s >= 8:
+            row = (bytes(s // 8) + b"\xff" * (s // 8)) * (stride // (2 * s))
+        else:
+            row = bytes([_LOW_SWAP_BYTES[s]]) * width
+        rows = (row * s + bytes(width * s)) * (stride // (2 * s))
+        steps.append((s * (stride - 1), int.from_bytes(rows, "little")))
+        s //= 2
+    return tuple(steps)
+
+
+def _transpose(packed: int, swaps: tuple[tuple[int, int], ...]) -> int:
+    for shift, mask in swaps:
+        swap = (packed ^ (packed >> shift)) & mask
+        packed ^= swap ^ (swap << shift)
+    return packed
+
+
+def transpose_rows(rows, n: int) -> tuple[int, ...]:
+    """Rows of the transpose of the n x n bit matrix with rows ``rows`` (< 2^n)."""
+    stride = matrix_stride(n)
+    return unpack_rows(_transpose(_pack(rows, n, stride), _swap_masks(stride)), n)
+
+
+@functools.cache
+def _square_masks(n: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
+    """(stride, forbidden cells, cells a < b < n, swap masks) of an n x n matrix.
+
+    The forbidden cells are the diagonal and every column >= n of a row.
+    """
+    stride = matrix_stride(n)
+    outside = (1 << stride) - (1 << n)
+    full = (1 << n) - 1
+    return (stride, _pack([outside | (1 << a) for a in range(n)], n, stride),
+            _pack([full ^ ((2 << a) - 1) for a in range(n)], n, stride), _swap_masks(stride))
+
+
+def _checked_square(rows, n: int) -> tuple[int, int, int]:
+    """Pack n validated rows; returns (packed, transposed, mask of cells a < b).
+
+    Raises the error of the first bad row: bits outside 0..n-1, else a loop.
+    """
+    stride, forbidden, upper, swaps = _square_masks(n)
+    try:
+        packed = _pack(rows, n, stride)
+    except (ValueError, OverflowError):     # a row is negative or wider than stride
+        packed = forbidden
+    if packed & forbidden:
+        mask = (1 << n) - 1
+        for a, row in enumerate(rows):
+            if row & ~mask:
+                raise ValueError(f"row {a} has bits outside 0..n-1")
+            if (row >> a) & 1:
+                raise ValueError(f"loop at vertex {a}")
+    return packed, _transpose(packed, swaps), upper
+
+
+def _first_cell(bits: int, n: int) -> tuple[int, int]:
+    """(row, column) of the lowest set bit of a packed n x n matrix."""
+    return divmod((bits & -bits).bit_length() - 1, matrix_stride(n))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,15 @@ seen before by an ``np.bincount`` histogram of its keys when the key space
 is at most two slabs' cells, as on the large strongly regular graphs; tiny
 graphs and wide key spaces keep a Python set, since a histogram there
 costs more to build and clear than the slab it tests.
+
+``spin_model_verdict`` is the yes/no question the census asks of every
+regular graph and guard sample.  It runs the checks in the order 1b, 2b,
+3a, 3b and stops at the first failure; of 1b it asks only whether some row
+(or, directed, column) sum misses vertex 0's row sum (``_first_1b_miss``),
+so an irregular graph costs one popcount per row and no ``Witness`` is
+built.  ``check_1b`` reports the same first miss as its witness.  The Q
+rows of a tournament are the transpose of its arc rows
+(``graphs.transpose_rows``).
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ from operator import xor
 import numpy as np
 
 from .graphs import (WORD_BITS, WORD_MASK, Graph, Tournament, fill_rows, pack_rows,
-                     window)
+                     transpose_rows, window)
 from .linalg import matrix_rank, solve_membership
 
 ONE = "One"
@@ -93,13 +102,11 @@ class PairFunctions:
     @classmethod
     def from_tournament(cls, t: Tournament) -> "PairFunctions":
         one, delta = _constant_rows(t.n)
-        transpose = tuple(
-            sum(((t.arc[x] >> u) & 1) << x for x in range(t.n)) for u in range(t.n))
         return cls(n=t.n, directed=True, rows={
             ONE: one,
             DELTA: delta,
             P: t.arc,
-            Q: transpose,
+            Q: transpose_rows(t.arc, t.n),
         })
 
     def value(self, sym: str, u: int, v: int) -> int:
@@ -186,24 +193,39 @@ class RelationReport:
         return all(self.booleans()) and self.nonsymmetric_premise
 
 
-def check_1b(obj) -> RelationCheck:
-    """Relation 1b: constant row sums of C_P (directed also column sums)."""
-    pf = _pair_functions(obj)
+def _first_1b_miss(pf: PairFunctions) -> tuple[int, int, int, bool] | None:
+    """The first sum of C_P that differs from vertex 0's row sum k, if any.
+
+    Rows come first, then (directed) columns.  Returns None when every sum
+    is k, else (vertex, k, sum, is_row).
+    """
     out = [row.bit_count() for row in pf.rows[P]]
     k = out[0]
     for a, deg in enumerate(out):
         if deg != k:
-            return RelationCheck(False, witness=Witness(
-                site=(0, a), lhs=k, rhs=deg,
-                detail=f"row sums differ: vertex 0 has {k}, vertex {a} has {deg}"))
+            return a, k, deg, True
     if pf.directed:
-        for a in range(pf.n):
-            indeg = pf.rows[Q][a].bit_count()
+        for a, row in enumerate(pf.rows[Q]):
+            indeg = row.bit_count()
             if indeg != k:
-                return RelationCheck(False, witness=Witness(
-                    site=(a,), lhs=k, rhs=indeg,
-                    detail=f"column sum at vertex {a} is {indeg}, row sums are {k}"))
-    return RelationCheck(True, coefficients={"k": Fraction(k)})
+                return a, k, indeg, False
+    return None
+
+
+def check_1b(obj) -> RelationCheck:
+    """Relation 1b: constant row sums of C_P (directed also column sums)."""
+    pf = _pair_functions(obj)
+    miss = _first_1b_miss(pf)
+    if miss is None:
+        return RelationCheck(True, coefficients={"k": Fraction(pf.rows[P][0].bit_count())})
+    a, k, total, is_row = miss
+    if is_row:
+        return RelationCheck(False, witness=Witness(
+            site=(0, a), lhs=k, rhs=total,
+            detail=f"row sums differ: vertex 0 has {k}, vertex {a} has {total}"))
+    return RelationCheck(False, witness=Witness(
+        site=(a,), lhs=k, rhs=total,
+        detail=f"column sum at vertex {a} is {total}, row sums are {k}"))
 
 
 def _fit_or_witness(equations):
@@ -491,6 +513,6 @@ def spin_model_verdict(obj) -> bool:
     pf = _pair_functions(obj)
     if pf.directed and not any(pf.rows[P]):
         return False
-    return (check_1b(pf).holds and check_2b(pf).holds
+    return (_first_1b_miss(pf) is None and check_2b(pf).holds
             and check_3a(pf).holds and check_3b(pf).holds)
 

@@ -259,6 +259,11 @@ class TestTournamentCensus:
         assert res.graphs_seen == 8
         assert not res.hits
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_sizes_below_1(self, n):
+        with pytest.raises(ValueError, match=f"tournament census needs n >= 1, got {n}"):
+            run_tournament_census(ns=(3, n))
+
 
 class TestDualityScan:
     def test_no_violations_up_to_6(self):

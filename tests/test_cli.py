@@ -215,6 +215,12 @@ class TestCensusCommand:
         assert code == 2 and out == ""
         assert err == f"error: circulant tournament needs odd n, got {n}\n"
 
+    @pytest.mark.parametrize("sizes, entry", [("0", "0"), ("-1", "-1"), ("3,x", "x")])
+    def test_bad_tournament_size_exits_2(self, capsys, sizes, entry):
+        code, out, err = run(capsys, "census", "--tournament", "--ns", sizes)
+        assert code == 2 and out == ""
+        assert err == f"error: --ns entries must be integers >= 1, got {entry!r}\n"
+
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         from spinweb.census import CounterexampleFound, Disagreement
 

@@ -6,8 +6,9 @@ import pytest
 from spinweb.graphs import (BadOrder, Graph, PairType, Tournament, TripleType,
                             circulant_tournament, clebsch, complement,
                             complete, connected_components, cycle,
-                            is_connected, pair_type, paley, petersen,
-                            triple_type, union_complete)
+                            is_connected, matrix_stride, pair_type, paley,
+                            petersen, transpose_rows, triple_type,
+                            union_complete)
 
 
 def isomorphic(g: Graph, h: Graph) -> bool:
@@ -23,6 +24,148 @@ def isomorphic(g: Graph, h: Graph) -> bool:
 def random_graph(rng, n):
     return Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)
                                 if rng.random() < 0.5])
+
+
+def reference_validate_graph(n, rows):
+    """The row-by-row, pair-by-pair check that packed validation replaced."""
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    if len(rows) != n:
+        raise ValueError("adjacency row count != n")
+    mask = (1 << n) - 1
+    for a, row in enumerate(rows):
+        if row & ~mask:
+            raise ValueError(f"row {a} has bits outside 0..n-1")
+        if (row >> a) & 1:
+            raise ValueError(f"loop at vertex {a}")
+    for a in range(n):
+        for b in range(a + 1, n):
+            if ((rows[a] >> b) & 1) != ((rows[b] >> a) & 1):
+                raise ValueError(f"asymmetric adjacency at ({a},{b})")
+
+
+def reference_validate_tournament(n, rows):
+    if n < 1:
+        raise ValueError("tournament needs at least one vertex")
+    if len(rows) != n:
+        raise ValueError("arc row count != n")
+    mask = (1 << n) - 1
+    for a, row in enumerate(rows):
+        if row & ~mask:
+            raise ValueError(f"row {a} has bits outside 0..n-1")
+        if (row >> a) & 1:
+            raise ValueError(f"loop at vertex {a}")
+    for a in range(n):
+        for b in range(a + 1, n):
+            fwd = (rows[a] >> b) & 1
+            bwd = (rows[b] >> a) & 1
+            if fwd + bwd != 1:
+                raise ValueError(f"pair ({a},{b}) must carry exactly one arc")
+
+
+# 1, 2: tiny; 7, 8, 9: the census sizes around stride 8 -> 16; then both
+# sides of every stride from 16 to 256
+VALIDATION_SIZES = (1, 2, 7, 8, 9, 16, 17, 63, 64, 65, 100, 129)
+
+
+def random_tournament_rows(rng, n):
+    rows = [0] * n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.5:
+                rows[a] |= 1 << b
+            else:
+                rows[b] |= 1 << a
+    return rows
+
+
+def corrupt(rng, rows, n, kind):
+    """Rows with one or two faults of the given kind, at random places."""
+    rows = list(rows)
+    a, b = rng.randrange(n), rng.randrange(n)
+    stride = matrix_stride(n)
+    if kind == "outside":
+        rows[a] |= 1 << rng.randrange(n, n + 2 * stride)    # inside and past the stride
+    elif kind == "negative":
+        rows[a] = -1 - rows[a] if rng.random() < 0.5 else -(1 << rng.randrange(2 * n))
+    elif kind == "loop":
+        rows[a] |= 1 << a
+    elif kind == "loop_then_outside":
+        first, second = min(a, b), max(a, b)
+        rows[first] |= 1 << first
+        rows[second] |= 1 << rng.randrange(n, n + 2 * stride)
+    elif kind == "flip" and n > 1:
+        while b == a:
+            b = rng.randrange(n)
+        rows[a] ^= 1 << b                   # one direction of a pair
+        if rng.random() < 0.5:
+            c, d = rng.sample(range(n), 2) if n > 2 else (b, a)
+            rows[c] ^= 1 << d
+    return tuple(rows)
+
+
+def validation_message(make, n, rows):
+    try:
+        make(n, rows)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestPackedValidation:
+    """Packed-matrix validation raises exactly what the pair-by-pair scan raised."""
+
+    KINDS = ("none", "outside", "negative", "loop", "loop_then_outside", "flip")
+
+    @pytest.mark.parametrize("n", VALIDATION_SIZES)
+    def test_graph_messages_match_reference(self, n):
+        rng = random.Random(700 + n)
+        rejected = 0
+        for _ in range(12):
+            base = random_graph(rng, n).adj
+            for kind in self.KINDS:
+                rows = corrupt(rng, base, n, kind)
+                want = validation_message(reference_validate_graph, n, rows)
+                assert validation_message(Graph, n, rows) == want, (kind, rows)
+                rejected += want is not None
+        assert rejected >= 12 * (len(self.KINDS) - 2)
+
+    @pytest.mark.parametrize("n", VALIDATION_SIZES)
+    def test_tournament_messages_match_reference(self, n):
+        rng = random.Random(800 + n)
+        rejected = 0
+        for _ in range(12):
+            base = random_tournament_rows(rng, n)
+            for kind in self.KINDS:
+                rows = corrupt(rng, base, n, kind)
+                want = validation_message(reference_validate_tournament, n, rows)
+                assert validation_message(Tournament, n, rows) == want, (kind, rows)
+                rejected += want is not None
+            # a graph's rows are a tournament only for n = 1; a tournament's
+            # are a graph only then too
+            symmetric = random_graph(rng, n).adj
+            assert validation_message(Tournament, n, symmetric) == \
+                validation_message(reference_validate_tournament, n, symmetric)
+            assert validation_message(Graph, n, tuple(base)) == \
+                validation_message(reference_validate_graph, n, tuple(base))
+        assert rejected >= 12 * (len(self.KINDS) - 2)
+
+    def test_loop_in_an_earlier_row_wins_over_outside_bits(self):
+        assert validation_message(Graph, 9, (1, 1 << 20) + (0,) * 7) == "loop at vertex 0"
+        assert validation_message(Graph, 9, (1 << 20, 2) + (0,) * 7) == \
+            "row 0 has bits outside 0..n-1"
+        assert validation_message(Tournament, 3, (0, -1, 2)) == \
+            "row 1 has bits outside 0..n-1"
+        assert validation_message(Tournament, 3, (0, 2, 1 << 200)) == "loop at vertex 1"
+
+    @pytest.mark.parametrize("n", VALIDATION_SIZES)
+    def test_transpose_matches_naive(self, n):
+        rng = random.Random(900 + n)
+        for _ in range(4):
+            rows = [rng.getrandbits(n) for _ in range(n)]
+            naive = tuple(sum(((rows[x] >> v) & 1) << x for x in range(n)) for v in range(n))
+            assert transpose_rows(rows, n) == naive
+            assert transpose_rows(naive, n) == tuple(rows)
 
 
 class TestGraphType:

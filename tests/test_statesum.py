@@ -40,6 +40,29 @@ class TestCheck1b:
         t = Tournament.from_arcs(4, [(0, 1), (1, 2), (2, 3), (0, 2), (3, 0), (1, 3)])
         assert not check_1b(t).holds
 
+    def test_path_witness_is_pinned(self):
+        witness = check_1b(path3()).witness
+        assert (witness.site, witness.lhs, witness.rhs, witness.detail) == \
+            ((0, 1), 1, 2, "row sums differ: vertex 0 has 1, vertex 1 has 2")
+
+    def test_even_tournament_witness_is_pinned(self):
+        # no tournament on an even number of vertices has constant out-degrees
+        t = Tournament.from_arcs(4, [(0, 1), (0, 2), (3, 0), (1, 2), (1, 3), (2, 3)])
+        witness = check_1b(t).witness
+        assert (witness.site, witness.lhs, witness.rhs, witness.detail) == \
+            ((0, 2), 2, 1, "row sums differ: vertex 0 has 2, vertex 2 has 1")
+        assert not spin_model_verdict(t)
+
+    def test_column_witness_is_pinned(self):
+        # directed pair functions with out-degrees 1, 1, 1 and in-degrees 2, 1, 0
+        arcs = (0b010, 0b001, 0b001)             # 0 -> 1, 1 -> 0, 2 -> 0
+        pf = PairFunctions(n=3, directed=True, rows={
+            "One": (7, 7, 7), "Delta": (1, 2, 4), "P": arcs, "Q": (0b110, 0b001, 0)})
+        witness = check_1b(pf).witness
+        assert (witness.site, witness.lhs, witness.rhs, witness.detail) == \
+            ((0,), 1, 2, "column sum at vertex 0 is 2, row sums are 1")
+        assert not spin_model_verdict(pf)
+
 
 class TestCheck2b:
     def test_paley9(self):
@@ -230,8 +253,8 @@ class TestInvariants:
     def test_verdict_shortcut_matches_full_report(self):
         for n in range(1, 5):
             for idx in range(1 << (n * (n - 1) // 2)):
-                g = graph_from_index(n, idx)
-                assert spin_model_verdict(g) == full_report(g).is_spin_model
+                for obj in (graph_from_index(n, idx), tournament_from_index(n, idx)):
+                    assert spin_model_verdict(obj) == full_report(obj).is_spin_model
 
 
 def reference_representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
@@ -277,6 +300,18 @@ def reference_representative_triples(pf: PairFunctions) -> list[tuple[int, int, 
                    pair_part, pop3)
             reps.setdefault(key, (a, b, c))
     return list(reps.values())
+
+
+_REFERENCE_TRIPLES: dict = {}
+
+
+def cached_reference_triples(subject) -> list[tuple[int, int, int]]:
+    """``reference_representative_triples``, computed once per subject per session."""
+    pf = _pair_functions(subject)
+    key = (pf.n, pf.directed, pf.rows["P"])
+    if key not in _REFERENCE_TRIPLES:
+        _REFERENCE_TRIPLES[key] = reference_representative_triples(pf)
+    return _REFERENCE_TRIPLES[key]
 
 
 def relabel(obj, rng):
@@ -336,7 +371,7 @@ class TestRepresentativeTriples:
         for obj in triple_kernel_corpus():
             for subject in (obj, relabel(obj, rng)):
                 got = _representative_triples(_pair_functions(subject))
-                assert got == reference_representative_triples(_pair_functions(subject))
+                assert got == cached_reference_triples(subject)
                 checked += 1
         assert checked == 2 * (320 + 75 + 40 + 24 + 2)
 
@@ -347,7 +382,7 @@ class TestRepresentativeTriples:
         for obj in triple_kernel_corpus():
             for subject in (obj, relabel(obj, rng)):
                 got = _representative_triples(_pair_functions(subject))
-                assert got == reference_representative_triples(_pair_functions(subject))
+                assert got == cached_reference_triples(subject)
         assert len(taken) == 2 * (320 + 75 + 40 + 24 + 2)
         assert sum(hist for _, hist in taken) == (2 * 353 if path == "histogram" else 0)
 
