@@ -4,8 +4,9 @@
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload census7 \
         --seeds 7101-7110 --label census_objects
 
-For each seed, ``benchmark/run.py --workload W --seed S --seconds 30 --trace 0``
-runs once in each checkout, each from its own root; the parent runs first in
+For each seed, ``benchmark/run.py --workload W --seed S --seconds T --trace 0``
+runs once in each checkout, each from its own root, with T the run length
+``run_seconds`` of the change's ``BENCHMARK.json``; the parent runs first in
 odd pairs (the first, third, ...) and the change first in even ones, so a
 drift of the host's speed falls on both sides alike.  The last line of each
 run's standard output is its JSON record; a run that exits non-zero or
@@ -13,8 +14,8 @@ reports an incorrect output stops the script.  Both checkouts' sources are
 byte-compiled first, so that no measured run pays for it.  ``--workload`` may be given
 more than once; the workloads run one after another, each on every seed.
 
-The script writes ``BENCH_<label>.json`` (into ``--out-dir``, by default the
-root of this checkout) with, per workload and end-to-end metric of the
+The script writes ``BENCH_<label>.json`` into the root of the checkout it
+belongs to, with, per workload and end-to-end metric of the
 change's ``BENCHMARK.json``: each side's per-run values, median and
 quartiles (``statistics.quantiles``, n = 4), the number of pairs the change
 won, the median delta (change - parent), the parent's interquartile range
@@ -103,18 +104,17 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", required=True, help="A-B or a comma-separated list")
     parser.add_argument("--label", required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--note", default="", help="what the two checkouts are")
-    parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args(argv)
 
     seeds = parse_seeds(args.seeds)
     if len(seeds) < 2:
         parser.error("--seeds needs at least two seeds for quartiles")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     out = {"label": args.label, "change": args.note, "machine": machine(),
-           "method": (f"benchmark/run.py --workload W --seed S --seconds {args.seconds:g} "
+           "method": (f"benchmark/run.py --workload W --seed S --seconds {seconds:g} "
                       "--trace 0 in each checkout; one pair per seed, parent first in "
                       "odd pairs and change first in even ones; medians and quartiles "
                       "(statistics.quantiles, n=4) of each side's runs"),
@@ -127,7 +127,7 @@ def main(argv=None) -> int:
         for pair, seed in enumerate(seeds):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
-                runs[side].append(run_once(checkouts[side], workload, seed, args.seconds))
+                runs[side].append(run_once(checkouts[side], workload, seed, seconds))
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{side} {runs[side][-1]['metrics']['wall_norm_s']['value']:.4f}"
                 for side in SIDES), file=sys.stderr, flush=True)
@@ -135,9 +135,9 @@ def main(argv=None) -> int:
             "seeds": seeds,
             "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
             "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
-            **{metric["name"]: compare(runs, metric) for metric in metrics},
+            **{metric["name"]: compare(runs, metric) for metric in benchmark["end_to_end"]},
         }
-    path = args.out_dir / f"BENCH_{args.label}.json"
+    path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(path)
     return 0
