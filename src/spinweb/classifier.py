@@ -78,6 +78,13 @@ class Verdict:
     q_value: int | None = None
 
 
+# The two rejects that the census meets on nearly every object it checks.
+# A frozen Verdict can be shared, so each is built once.
+_NOT_SRG = Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None, "not strongly regular")
+_NOT_REGULAR_TOURNAMENT = Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None,
+                                  "not a regular tournament")
+
+
 def _as_union_of_equal_completes(g: Graph) -> tuple[int, int] | None:
     """(m, size) if g is a disjoint union of m equal complete graphs."""
     comps = connected_components(g)
@@ -112,8 +119,7 @@ def classify_symmetric(g: Graph) -> Verdict:
     # equal completes and their complements, and 3-point regular graphs
     srg = srg_params(g)
     if srg is None:
-        return Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None,
-                       "not strongly regular")
+        return _NOT_SRG
     gc = complement(g)
     sides = ((g, AppliedTo.GRAPH), (gc, AppliedTo.COMPLEMENT))
 
@@ -185,8 +191,7 @@ def classify_tournament(t: Tournament) -> Verdict:
     """Decide the non-symmetric spin-model question for a tournament."""
     k = is_regular_tournament(t)
     if k is None:
-        return Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None,
-                       "not a regular tournament")
+        return _NOT_REGULAR_TOURNAMENT
     if k == 0:
         return Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None,
                        "single vertex: the generator is zero, hence symmetric")

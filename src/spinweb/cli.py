@@ -246,6 +246,13 @@ def _tournament_sizes(text: str) -> tuple[int, ...]:
 def cmd_census(ns) -> int:
     if ns.workers < 1:
         raise CliError(f"workers must be >= 1, got {ns.workers}")
+    if ns.tournament and ns.input is not None:
+        raise CliError("--input reads graph6 graphs; it cannot be combined with --tournament")
+    if ns.ns is not None and not ns.tournament:
+        raise CliError("--ns sets tournament sizes; it needs --tournament")
+    if ns.tournament and ns.mode == census_mod.CensusMode.LIST_3PT_REGULAR.value:
+        raise CliError("--mode list_3pt_regular lists graphs; "
+                       "it cannot be combined with --tournament")
     if ns.tournament:
         result = census_mod.run_tournament_census(
             ns=_tournament_sizes(ns.ns) if ns.ns else (3, 5),

@@ -5,7 +5,9 @@ duplicate rows have already been collapsed.  One fraction-free
 Gauss-Jordan pass (in the spirit of Bareiss, Math. Comp. 22, 1968) settles
 rank, span membership and the fitted coefficients exactly: rows are only
 ever scaled by nonzero integers and divided by their gcd, so no rational
-arithmetic happens until a coefficient is read out.
+arithmetic happens until a coefficient is read out.  ``is_consistent``
+reads only the consistency of the same elimination, for callers that need
+a yes/no answer and no coefficients.
 """
 
 from __future__ import annotations
@@ -51,6 +53,20 @@ def matrix_rank(rows) -> int:
     return len(_eliminate(work, len(work[0])))
 
 
+def _eliminate_augmented(rows, targets) -> tuple[list[list[int]], list[int], bool]:
+    """Eliminate [rows | targets] on the row columns; (work, pivots, consistent).
+
+    The system is consistent when no row past the pivots keeps a nonzero
+    target, that is when the target lies in the column span.
+    """
+    work = [list(row) + [t] for row, t in zip(rows, targets)]
+    if not work:
+        return work, [], True
+    ncols = len(work[0]) - 1
+    pivots = _eliminate(work, ncols)
+    return work, pivots, not any(row[ncols] for row in work[len(pivots):])
+
+
 def solve_membership(rows, targets) -> tuple[list[Fraction], bool]:
     """Fit sum_j c_j * rows[i][j] = targets[i] with one elimination pass.
 
@@ -59,13 +75,20 @@ def solve_membership(rows, targets) -> tuple[list[Fraction], bool]:
     when the target lies outside the column span, in which case some
     original equation disagrees with the fit.
     """
-    work = [list(row) + [t] for row, t in zip(rows, targets)]
+    work, pivots, consistent = _eliminate_augmented(rows, targets)
     if not work:
         return [], True
     ncols = len(work[0]) - 1
-    pivots = _eliminate(work, ncols)
     fit = [Fraction(0)] * ncols
     for row, c in zip(work, pivots):
         fit[c] = Fraction(row[ncols], row[c])
-    consistent = not any(row[ncols] for row in work[len(pivots):])
     return fit, consistent
+
+
+def is_consistent(rows, targets) -> bool:
+    """Whether sum_j c_j * rows[i][j] = targets[i] has a solution.
+
+    The consistent flag of ``solve_membership`` from the same elimination,
+    without reading a fit out as fractions.
+    """
+    return _eliminate_augmented(rows, targets)[2]

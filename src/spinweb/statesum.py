@@ -39,12 +39,18 @@ costs more to build and clear than the slab it tests.
 
 ``spin_model_verdict`` is the yes/no question the census asks of every
 regular graph and guard sample.  It runs the checks in the order 1b, 2b,
-3a, 3b and stops at the first failure; of 1b it asks only whether some row
-(or, directed, column) sum misses vertex 0's row sum (``_first_1b_miss``),
-so an irregular graph costs one popcount per row and no ``Witness`` is
-built.  ``check_1b`` reports the same first miss as its witness.  The Q
-rows of a tournament are the transpose of its arc rows
-(``graphs.transpose_rows``).
+3a, 3b and stops at the first failure.  Of 1b it asks, on the P rows and
+before any ``PairFunctions`` is built, only whether some row sum (or, for
+directed input whose row sums agree, column sum) misses vertex 0's row
+sum (``_first_1b_miss``), so an irregular graph costs one popcount per
+row.  2b, 3a and 3b each have one equation generator (``_2b_equations``,
+``_span_equations``) that the verdict and ``check_2b``, ``check_3a`` and
+``check_3b`` share: the checks fit the deduplicated system and report the
+coefficients or the first missed equation as the witness, while the
+verdict asks only whether it is consistent (``linalg.is_consistent``), so
+it builds no fraction, fit or witness.  A graph has no Q rows, since its
+alphabet does without them; the Q rows of a tournament are the transpose
+of its arc rows (``graphs.transpose_rows``).
 """
 
 from __future__ import annotations
@@ -54,13 +60,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from operator import xor
 
 import numpy as np
 
 from .graphs import (WORD_BITS, WORD_MASK, Graph, Tournament, fill_rows, pack_rows,
                      transpose_rows, window)
-from .linalg import matrix_rank, solve_membership
+from .linalg import is_consistent, matrix_rank, solve_membership
 
 ONE = "One"
 DELTA = "Delta"
@@ -69,6 +74,8 @@ Q = "Q"
 
 _KEY_BITS = 63       # a packed profile key is a nonnegative int64
 _SLAB = 1 << 12      # (b, c) cells per slab buffer of the triple kernel
+
+_TARGET_WORD = (P, P, P)     # the word each 3-box relation asks to be spanned
 
 UNDIRECTED_ALPHABET = (ONE, DELTA, P)
 DIRECTED_ALPHABET = (ONE, DELTA, P, Q)
@@ -80,9 +87,11 @@ class ZeroGenerator(ValueError):
 
 @dataclass(frozen=True)
 class PairFunctions:
-    """The four 0/1 pair functions of one graph or tournament, as bitset rows.
+    """The 0/1 pair functions of one graph or tournament, as bitset rows.
 
-    ``rows[sym][u]`` has bit x set iff sym(u, x) = 1.
+    ``rows[sym][u]`` has bit x set iff sym(u, x) = 1, for each sym of the
+    alphabet: One, Delta and P, plus Q for a tournament.  A graph's Q is
+    never built, since its alphabet does without it.
     """
 
     n: int
@@ -96,7 +105,6 @@ class PairFunctions:
             ONE: one,
             DELTA: delta,
             P: g.adj,
-            Q: tuple(map(xor, one, map(xor, delta, g.adj))),
         })
 
     @classmethod
@@ -115,12 +123,6 @@ class PairFunctions:
     def alphabet(self) -> tuple[str, ...]:
         return DIRECTED_ALPHABET if self.directed else UNDIRECTED_ALPHABET
 
-    def partition_identity_holds(self) -> bool:
-        """One = Delta + P + Q pointwise."""
-        return all(
-            1 == self.value(DELTA, u, v) + self.value(P, u, v) + self.value(Q, u, v)
-            for u in range(self.n) for v in range(self.n))
-
 
 @functools.cache
 def _constant_rows(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -134,6 +136,15 @@ def _pair_functions(obj) -> PairFunctions:
     if isinstance(obj, Tournament):
         return PairFunctions.from_tournament(obj)
     return PairFunctions.from_graph(obj)
+
+
+def _generator_rows(obj) -> tuple[tuple[int, ...], bool]:
+    """The P rows of a Graph, Tournament or PairFunctions, and whether directed."""
+    if isinstance(obj, PairFunctions):
+        return obj.rows[P], obj.directed
+    if isinstance(obj, Tournament):
+        return obj.arc, True
+    return obj.adj, False
 
 
 def d_value(pf: PairFunctions, word, a: int, b: int, c: int) -> int:
@@ -193,20 +204,22 @@ class RelationReport:
         return all(self.booleans()) and self.nonsymmetric_premise
 
 
-def _first_1b_miss(pf: PairFunctions) -> tuple[int, int, int, bool] | None:
+def _first_1b_miss(rows: tuple[int, ...], directed: bool) -> tuple[int, int, int, bool] | None:
     """The first sum of C_P that differs from vertex 0's row sum k, if any.
 
-    Rows come first, then (directed) columns.  Returns None when every sum
-    is k, else (vertex, k, sum, is_row).
+    ``rows`` are the P rows.  Rows come first; then, for directed input
+    whose row sums are all k, the columns, read as the Q rows (the
+    transpose of P), which are built only then.  Returns None when every
+    sum is k, else (vertex, k, sum, is_row).
     """
-    out = [row.bit_count() for row in pf.rows[P]]
-    k = out[0]
-    for a, deg in enumerate(out):
+    k = rows[0].bit_count()
+    for a, row in enumerate(rows):
+        deg = row.bit_count()
         if deg != k:
             return a, k, deg, True
-    if pf.directed:
-        for a, row in enumerate(pf.rows[Q]):
-            indeg = row.bit_count()
+    if directed:
+        for a, column in enumerate(transpose_rows(rows, len(rows))):
+            indeg = column.bit_count()
             if indeg != k:
                 return a, k, indeg, False
     return None
@@ -214,10 +227,10 @@ def _first_1b_miss(pf: PairFunctions) -> tuple[int, int, int, bool] | None:
 
 def check_1b(obj) -> RelationCheck:
     """Relation 1b: constant row sums of C_P (directed also column sums)."""
-    pf = _pair_functions(obj)
-    miss = _first_1b_miss(pf)
+    rows, directed = _generator_rows(obj)
+    miss = _first_1b_miss(rows, directed)
     if miss is None:
-        return RelationCheck(True, coefficients={"k": Fraction(pf.rows[P][0].bit_count())})
+        return RelationCheck(True, coefficients={"k": Fraction(rows[0].bit_count())})
     a, k, total, is_row = miss
     if is_row:
         return RelationCheck(False, witness=Witness(
@@ -228,45 +241,58 @@ def check_1b(obj) -> RelationCheck:
         detail=f"column sum at vertex {a} is {total}, row sums are {k}"))
 
 
-def _fit_or_witness(equations):
-    """Solve sum_j c_j * row[j] = target over (row, target, site) equations.
+def _fit_or_witness(equations, sites):
+    """Solve sum_j c_j * row[j] = target over (row, target) equations.
 
-    Duplicate equations are dropped first, keeping the first site, and the
-    rest are eliminated once.  Returns (coefficients, None) when the system
-    is consistent; otherwise (None, (site, target, fitted)) for the first
-    equation, in that order, that the fit of the largest consistent
-    subsystem misses.
+    ``sites`` names each equation, in the same order.  Duplicate equations
+    are dropped first, keeping the first site, and the rest are eliminated
+    once.  Returns (coefficients, None) when the system is consistent;
+    otherwise (None, (site, target, fitted)) for the first equation, in
+    that order, that the fit of the largest consistent subsystem misses.
     """
-    dedup: dict[tuple, tuple] = {}
-    for row, target, site in equations:
-        dedup.setdefault(row + (target,), (row, target, site))
-    entries = list(dedup.values())
-    fit, consistent = solve_membership([row for row, _, _ in entries],
-                                       [target for _, target, _ in entries])
+    first_site: dict[tuple, tuple] = {}
+    for equation, site in zip(equations, sites):
+        first_site.setdefault(equation, site)
+    fit, consistent = solve_membership([row for row, _ in first_site],
+                                       [target for _, target in first_site])
     if consistent:
         return fit, None
     scale = lcm(*(f.denominator for f in fit))      # the fit as integers over one denominator
     scaled = [f.numerator * (scale // f.denominator) for f in fit]
-    for row, target, site in entries:
+    for (row, target), site in first_site.items():
         fitted = sum(c * v for c, v in zip(scaled, row))
         if fitted != target * scale:
             return None, (site, target, Fraction(fitted, scale))
     raise AssertionError("inconsistent system without a pointwise witness")
 
 
-def check_2b(obj) -> RelationCheck:
-    """Relation 2b: sum_x C_P(a,x) C_P(b,x) in span{Delta, P, Q}.
+def _consistent(equations) -> bool:
+    """Whether the (row, target) equations have a common solution.
 
-    The equation of (a, b) has the (Delta, P, Q) values of the pair as its
-    row; exactly one of them is 1, since One = Delta + P + Q pointwise.
+    The same distinct equations, in the same order, as ``_fit_or_witness``
+    eliminates, but only the consistency is read: no fit, no witness.
     """
-    pf = _pair_functions(obj)
-    rows = pf.rows[P]
+    distinct = dict.fromkeys(equations)
+    return is_consistent([row for row, _ in distinct], [target for _, target in distinct])
+
+
+def _2b_equations(rows: tuple[int, ...]):
+    """The 2b equation of each ordered pair (a, b), a then b ascending.
+
+    Its row holds the (Delta, P, Q) values of the pair, of which exactly
+    one is 1 since One = Delta + P + Q pointwise; its target is
+    |P_a & P_b|, the common out-neighbors of a and b.
+    """
     equal, joined, other = (1, 0, 0), (0, 1, 0), (0, 0, 1)   # (Delta, P, Q) rows
-    solution, miss = _fit_or_witness(
-        (equal if a == b else joined if (ra >> b) & 1 else other,
-         (ra & rb).bit_count(), (a, b))
-        for a, ra in enumerate(rows) for b, rb in enumerate(rows))
+    return ((equal if a == b else joined if (ra >> b) & 1 else other, (ra & rb).bit_count())
+            for a, ra in enumerate(rows) for b, rb in enumerate(rows))
+
+
+def check_2b(obj) -> RelationCheck:
+    """Relation 2b: sum_x C_P(a,x) C_P(b,x) in span{Delta, P, Q}."""
+    rows, _ = _generator_rows(obj)
+    n = len(rows)
+    solution, miss = _fit_or_witness(_2b_equations(rows), product(range(n), repeat=2))
     if miss is not None:
         site, target, fitted = miss
         return RelationCheck(False, witness=Witness(
@@ -431,24 +457,31 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
     return reps
 
 
-def _span_check(pf: PairFunctions, span_family: str, target_family: str) -> RelationCheck:
+def _span_equations(pf: PairFunctions, span_family: str):
+    """The equation of each representative triple (a, b, c), in their order.
+
+    Its row holds the values of the span family's words at the triple ("D"
+    for 3a, "S" for 3b); its target is the other family's word (P, P, P).
+    """
     words = triple_words(pf)
-    span_eval = d_value if span_family == "D" else s_value
-    target_eval = s_value if span_family == "D" else d_value
-    target_word = (P, P, P)
-    solution, miss = _fit_or_witness(
-        (tuple(span_eval(pf, w, a, b, c) for w in words),
-         target_eval(pf, target_word, a, b, c), (a, b, c))
-        for a, b, c in _representative_triples(pf))
+    span_eval, target_eval = (d_value, s_value) if span_family == "D" else (s_value, d_value)
+    return ((tuple(span_eval(pf, w, a, b, c) for w in words),
+             target_eval(pf, _TARGET_WORD, a, b, c))
+            for a, b, c in _representative_triples(pf))
+
+
+def _span_check(pf: PairFunctions, span_family: str, target_family: str) -> RelationCheck:
+    solution, miss = _fit_or_witness(_span_equations(pf, span_family),
+                                     _representative_triples(pf))
     if miss is not None:
         site, target, fitted = miss
-        lhs_label = word_label(target_family, target_word)
+        lhs_label = word_label(target_family, _TARGET_WORD)
         return RelationCheck(False, witness=Witness(
             site=site, lhs=target, rhs=fitted,
             detail=(f"triple {site}: {lhs_label} = {target} vs "
                     f"{fitted} from coefficients fitted elsewhere")))
     coeffs = {word_label(span_family, w): v
-              for w, v in zip(words, solution) if v != 0}
+              for w, v in zip(triple_words(pf), solution) if v != 0}
     return RelationCheck(True, coefficients=coeffs)
 
 
@@ -506,13 +539,18 @@ def full_report(obj) -> RelationReport:
 def spin_model_verdict(obj) -> bool:
     """The oracle's overall verdict, short-circuiting cheap checks first.
 
-    Equivalent to ``full_report(obj).is_spin_model`` but skips the span
-    systems when an earlier relation already fails, which is what makes
-    census-scale scans affordable.
+    Equivalent to ``full_report(obj).is_spin_model``.  It asks 1b for the
+    first miss on the P rows before any ``PairFunctions`` is built, so an
+    irregular graph costs one popcount per row; it skips the span systems
+    when an earlier relation already fails; and of 2b, 3a and 3b it asks
+    only whether each deduplicated system is consistent, so it builds no
+    fit, coefficient or witness.  These are what make census-scale scans
+    affordable.
     """
-    pf = _pair_functions(obj)
-    if pf.directed and not any(pf.rows[P]):
+    rows, directed = _generator_rows(obj)
+    if directed and not any(rows):
         return False
-    return (_first_1b_miss(pf) is None and check_2b(pf).holds
-            and check_3a(pf).holds and check_3b(pf).holds)
-
+    if _first_1b_miss(rows, directed) is not None or not _consistent(_2b_equations(rows)):
+        return False
+    pf = _pair_functions(obj)
+    return _consistent(_span_equations(pf, "D")) and _consistent(_span_equations(pf, "S"))

@@ -17,8 +17,8 @@ from spinweb.classifier import classify_symmetric
 from spinweb.graphs import (circulant_tournament, clebsch, complete,
                             connected_components, cycle, paley, union_complete)
 from spinweb.regularity import freeness, q_condition, srg_params, three_point_params
-from spinweb.statesum import (PairFunctions, check_2b, dim_v3, full_report)
-from tests.conftest import load_fixture
+from spinweb.statesum import check_2b, dim_v3, full_report
+from tests.conftest import load_fixture, partition_identity_holds
 
 WORKERS = 2
 
@@ -136,9 +136,9 @@ def test_criterion_7_oracle_internal_consistency():
             assert check.holds
             assert (check.coefficients["k"], check.coefficients["lambda"],
                     check.coefficients["mu"]) == (params.k, params.lam, params.mu)
-            assert PairFunctions.from_graph(g).partition_identity_holds()
+            assert partition_identity_holds(g)
         t = circulant_tournament(3, {1})
         check = check_2b(t)
         assert check.holds and check.coefficients["k"] == 1
         assert check.coefficients["lambda"] == check.coefficients["mu"]
-        assert PairFunctions.from_tournament(t).partition_identity_holds()
+        assert partition_identity_holds(t)

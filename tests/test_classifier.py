@@ -4,7 +4,7 @@ import pytest
 
 from spinweb.census import graph_from_index, tournament_from_index
 from spinweb.classifier import (AppliedTo, FamilyKind, NotASpinModel,
-                                VerdictCase, classify_symmetric,
+                                Verdict, VerdictCase, classify_symmetric,
                                 classify_tournament, family_of,
                                 is_regular_tournament)
 from spinweb.graphs import (Graph, circulant_tournament, clebsch, complement,
@@ -85,6 +85,13 @@ class TestClassifySymmetric:
         for g in (cycle(6), Graph.from_edges(3, [(0, 1)]), Graph.from_edges(3, [(0, 1), (1, 2)])):
             v = classify_symmetric(g)
             assert not v.is_spin_model and v.reason == "not strongly regular"
+
+    def test_not_strongly_regular_verdict_is_shared(self):
+        graphs = (cycle(6), Graph.from_edges(3, [(0, 1), (1, 2)]), graph_from_index(7, 5))
+        verdicts = [classify_symmetric(g) for g in graphs]
+        assert all(v is verdicts[0] for v in verdicts)
+        assert verdicts[0] == Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None,
+                                      "not strongly regular", None)
 
     def test_one_srg_scan_per_classification(self, monkeypatch):
         # the package attribute spinweb.regularity is a function: patch the module
@@ -202,6 +209,12 @@ class TestTournaments:
             v = classify_tournament(tournament_from_index(4, idx))
             assert not v.is_spin_model
             assert v.reason == "not a regular tournament"
+
+    def test_not_regular_verdict_is_shared(self):
+        verdicts = [classify_tournament(tournament_from_index(n, 0)) for n in (2, 4, 5)]
+        assert all(v is verdicts[0] for v in verdicts)
+        assert verdicts[0] == Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None,
+                                      "not a regular tournament", None)
 
     def test_single_vertex(self):
         v = classify_tournament(tournament_from_index(1, 0))

@@ -221,6 +221,22 @@ class TestCensusCommand:
         assert code == 2 and out == ""
         assert err == f"error: --ns entries must be integers >= 1, got {entry!r}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--tournament", "--input", "/nonexistent"],
+                     "--input reads graph6 graphs; it cannot be combined with --tournament",
+                     id="tournament-input"),
+        pytest.param(["--ns", "3"], "--ns sets tournament sizes; it needs --tournament",
+                     id="ns-without-tournament"),
+        pytest.param(["--tournament", "--mode", "list_3pt_regular"],
+                     "--mode list_3pt_regular lists graphs; "
+                     "it cannot be combined with --tournament",
+                     id="tournament-list-3pt-regular"),
+    ])
+    def test_flag_the_census_would_ignore_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "census", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         from spinweb.census import CounterexampleFound, Disagreement
 

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from spinweb.linalg import matrix_rank, solve_membership
+from spinweb.linalg import is_consistent, matrix_rank, solve_membership
 
 
 def reference_fit(rows, targets):
@@ -67,3 +67,17 @@ class TestSolveMembership:
             ref_fit, ref_consistent, rank = reference_fit(rows, targets)
             assert (fit, consistent) == (ref_fit, ref_consistent)
             assert matrix_rank(rows) == rank
+
+
+class TestIsConsistent:
+    def test_matches_solve_membership(self):
+        rng = random.Random(2025)
+        systems = [([], []), ([()], [0]), ([(), ()], [0, 3])]
+        for _ in range(300):
+            nrows, ncols = rng.randint(0, 9), rng.randint(1, 7)
+            rows = [tuple(rng.choice((0, 0, 1, 2, -1, 3)) for _ in range(ncols))
+                    for _ in range(nrows)]
+            systems.append((rows, [rng.randint(-4, 4) for _ in range(nrows)]))
+        for rows, targets in systems:
+            assert is_consistent(rows, targets) == solve_membership(rows, targets)[1]
+        assert {is_consistent(*system) for system in systems} == {True, False}

@@ -14,7 +14,7 @@ from spinweb.statesum import (PairFunctions, ZeroGenerator, _pair_functions,
                               _representative_triples, check_1b, check_2b,
                               check_3a, check_3b, d_value, dim_v3, full_report,
                               s_value, spin_model_verdict, triple_words)
-from tests.conftest import load_fixture
+from tests.conftest import load_fixture, partition_identity_holds
 
 
 def path3():
@@ -221,11 +221,9 @@ class TestFullReport:
 
 class TestInvariants:
     def test_partition_of_one_pointwise(self):
-        for pf in (PairFunctions.from_graph(paley(9)),
-                   PairFunctions.from_graph(complete(5)),
-                   PairFunctions.from_graph(Graph(3, (0, 0, 0))),
-                   PairFunctions.from_tournament(circulant_tournament(5, {1, 2}))):
-            assert pf.partition_identity_holds()
+        for obj in (paley(9), complete(5), Graph(3, (0, 0, 0)),
+                    circulant_tournament(5, {1, 2})):
+            assert partition_identity_holds(obj)
 
     def test_triangle_free_iff_dppp_zero(self):
         for n in range(3, 6):
@@ -255,6 +253,20 @@ class TestInvariants:
             for idx in range(1 << (n * (n - 1) // 2)):
                 for obj in (graph_from_index(n, idx), tournament_from_index(n, idx)):
                     assert spin_model_verdict(obj) == full_report(obj).is_spin_model
+        for n in range(5, 8):
+            for g in iter_all_regular_labeled_graphs(n):
+                assert spin_model_verdict(g) == full_report(g).is_spin_model
+        # each fails a span system only: Petersen 3a, Schlafli 3b
+        for g, fails in ((petersen(), 2), (load_fixture("schlafli"), 3)):
+            report = full_report(g)
+            assert report.booleans() == tuple(i != fails for i in range(4))
+            assert not spin_model_verdict(g)
+
+    def test_verdict_shortcut_matches_full_report_on_5_tournaments(self):
+        # full_report runs both span systems of all 1 024 (about 20 ms each)
+        for idx in range(1 << 10):
+            t = tournament_from_index(5, idx)
+            assert spin_model_verdict(t) == full_report(t).is_spin_model
 
 
 def reference_representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
@@ -265,7 +277,7 @@ def reference_representative_triples(pf: PairFunctions) -> list[tuple[int, int, 
     four P/Q pairwise counts of each pair and all eight P/Q 3-way counts.
     """
     n = pf.n
-    rows_p, rows_q = pf.rows["P"], pf.rows["Q"]
+    rows_p = pf.rows["P"]
 
     def pair_class(u, v):
         if u == v:
@@ -284,6 +296,7 @@ def reference_representative_triples(pf: PairFunctions) -> list[tuple[int, int, 
                    (rows_p[a] & rows_p[b] & rows_p[c]).bit_count())
             reps.setdefault(key, (a, b, c))
     else:
+        rows_q = pf.rows["Q"]
         degs = ([row.bit_count() for row in rows_p], [row.bit_count() for row in rows_q])
         tabs = {(g, h): [[(grows[u] & hrows[v]).bit_count() for v in range(n)]
                          for u in range(n)]
