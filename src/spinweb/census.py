@@ -1,8 +1,16 @@
 """Exhaustive labeled-graph censuses and graph6 stream scanning.
 
+Every census source (the built-in graph enumeration, a graph6 stream and
+the tournament census) hands its objects to one compare step, which runs
+the closed-form classifier and the state-sum oracle on each, compares
+their answers and records the outcome.  The sources differ only in how
+they produce objects, what they pre-filter and which objects they list.
+A listed object (a ``Hit``) gets the oracle's full report, whose verdict
+is the oracle's answer; every other object, a stream line that is not
+listed included, gets only the oracle's yes/no verdict.
+
 The built-in census enumerates every labeled graph on 1..max_n vertices
-(max_n <= 8; 2^28 graphs at n = 8 is the accepted ceiling) and runs the
-closed-form classifier against the state-sum oracle.  A numpy degree
+(max_n <= 8; 2^28 graphs at n = 8 is the accepted ceiling).  A numpy degree
 pre-filter rejects non-regular graphs before any oracle linear algebra:
 a non-regular graph cannot pass Relation 1b nor be strongly regular, so
 both paths say "not a spin model" without further work.  To guard the
@@ -33,7 +41,7 @@ import enum
 import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, count, product, repeat
 
 import numpy as np
 
@@ -112,6 +120,72 @@ class CensusResult:
 
     def bump(self, case: str, amount: int = 1):
         self.counts[case] = self.counts.get(case, 0) + amount
+
+
+# ---------------------------------------------------------------------------
+# the compare step
+# ---------------------------------------------------------------------------
+
+def _lists_every(obj, verdict: Verdict) -> bool:
+    return True
+
+
+def _lists_spin_models(obj, verdict: Verdict) -> bool:
+    return verdict.is_spin_model
+
+
+def _lists_3pt_regular(obj, verdict: Verdict) -> bool:
+    return three_point_params(obj) is not None
+
+
+# the objects each list mode records; assert_equivalence is the source's choice
+_LISTED = {CensusMode.LIST_SPIN_MODELS: _lists_spin_models,
+           CensusMode.LIST_3PT_REGULAR: _lists_3pt_regular}
+
+
+def _compare(result: CensusResult, items, classify, listed, stop: bool) -> int:
+    """Run both routes on each object, compare them and record into result.
+
+    ``items`` yields (index, graph6, obj, rejected); a graph6 of None is
+    written from obj when a hit or a disagreement needs it.  ``listed(obj,
+    verdict)`` (or None: nothing is listed) picks the objects recorded as a
+    ``Hit``: only they get the oracle's ``full_report``, whose
+    ``is_spin_model`` is the oracle's answer; every other object gets
+    ``spin_model_verdict`` alone.  A rejected object is a guard sample that
+    the pre-filter has already called "not a spin model": it is counted in
+    ``guarded``, not in the case tallies, is never listed, and disagrees
+    when either route says "spin model".  The first disagreement is kept in
+    ``result.disagreement``; ``stop`` returns there.  Returns the number of
+    objects taken from items.
+    """
+    seen = 0
+    for index, text, obj, rejected in items:
+        seen += 1
+        verdict = classify(obj)
+        if rejected:
+            result.guarded += 1
+            listing = False
+        else:
+            result.bump(verdict.case.value)
+            listing = listed is not None and listed(obj, verdict)
+        if listing:
+            report = full_report(obj)
+            oracle = report.is_spin_model
+        else:
+            oracle = spin_model_verdict(obj)
+        if verdict.is_spin_model != oracle or (rejected and oracle):
+            if result.disagreement is None:
+                result.disagreement = Disagreement(
+                    obj.n, index, _graph6_text(text, obj), verdict.is_spin_model, oracle)
+            if stop:
+                return seen
+        if listing:
+            result.hits.append(Hit(obj.n, index, _graph6_text(text, obj), verdict, report))
+    return seen
+
+
+def _graph6_text(text: str | None, obj) -> str:
+    return write_graph6(obj).decode() if text is None else text
 
 
 # ---------------------------------------------------------------------------
@@ -195,42 +269,24 @@ def _regular_mask(n: int, indices: np.ndarray) -> np.ndarray:
 def _census_block(args) -> CensusResult:
     """Census of the graphs with index in [start, stop) on n vertices.
 
-    The regular graphs and the guard samples run both full paths in index
-    order, so the disagreement a block reports is its first one.
+    The regular graphs and the guard samples go through the compare step
+    in index order, so the disagreement a block reports is its first one.
     """
     n, start, stop, mode_value, guard_stride = args
-    mode = CensusMode(mode_value)
-    out = CensusResult()
+    out = CensusResult(graphs_seen=stop - start)
     indices = np.arange(start, stop, dtype=np.int64)
     if n == 1:
         regular = np.ones(1, dtype=bool)
     else:
         regular = _regular_mask(n, indices)
-    out.graphs_seen = stop - start
     out.bump(VerdictCase.NOT_SPIN_MODEL.value, out.graphs_seen - int(np.count_nonzero(regular)))
 
     checked = regular | (indices % guard_stride == 0)
-    for index, is_regular in zip(indices[checked].tolist(), regular[checked].tolist()):
-        g = graph_from_index(n, index)
-        verdict = classify_symmetric(g)
-        oracle = spin_model_verdict(g)
-        if is_regular:
-            out.bump(verdict.case.value)
-        else:
-            out.guarded += 1
-        # the pre-filter has already said "not a spin model" for an irregular graph
-        if verdict.is_spin_model != oracle or (oracle and not is_regular):
-            out.disagreement = Disagreement(
-                n, index, write_graph6(g).decode(), verdict.is_spin_model, oracle)
-            return out
-        if not is_regular:
-            continue
-        if mode is CensusMode.LIST_SPIN_MODELS and verdict.is_spin_model:
-            out.hits.append(Hit(n, index, write_graph6(g).decode(),
-                                verdict, full_report(g)))
-        elif mode is CensusMode.LIST_3PT_REGULAR and three_point_params(g) is not None:
-            out.hits.append(Hit(n, index, write_graph6(g).decode(),
-                                verdict, full_report(g)))
+    chosen = indices[checked].tolist()
+    graphs = map(functools.partial(graph_from_index, n), chosen)
+    rejected = (~regular[checked]).tolist()
+    _compare(out, zip(chosen, repeat(None), graphs, rejected), classify_symmetric,
+             _LISTED.get(CensusMode(mode_value)), stop=True)
     return out
 
 
@@ -275,7 +331,11 @@ def run_census(cfg: CensusConfig) -> CensusResult:
 
 
 def scan_stream(path, mode: CensusMode = CensusMode.LIST_SPIN_MODELS) -> CensusResult:
-    """Process a file of graph6 lines; malformed lines are recorded and skipped."""
+    """Process a file of graph6 lines; malformed lines are recorded and skipped.
+
+    ``assert_equivalence`` lists every line; the list modes list the lines
+    they print, and only those get the oracle's full report.
+    """
     if isinstance(mode, str):
         mode = CensusMode(mode)
     result = CensusResult()
@@ -284,22 +344,14 @@ def scan_stream(path, mode: CensusMode = CensusMode.LIST_SPIN_MODELS) -> CensusR
     else:
         with open(path, "rb") as handle:
             lines = handle.read().splitlines()
-    for lineno, text, g in read_graph6_lines(lines, result.line_errors):
-        result.graphs_seen += 1
-        verdict = classify_symmetric(g)
-        report = full_report(g)
-        result.bump(verdict.case.value)
-        if verdict.is_spin_model != report.is_spin_model and result.disagreement is None:
-            result.disagreement = Disagreement(
-                g.n, lineno, text, verdict.is_spin_model, report.is_spin_model)
-            if mode is CensusMode.ASSERT_EQUIVALENCE:
-                raise CounterexampleFound(result.disagreement)
-        keep = (mode is not CensusMode.LIST_3PT_REGULAR and
-                (mode is not CensusMode.LIST_SPIN_MODELS or verdict.is_spin_model))
-        if mode is CensusMode.LIST_3PT_REGULAR:
-            keep = three_point_params(g) is not None
-        if keep:
-            result.hits.append(Hit(g.n, lineno, text, verdict, report))
+    assert_equivalence = mode is CensusMode.ASSERT_EQUIVALENCE
+    items = ((lineno, text, g, False)
+             for lineno, text, g in read_graph6_lines(lines, result.line_errors))
+    result.graphs_seen = _compare(
+        result, items, classify_symmetric,
+        _lists_every if assert_equivalence else _LISTED[mode], stop=assert_equivalence)
+    if assert_equivalence and result.disagreement is not None:
+        raise CounterexampleFound(result.disagreement)
     return result
 
 
@@ -330,21 +382,15 @@ def run_tournament_census(ns=(3, 5), exhaustive_limit: int = 5,
     result = CensusResult()
     for n in ns:
         if n <= exhaustive_limit:
-            tournaments = (tournament_from_index(n, index)
-                           for index in range(1 << (n * (n - 1) // 2)))
+            tournaments = map(functools.partial(tournament_from_index, n),
+                              range(1 << (n * (n - 1) // 2)))
         else:
             tournaments = iter_circulant_tournaments(n)
-        for index, t in enumerate(tournaments):
-            result.graphs_seen += 1
-            verdict = classify_tournament(t)
-            oracle = spin_model_verdict(t)
-            result.bump(verdict.case.value)
-            if verdict.is_spin_model != oracle and result.disagreement is None:
-                result.disagreement = Disagreement(n, index, "", verdict.is_spin_model, oracle)
-                if assert_equivalence:
-                    raise CounterexampleFound(result.disagreement)
-            if verdict.is_spin_model:
-                result.hits.append(Hit(n, index, "", verdict, full_report(t)))
+        result.graphs_seen += _compare(
+            result, zip(count(), repeat(""), tournaments, repeat(False)), classify_tournament,
+            _lists_spin_models, stop=assert_equivalence)
+        if assert_equivalence and result.disagreement is not None:
+            raise CounterexampleFound(result.disagreement)
     return result
 
 
@@ -389,56 +435,3 @@ def iter_regular_labeled_graphs(n: int, k: int):
 def iter_all_regular_labeled_graphs(n: int):
     for k in range(n):
         yield from iter_regular_labeled_graphs(n, k)
-
-
-# ---------------------------------------------------------------------------
-# vectorized freeness-duality scan
-# ---------------------------------------------------------------------------
-
-def _triple_bit_masks(n: int) -> list[int]:
-    position = {pair: b for b, pair in enumerate(pair_positions(n))}
-    return [
-        (1 << position[(a, b)]) | (1 << position[(b, c)]) | (1 << position[(a, c)])
-        for a, b, c in combinations(range(n), 3)
-    ]
-
-
-def _type_presence(n: int, indices: np.ndarray) -> list[np.ndarray]:
-    """For each graph index: does a triple with 0/1/2/3 induced edges occur."""
-    present = [np.zeros(len(indices), dtype=bool) for _ in range(4)]
-    for tmask in _triple_bit_masks(n):
-        count = np.bitwise_count(indices & tmask)
-        for edges in range(4):
-            present[edges] |= count == edges
-    return present
-
-
-def _duality_block(args) -> int:
-    n, start, stop = args
-    indices = np.arange(start, stop, dtype=np.int64)
-    full = (1 << (n * (n - 1) // 2)) - 1
-    graph_flags = _type_presence(n, indices)
-    comp_flags = _type_presence(n, full ^ indices)
-    violations = 0
-    # triangle-free(g) == anti-triangle-free(gc) and the three mirrors
-    for edges in range(4):
-        violations += int(np.sum(graph_flags[edges] != comp_flags[3 - edges]))
-    return violations
-
-
-def freeness_duality_violations(max_n: int, workers: int = 1) -> int:
-    """Count freeness/complement-duality violations over all labeled graphs.
-
-    The answer should always be 0; a nonzero count would falsify the
-    complement-duality lemma (or this library's complement handling).
-    """
-    tasks = []
-    for n in range(3, max_n + 1):
-        total = 1 << (n * (n - 1) // 2)
-        for start in range(0, total, _BLOCK):
-            tasks.append((n, start, min(start + _BLOCK, total)))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(_duality_block, tasks))
-    return sum(_duality_block(task) for task in tasks)
-

@@ -244,31 +244,39 @@ def _tournament_sizes(text: str) -> tuple[int, ...]:
 
 
 def cmd_census(ns) -> int:
-    if ns.workers < 1:
+    if ns.workers is not None and ns.workers < 1:
         raise CliError(f"workers must be >= 1, got {ns.workers}")
     if ns.tournament and ns.input is not None:
         raise CliError("--input reads graph6 graphs; it cannot be combined with --tournament")
+    if ns.tournament or ns.input is not None:
+        source = "--tournament" if ns.tournament else "--input"
+        if ns.max_n is not None:
+            raise CliError("--max-n sets the size of the built-in census; "
+                           f"it cannot be combined with {source}")
+        if ns.workers is not None:
+            raise CliError("--workers sets the processes of the built-in census; "
+                           f"it cannot be combined with {source}")
     if ns.ns is not None and not ns.tournament:
         raise CliError("--ns sets tournament sizes; it needs --tournament")
     if ns.tournament and ns.mode == census_mod.CensusMode.LIST_3PT_REGULAR.value:
         raise CliError("--mode list_3pt_regular lists graphs; "
                        "it cannot be combined with --tournament")
-    if ns.tournament:
-        result = census_mod.run_tournament_census(
-            ns=_tournament_sizes(ns.ns) if ns.ns else (3, 5),
-            assert_equivalence=ns.mode == "assert_equivalence")
-    else:
-        stream = sys.stdin.buffer if ns.input == "-" else ns.input
-        try:
-            if stream is not None:
-                result = census_mod.scan_stream(stream, ns.mode)
-            else:
-                cfg = census_mod.CensusConfig(
-                    max_n=ns.max_n, mode=ns.mode, workers=ns.workers)
-                result = census_mod.run_census(cfg)
-        except census_mod.CounterexampleFound as exc:
-            print(f"COUNTEREXAMPLE: {exc}", file=sys.stderr)
-            return 1
+    try:
+        if ns.tournament:
+            result = census_mod.run_tournament_census(
+                ns=_tournament_sizes(ns.ns) if ns.ns else (3, 5),
+                assert_equivalence=ns.mode == "assert_equivalence")
+        elif ns.input is not None:
+            result = census_mod.scan_stream(
+                sys.stdin.buffer if ns.input == "-" else ns.input, ns.mode)
+        else:
+            cfg = census_mod.CensusConfig(
+                max_n=7 if ns.max_n is None else ns.max_n, mode=ns.mode,
+                workers=1 if ns.workers is None else ns.workers)
+            result = census_mod.run_census(cfg)
+    except census_mod.CounterexampleFound as exc:
+        print(f"COUNTEREXAMPLE: {exc}", file=sys.stderr)
+        return 1
     for hit in result.hits:
         fam = hit.verdict.family.kind.value if hit.verdict.family else "-"
         dims = ",".join(map(str, hit.verdict.family.dims)) if hit.verdict.family else "-"
@@ -322,11 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--gen", required=True)
 
     sub = subs.add_parser("census", help="exhaustive or stream census")
-    sub.add_argument("--max-n", type=int, default=7)
+    sub.add_argument("--max-n", type=int, help="built-in census size (default 7)")
     sub.add_argument("--input", help="graph6 stream path, or '-' for stdin")
     sub.add_argument("--mode", default="assert_equivalence",
                      choices=[m.value for m in census_mod.CensusMode])
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int,
+                     help="worker processes of the built-in census (default 1)")
     sub.add_argument("--tournament", action="store_true",
                      help="tournament census instead of graphs")
     sub.add_argument("--ns", help="comma-separated tournament sizes (default 3,5)")

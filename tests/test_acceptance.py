@@ -9,8 +9,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from spinweb.census import (CensusConfig, CensusMode, freeness_duality_violations,
-                            iter_all_regular_labeled_graphs,
+from spinweb.census import (CensusConfig, CensusMode, iter_all_regular_labeled_graphs,
                             iter_regular_labeled_graphs, run_census,
                             run_tournament_census)
 from spinweb.classifier import classify_symmetric
@@ -18,7 +17,8 @@ from spinweb.graphs import (circulant_tournament, clebsch, complete,
                             connected_components, cycle, paley, union_complete)
 from spinweb.regularity import freeness, q_condition, srg_params, three_point_params
 from spinweb.statesum import check_2b, dim_v3, full_report
-from tests.conftest import load_fixture, partition_identity_holds
+from tests.conftest import (freeness_duality_violations, load_fixture,
+                            partition_identity_holds)
 
 WORKERS = 2
 

@@ -8,15 +8,15 @@ import pytest
 
 from spinweb import census
 from spinweb.census import (CensusConfig, CensusMode, CensusResult,
-                            CounterexampleFound, Disagreement,
-                            freeness_duality_violations, graph_from_index,
+                            CounterexampleFound, Disagreement, graph_from_index,
+                            iter_all_regular_labeled_graphs,
                             iter_circulant_tournaments,
                             iter_regular_labeled_graphs, pair_positions,
                             run_census, run_tournament_census, scan_stream,
                             tournament_from_index)
-from spinweb.graph6 import write_graph6
-from spinweb.graphs import clebsch, petersen
-from tests.conftest import FIXTURE_DIR
+from spinweb.graph6 import parse_graph6, write_graph6
+from spinweb.graphs import clebsch, cycle, paley, petersen
+from tests.conftest import FIXTURE_DIR, freeness_duality_violations
 
 
 def reference_graph_rows(n, index):
@@ -232,6 +232,90 @@ class TestScanStream:
         res = scan_stream(str(stream), CensusMode.LIST_SPIN_MODELS)
         assert res.disagreement is not None
         assert (res.disagreement.index, res.disagreement.graph6) == (1, "DJG")
+
+
+# pentagon, a malformed line, Paley 9, Petersen, a blank line, a malformed
+# line, Paley 13 and an irregular graph on 7 vertices
+MIXED_STREAM = b"\n".join([
+    write_graph6(cycle(5)), b"not graph6!!", write_graph6(paley(9)),
+    write_graph6(petersen()), b"", b"D??\x01", write_graph6(paley(13)), b"FUmOo",
+]) + b"\n"
+_SPIN = (True, True, True, True)
+_MIXED_HITS = [
+    (1, "Dhc", "pentagon", _SPIN),
+    (3, "H{S{aSf", "q-condition holds", _SPIN),
+    (4, "I?LRCecq?", "not a spin model", (True, True, False, True)),
+    (7, "LlthgsL`mEkLkL", "not a spin model", (True, True, False, False)),
+    (8, "FUmOo", "not a spin model", (False, False, False, False)),
+]
+
+
+class TestStreamResults:
+    @pytest.mark.parametrize("mode, hits", [
+        (CensusMode.ASSERT_EQUIVALENCE, _MIXED_HITS),
+        (CensusMode.LIST_SPIN_MODELS, _MIXED_HITS[:2]),
+        (CensusMode.LIST_3PT_REGULAR, _MIXED_HITS[:2]),
+    ])
+    def test_mixed_stream(self, tmp_path, mode, hits):
+        stream = tmp_path / "mixed.g6"
+        stream.write_bytes(MIXED_STREAM)
+        res = scan_stream(str(stream), mode)
+        assert res.graphs_seen == 5
+        assert res.counts == {"pentagon": 1, "q-condition holds": 1, "not a spin model": 3}
+        assert [(h.index, h.graph6, h.verdict.case.value, h.report.booleans())
+                for h in res.hits] == hits
+        assert res.line_errors == [(2, "byte 32 outside graph6 range 63..126"),
+                                   (6, "byte 1 outside graph6 range 63..126")]
+        assert res.disagreement is None and res.guarded == 0
+
+
+def _key(obj):
+    return (type(obj).__name__, obj.n, getattr(obj, "adj", None) or obj.arc)
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """The objects the census hands to each oracle entry point, in call order."""
+    calls = {"full_report": [], "spin_model_verdict": []}
+    for name, log in calls.items():
+        real = getattr(census, name)
+
+        def counted(obj, real=real, log=log):
+            log.append(_key(obj))
+            return real(obj)
+
+        monkeypatch.setattr(census, name, counted)
+    return calls
+
+
+class TestOracleCalls:
+    @pytest.mark.parametrize("mode", list(CensusMode))
+    def test_stream_reports_only_listed_lines(self, tmp_path, oracle_calls, mode):
+        stream = tmp_path / "mixed.g6"
+        stream.write_bytes(MIXED_STREAM)
+        res = scan_stream(str(stream), mode)
+        listed = [_key(parse_graph6(h.graph6.encode())) for h in res.hits]
+        every = [_key(parse_graph6(line)) for line in MIXED_STREAM.splitlines()
+                 if line and line not in (b"not graph6!!", b"D??\x01")]
+        assert oracle_calls["full_report"] == listed
+        assert oracle_calls["spin_model_verdict"] == [k for k in every if k not in listed]
+
+    def test_census_asks_the_oracle_once_per_object(self, oracle_calls):
+        res = run_census(CensusConfig(max_n=5, mode=CensusMode.LIST_SPIN_MODELS))
+        asked = oracle_calls["full_report"] + oracle_calls["spin_model_verdict"]
+        assert len(asked) == len(set(asked))
+        regular = sum(1 for n in range(1, 6) for _ in iter_all_regular_labeled_graphs(n))
+        assert len(asked) == regular + res.guarded
+        assert oracle_calls["full_report"] == [
+            ("Graph", h.n, graph_from_index(h.n, h.index).adj) for h in res.hits]
+
+    def test_tournament_census_asks_the_oracle_once_per_object(self, oracle_calls):
+        res = run_tournament_census(ns=(3, 5))
+        asked = oracle_calls["full_report"] + oracle_calls["spin_model_verdict"]
+        assert len(asked) == len(set(asked)) == res.graphs_seen == 8 + 1024
+        assert oracle_calls["full_report"] == [
+            ("Tournament", 3, tournament_from_index(3, h.index).arc) for h in res.hits]
+        assert len(res.hits) == 2
 
 
 class TestTournamentCensus:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from spinweb.census import CensusResult
 from spinweb.cli import main
 from spinweb.graph6 import write_graph6
 from spinweb.graphs import clebsch, cycle
@@ -231,11 +232,51 @@ class TestCensusCommand:
                      "--mode list_3pt_regular lists graphs; "
                      "it cannot be combined with --tournament",
                      id="tournament-list-3pt-regular"),
+        pytest.param(["--tournament", "--ns", "3", "--max-n", "2", "--workers", "2"],
+                     "--max-n sets the size of the built-in census; "
+                     "it cannot be combined with --tournament",
+                     id="tournament-max-n"),
+        pytest.param(["--tournament", "--ns", "3", "--workers", "2"],
+                     "--workers sets the processes of the built-in census; "
+                     "it cannot be combined with --tournament",
+                     id="tournament-workers"),
+        pytest.param(["--input", "/nonexistent", "--max-n", "2", "--workers", "2"],
+                     "--max-n sets the size of the built-in census; "
+                     "it cannot be combined with --input",
+                     id="input-max-n"),
+        pytest.param(["--input", "-", "--workers", "1"],
+                     "--workers sets the processes of the built-in census; "
+                     "it cannot be combined with --input",
+                     id="input-workers"),
     ])
     def test_flag_the_census_would_ignore_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, "census", *argv)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+    def test_built_in_census_defaults(self, capsys, monkeypatch):
+        seen = []
+
+        def record(cfg):
+            seen.append((cfg.max_n, cfg.workers))
+            return CensusResult(graphs_seen=1)
+
+        monkeypatch.setattr("spinweb.cli.census_mod.run_census", record)
+        assert run(capsys, "census")[0] == 0
+        assert run(capsys, "census", "--max-n", "3", "--workers", "2")[0] == 0
+        assert seen == [(7, 1), (3, 2)]
+
+    def test_tournament_counterexample_exits_1(self, capsys, monkeypatch):
+        from spinweb.classifier import Verdict, VerdictCase
+        always = Verdict(True, VerdictCase.THREE_CYCLE, None, None, "patched")
+        monkeypatch.setattr("spinweb.census.classify_tournament", lambda t: always)
+        code, out, err = run(capsys, "census", "--tournament", "--ns", "3")
+        assert code == 1 and out == ""
+        assert err == ("COUNTEREXAMPLE: classifier/oracle disagreement on '' "
+                       "(n=3, index=0): classifier=True, oracle=False\n")
+        code, out, _ = run(capsys, "census", "--tournament", "--ns", "3",
+                           "--mode", "list_spin_models")
+        assert code == 1 and out.splitlines()[-1] == "FAIL, 8 graphs, 1 disagreements"
 
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         from spinweb.census import CounterexampleFound, Disagreement
