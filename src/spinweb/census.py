@@ -271,22 +271,28 @@ def _census_block(args) -> CensusResult:
 
     The regular graphs and the guard samples go through the compare step
     in index order, so the disagreement a block reports is its first one.
+    A block stopped by a disagreement has seen the graphs up to and
+    including the disagreeing index: ``graphs_seen`` and the pre-filter's
+    tally count those only, so the case tallies still sum to it.
     """
     n, start, stop, mode_value, guard_stride = args
-    out = CensusResult(graphs_seen=stop - start)
+    out = CensusResult(counts={VerdictCase.NOT_SPIN_MODEL.value: 0})   # the pre-filter's, first
     indices = np.arange(start, stop, dtype=np.int64)
     if n == 1:
         regular = np.ones(1, dtype=bool)
     else:
         regular = _regular_mask(n, indices)
-    out.bump(VerdictCase.NOT_SPIN_MODEL.value, out.graphs_seen - int(np.count_nonzero(regular)))
 
     checked = regular | (indices % guard_stride == 0)
     chosen = indices[checked].tolist()
     graphs = map(functools.partial(graph_from_index, n), chosen)
     rejected = (~regular[checked]).tolist()
-    _compare(out, zip(chosen, repeat(None), graphs, rejected), classify_symmetric,
-             _LISTED.get(CensusMode(mode_value)), stop=True)
+    checked_seen = _compare(out, zip(chosen, repeat(None), graphs, rejected),
+                            classify_symmetric, _LISTED.get(CensusMode(mode_value)), stop=True)
+    last = stop if out.disagreement is None else out.disagreement.index + 1
+    out.graphs_seen = last - start
+    # every regular graph up to the last index seen went through the compare step
+    out.bump(VerdictCase.NOT_SPIN_MODEL.value, out.graphs_seen - (checked_seen - out.guarded))
     return out
 
 

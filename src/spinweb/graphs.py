@@ -396,13 +396,23 @@ def pack_rows(rows, n: int) -> list[np.ndarray]:
                         dtype=np.int64, count=n) for shift in range(0, n, WORD_BITS)]
 
 
-def window(array: np.ndarray, start: int, count: int) -> np.ndarray:
-    """``count`` elements of a flat array from ``start``, as a writable view."""
-    return np.frombuffer(array, dtype=array.dtype, count=count,
-                         offset=start * array.itemsize)
+def window(array: np.ndarray, start: int, shape) -> np.ndarray:
+    """Elements of a flat array from ``start``, as a writable view of ``shape``.
+
+    ``shape`` is a count, or (rows, width) for that many rows of the
+    elements that follow.
+    """
+    return np.ndarray(shape, array.dtype, array, start * array.itemsize)
 
 
-def fill_rows(tile: np.ndarray, row: np.ndarray, n: int, height: int) -> None:
-    """Copy the n-element ``row`` into each of ``height`` rows of a flat tile."""
-    memoryview(tile).cast("B")[:height * n * tile.itemsize] = \
-        memoryview(row).tobytes() * height
+def fill_rows(tile: np.ndarray, rows: np.ndarray, n: int, height: int) -> None:
+    """Copy each n-element row of the flat ``rows`` into ``height`` rows of a flat tile.
+
+    The copies of a row are consecutive and follow those of the row before.
+    """
+    data = memoryview(rows).cast("B")
+    width = n * rows.itemsize
+    cells = memoryview(tile).cast("B")
+    for start in range(0, len(data), width):
+        cells[start * height:(start + width) * height] = \
+            data[start:start + width].tobytes() * height

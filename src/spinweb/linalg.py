@@ -1,13 +1,16 @@
 """Exact linear algebra over the integers for small dense systems.
 
 Everything the state-sum oracle solves arrives as integer matrices whose
-duplicate rows have already been collapsed.  One fraction-free
-Gauss-Jordan pass (in the spirit of Bareiss, Math. Comp. 22, 1968) settles
-rank, span membership and the fitted coefficients exactly: rows are only
-ever scaled by nonzero integers and divided by their gcd, so no rational
-arithmetic happens until a coefficient is read out.  ``is_consistent``
-reads only the consistency of the same elimination, for callers that need
-a yes/no answer and no coefficients.
+duplicate rows have already been collapsed.  One fraction-free forward
+elimination (in the spirit of Bareiss, Math. Comp. 22, 1968) settles rank
+and span membership exactly: rows are only ever scaled by nonzero integers
+and divided by their gcd, and a row below a pivot is updated only from
+the pivot's column on, since it is already zero left of it.
+``solve_membership`` then clears above each pivot by the same integer
+step, over the pivot rows restricted to the pivot columns and the target,
+so no rational arithmetic happens until a coefficient is read out.
+``is_consistent`` reads only the consistency of the forward pass, for
+callers that need a yes/no answer and no coefficients.
 """
 
 from __future__ import annotations
@@ -16,30 +19,37 @@ from fractions import Fraction
 from math import gcd
 
 
+def _cleared(row: list[int], prow: list[int], p: int, f: int) -> list[int]:
+    """p * row - f * prow, divided by the gcd of its entries."""
+    new = [p * a - f * b for a, b in zip(row, prow)]
+    g = gcd(*new)
+    return [v // g for v in new] if g > 1 else new
+
+
 def _eliminate(rows: list[list[int]], ncols: int) -> list[int]:
-    """Row-reduce the first ncols columns in place, return pivot columns.
+    """Forward-eliminate the first ncols columns in place, return pivot columns.
 
     The pivot of column c is the first row at or below the current one with
     a nonzero entry there; it is swapped into place and the column cleared
-    above and below it.
+    below it.  Rows below it are zero left of c, so only their columns c..
+    are rewritten.
     """
     pivots = []
     r = 0
+    height = len(rows)
     for c in range(ncols):
-        if r == len(rows):
+        if r == height:
             break
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        pivot = next((i for i in range(r, height) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i, row in enumerate(rows):
+        tail = rows[r][c:]
+        p = tail[0]
+        for row in rows[r + 1:]:
             f = row[c]
-            if i != r and f:
-                new = [p * a - f * b for a, b in zip(row, prow)]
-                g = gcd(*new)
-                rows[i] = [v // g for v in new] if g > 1 else new
+            if f:
+                row[c:] = _cleared(row[c:], tail, p, f)
         pivots.append(c)
         r += 1
     return pivots
@@ -73,22 +83,35 @@ def solve_membership(rows, targets) -> tuple[list[Fraction], bool]:
     Returns (fit, consistent).  The fit solves the largest consistent
     subsystem the pivots select, with free variables 0; consistent is False
     when the target lies outside the column span, in which case some
-    original equation disagrees with the fit.
+    original equation disagrees with the fit.  After the forward pass, the
+    pivot rows, cut down to the pivot columns and the target, are cleared
+    above each pivot from the last one up; a free column's coefficient is
+    0, so the columns left out cannot change the fit.
     """
     work, pivots, consistent = _eliminate_augmented(rows, targets)
     if not work:
         return [], True
     ncols = len(work[0]) - 1
+    # pivot row r as [target, its entries in pivot columns r, r + 1, ...]
+    upper = [[row[ncols]] + [row[c] for c in pivots[r:]]
+             for r, row in enumerate(work[:len(pivots)])]
+    for r in range(len(pivots) - 1, 0, -1):
+        target, p = upper[r]          # cleared right of its pivot already
+        for i in range(r):
+            row = upper[i]
+            f = row.pop()             # its entry in column r, the last one left
+            if f:
+                upper[i] = _cleared(row, [target] + [0] * (len(row) - 1), p, f)
     fit = [Fraction(0)] * ncols
-    for row, c in zip(work, pivots):
-        fit[c] = Fraction(row[ncols], row[c])
+    for (target, p), c in zip(upper, pivots):
+        fit[c] = Fraction(target, p)
     return fit, consistent
 
 
 def is_consistent(rows, targets) -> bool:
     """Whether sum_j c_j * rows[i][j] = targets[i] has a solution.
 
-    The consistent flag of ``solve_membership`` from the same elimination,
-    without reading a fit out as fractions.
+    The consistent flag of ``solve_membership`` from the same forward pass,
+    without the back pass or a fit read out as fractions.
     """
     return _eliminate_augmented(rows, targets)[2]

@@ -31,11 +31,21 @@ take one representative triple per evaluation profile, found by an exact
 numpy slab kernel (``_representative_triples``): rows packed into 62-bit
 int64 words, 3-way intersections by AND plus ``np.bitwise_count``, and each
 profile packed in mixed radix into one int64 key while the I^3 (n + 1)
-keys of I pair ids fit, else into two.  A slab is tested for a profile not
-seen before by an ``np.bincount`` histogram of its keys when the key space
-is at most two slabs' cells, as on the large strongly regular graphs; tiny
-graphs and wide key spaces keep a Python set, since a histogram there
-costs more to build and clear than the slab it tests.
+keys of I pair ids fit, else into two.  Slabs are runs of consecutive
+cells in (a, b, c) order: whole first vertices while n^2 <= 4096 (every
+n <= 16 is one slab), bands of b rows within one first vertex beyond.  A
+slab is tested for a profile not seen before by an ``np.bincount``
+histogram of its keys when the key space is at most two slabs' cells, as
+on the large strongly regular graphs; tiny graphs and wide key spaces keep
+a Python set, since a histogram there costs more to build and clear than
+the slab it tests.  Either way a slab's new profiles are counted first, so
+its cell-by-cell scan stops at the last of them.
+
+The row of a representative triple is built in one step over the bit
+rows of the alphabet (``_d_row``, ``_s_row``): a D row is the product of
+the letters' (a,b), (b,c) and (c,a) bits, an S row the popcounts of the
+3-way ANDs of rows a, b and c, both in ``product(alphabet, repeat=3)``
+order; a target is the same row over the one letter P.
 
 ``spin_model_verdict`` is the yes/no question the census asks of every
 regular graph and guard sample.  It runs the checks in the order 1b, 2b,
@@ -63,8 +73,7 @@ from math import lcm
 
 import numpy as np
 
-from .graphs import (WORD_BITS, WORD_MASK, Graph, Tournament, fill_rows, pack_rows,
-                     transpose_rows, window)
+from .graphs import Graph, Tournament, fill_rows, pack_rows, transpose_rows, window
 from .linalg import is_consistent, matrix_rank, solve_membership
 
 ONE = "One"
@@ -117,9 +126,6 @@ class PairFunctions:
             Q: transpose_rows(t.arc, t.n),
         })
 
-    def value(self, sym: str, u: int, v: int) -> int:
-        return (self.rows[sym][u] >> v) & 1
-
     def alphabet(self) -> tuple[str, ...]:
         return DIRECTED_ALPHABET if self.directed else UNDIRECTED_ALPHABET
 
@@ -147,14 +153,26 @@ def _generator_rows(obj) -> tuple[tuple[int, ...], bool]:
     return obj.adj, False
 
 
-def d_value(pf: PairFunctions, word, a: int, b: int, c: int) -> int:
-    g1, g2, g3 = word
-    return pf.value(g1, a, b) * pf.value(g2, b, c) * pf.value(g3, c, a)
+def _d_row(letters, a: int, b: int, c: int) -> tuple[int, ...]:
+    """D[g1,g2,g3](a,b,c) for every word over ``letters`` (bit rows), in product order.
+
+    The value is the product of the letters' (a,b), (b,c) and (c,a) bits.
+    """
+    ab = [(rows[a] >> b) & 1 for rows in letters]
+    bc = [(rows[b] >> c) & 1 for rows in letters]
+    ca = [(rows[c] >> a) & 1 for rows in letters]
+    return tuple([x * y * z for x in ab for y in bc for z in ca])
 
 
-def s_value(pf: PairFunctions, word, a: int, b: int, c: int) -> int:
-    g1, g2, g3 = word
-    return (pf.rows[g1][a] & pf.rows[g2][b] & pf.rows[g3][c]).bit_count()
+def _s_row(letters, a: int, b: int, c: int) -> tuple[int, ...]:
+    """S[g1,g2,g3](a,b,c) for every word over ``letters`` (bit rows), in product order.
+
+    The value is the popcount of the AND of the letters' rows a, b and c.
+    """
+    ra = [rows[a] for rows in letters]
+    rb = [rows[b] for rows in letters]
+    rc = [rows[c] for rows in letters]
+    return tuple([(x & y & z).bit_count() for x in ra for y in rb for z in rc])
 
 
 def triple_words(pf: PairFunctions) -> list[tuple[str, str, str]]:
@@ -333,33 +351,43 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
     with the full n^3 systems while touching far fewer rows.
 
     The kernel is exact integer numpy.  Rows are packed into int64 words of
-    WORD_BITS bits (``graphs.pack_rows``).  For each a, slabs of at most
-    _SLAB (b, c) cells get T from word-wise AND plus popcount.  With I pair
-    ids, the fields are packed in mixed radix into one nonnegative int64
-    key ((ab * I + ac) * (n + 1) + T) * I + bc, below bins = I^3 (n + 1),
-    while bins <= 2^_KEY_BITS; beyond that (only for n >= 512 with more
-    than 2^17 distinct pair profiles) a key is the two words ab * I + ac
-    and T * I + bc, exact while I^2 < 2^63, that is for every n whose
-    n x n table of int32 pair ids fits in memory (n <= 46340).
+    WORD_BITS bits (``graphs.pack_rows``).  The n^3 cells are walked in
+    slabs, runs of consecutive cells in (a, b, c) order of at most _SLAB
+    cells each: while n^2 <= _SLAB a slab holds all cells of
+    min(n, _SLAB // n^2) whole first vertices a (every n <= 16 is one
+    slab), beyond that a band of max(1, _SLAB // n) b rows within one a.
+    Per group of first vertices, P_a & P_b and the (a, b) and (a, c) pair
+    ids are laid out once; per slab, T comes from word-wise AND with P_c
+    plus popcount.  With I pair ids, the fields are packed in mixed radix
+    into one nonnegative int64 key ((ab * I + ac) * (n + 1) + T) * I + bc,
+    below bins = I^3 (n + 1), while bins <= 2^_KEY_BITS; beyond that (only
+    for n >= 512 with more than 2^17 distinct pair profiles) a key is the
+    two words ab * I + ac and T * I + bc, exact while I^2 < 2^63, that is
+    for every n whose n x n table of int32 pair ids fits in memory
+    (n <= 46340).
 
     Presence of a new key is tested per slab in one of two ways
     (``_histogram_presence``).  When the one-word key space is at most two
-    slabs' cells (Schlafli, Higman-Sims, McLaughlin, Clebsch, Paley(17)),
+    slabs' cells (the strongly regular graphs, from C5 to McLaughlin),
     ``np.bincount`` of the slab's keys is AND-ed with an int64 mask that
-    is -1 at the keys not seen yet, and the slab holds a new key iff that
-    masked histogram has a nonzero bin, that is iff its own ``np.bincount``
-    is not [bins].  (Comparing its bytes with a zero buffer is a few
+    is -1 at the keys not seen yet, and the slab's new keys are the
+    nonzero bins of that masked histogram: bins minus the first bin of its
+    own ``np.bincount``.  (Comparing its bytes with a zero buffer is a few
     microseconds faster per slab but holds two more histogram-sized
     buffers, which raised the heap peak of the oracle on Higman-Sims by a
     further 21 KB.)  Otherwise (tiny graphs, wide key spaces, two-word
     keys) a Python set over a memoryview of the slab finds the keys not
     seen before.  Either way only a slab holding a new key is scanned,
-    cell by cell, for its first sites; the histogram path clears the mask
-    there through a memoryview.
+    cell by cell, for its first sites, and the scan stops at the last new
+    key the slab holds (counted as the masked histogram's nonzero bins, or
+    as the slab's keys missing from the set); the histogram path clears
+    the mask there through a memoryview.  With whole first vertices in a
+    slab, the first one of a vertex-transitive graph already shows every
+    profile, so the scan rarely passes it.
 
     Every array operation is elementwise on equal shapes, broadcasts a
     column or is ``np.bincount``; rows are laid out by memoryview copies
-    and windows (``np.frombuffer``).  Indexing an array, ``len()`` of one
+    and windows (``graphs.window``).  Indexing an array, ``len()`` of one
     and row broadcasts each run numpy code that nothing else on the
     oracle's path runs, and faulting that code in raised the process's peak
     resident memory by 64 KB per code region, more than the buffers
@@ -382,55 +410,68 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
     scale_ac = (n + 1) * n_ids if one_word else 1
     scale_ab = scale_ac * n_ids
 
-    height = max(1, min(n, _SLAB // n))
+    band = max(1, min(n, _SLAB // n))          # b rows of one first vertex in a slab
+    group = max(1, min(n, _SLAB // (n * n)))   # first vertices in a slab; > 1 only if band = n
+    height = group * band                      # (a, b) rows of a slab
     size = height * n
     histogram = _histogram_presence(one_word, bins, size)
     words = pack_rows(rows, n)
-    tiles = [np.empty(size, dtype=np.int64) for _ in words]   # `height` copies of a word
-    for tile, word in zip(tiles, words):
-        fill_rows(tile, word, n, height)
-    ab_row, ac_row = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    b_tiles = [np.empty(group * n, dtype=np.int64) for _ in words]   # `group` copies of a word
+    c_tiles = [np.empty(size, dtype=np.int64) for _ in words]        # `height` copies of a word
+    for b_tile, c_tile, word in zip(b_tiles, c_tiles, words):
+        fill_rows(b_tile, word, n, group)
+        fill_rows(c_tile, word, n, height)
+    if group == 1:
+        bc_cells = pid
+    else:
+        bc_cells = np.empty(size, dtype=np.int32)                   # `group` copies of pid
+        fill_rows(bc_cells, pid, n * n, group)
+    meets = [np.empty(group * n, dtype=np.int64) for _ in words]     # P_a & P_b of the group
+    ab_rows, ac_rows = np.empty(group * n, dtype=np.int64), np.empty(group * n, dtype=np.int64)
     ac_tile = np.empty(size, dtype=np.int64)
     low = np.empty(size, dtype=np.int64)
     high = low if one_word else np.empty(size, dtype=np.int64)
-    scratch = np.empty(size, dtype=np.int64)
-    counts = np.empty(size, dtype=np.uint8)
-    meet = np.empty(height, dtype=np.int64)
-    slabs = []
-    for b0 in range(0, n, height):
-        m = min(height, n - b0)
+    spare = low if len(words) == 1 else np.empty(size, dtype=np.int64)   # a later word's T
 
-        def block(array, m=m):
-            return window(array, 0, m * n).reshape(m, n)
+    def layout(k):
+        """Views of the buffers for a group of k first vertices and for its slabs."""
+        group_views = ([window(b_tile, 0, (k, n)) for b_tile in b_tiles],
+                       [window(meet, 0, (k, n)) for meet in meets],
+                       window(ab_rows, 0, k * n), window(ac_rows, 0, k * n))
+        slab_views = []
+        for b0 in range(0, n, band):
+            m = k * min(band, n - b0)              # (a, b) rows of the slab
+            slab_views.append((b0 * n, [window(meet, b0, (m, 1)) for meet in meets],
+                               [window(c_tile, 0, (m, n)) for c_tile in c_tiles],
+                               window(bc_cells, b0 * n, (m, n)), window(ab_rows, b0, (m, 1)),
+                               window(ac_tile, 0, (m, n)), window(low, 0, (m, n)),
+                               window(low, 0, m * n), window(high, 0, (m, n)),
+                               window(spare, 0, (m, n))))
+        return group_views, slab_views
 
-        slabs.append((b0, [window(word, b0, m) for word in words], [block(t) for t in tiles],
-                      window(pid, b0 * n, m * n).reshape(m, n),
-                      window(ab_row, b0, m).reshape(m, 1), block(ac_tile),
-                      window(meet, 0, m), window(meet, 0, m).reshape(m, 1),
-                      block(low), window(low, 0, m * n), block(high), block(scratch),
-                      block(counts)))
-
+    layouts = {k: layout(k) for k in {group, n % group or group}}
     seen: set = set()
     reps: list[tuple[int, int, int]] = []
     if histogram:
         unseen = np.frombuffer(bytearray(b"\xff") * (8 * bins), dtype=np.int64)  # all -1
         unseen_cells = memoryview(unseen)
-        no_hits = [bins]        # np.bincount of an all-zero histogram
-    for a, ra in enumerate(rows):
-        pid_a = window(pid, a * n, n)
-        np.multiply(pid_a, scale_ab, out=ab_row, dtype=np.int64)
-        np.multiply(pid_a, scale_ac, out=ac_row, dtype=np.int64)
-        fill_rows(ac_tile, ac_row, n, height)
-        masks = [(ra >> shift) & WORD_MASK for shift in range(0, n, WORD_BITS)]
-        for (b0, bits_b, bits_c, bc, ab, ac, meet_b, meet_col, lo, flat, hi, tmp,
-             cnt) in slabs:
-            for w, mask in enumerate(masks):
-                np.bitwise_and(bits_b[w], mask, out=meet_b)
-                np.bitwise_and(meet_col, bits_c[w], out=tmp)
-                if w == 0:
-                    np.bitwise_count(tmp, out=lo)
-                else:
-                    lo += np.bitwise_count(tmp, out=cnt)
+    for a0 in range(0, n, group):
+        k = min(group, n - a0)
+        (b_parts, meet_parts, ab_out, ac_out), slabs = layouts[k]
+        for word, b_part, meet_part in zip(words, b_parts, meet_parts):
+            np.bitwise_and(window(word, a0, (k, 1)), b_part, out=meet_part)
+        pid_a = window(pid, a0 * n, k * n)
+        np.multiply(pid_a, scale_ab, out=ab_out, dtype=np.int64)
+        np.multiply(pid_a, scale_ac, out=ac_out, dtype=np.int64)
+        fill_rows(ac_tile, ac_out, n, band)
+        first = a0 * n * n
+        for offset, meet_cols, bits_c, bc, ab, ac, lo, flat, hi, tmp in slabs:
+            for w, (meet_col, bits) in enumerate(zip(meet_cols, bits_c)):
+                part = tmp if w else lo                 # T of word w, counted in place
+                np.bitwise_and(meet_col, bits, out=part)
+                np.bitwise_count(part, out=part)
+                if w:
+                    lo += tmp
             lo *= n_ids
             lo += bc
             if one_word:
@@ -440,33 +481,50 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
             else:
                 np.add(ac, ab, out=hi)
                 key = (hi, lo)
+            start = first + offset
             if histogram:
                 hits = np.bincount(flat, minlength=bins)
                 np.bitwise_and(hits, unseen, out=hits)
-                if np.bincount(hits).tolist() != no_hits:
+                fresh = bins - np.bincount(hits).tolist()[0]      # new keys in the slab
+                if fresh:
                     for i, cell in enumerate(memoryview(flat)):
                         if unseen_cells[cell]:
                             unseen_cells[cell] = 0
-                            reps.append((a, b0 + i // n, i % n))
+                            reps.append(_cell_triple(start + i, n))
+                            fresh -= 1
+                            if not fresh:
+                                break
             elif not seen.issuperset(_cells(key)):
+                new_keys = set(_cells(key)).difference(seen)
                 for i, cell in enumerate(_cells(key)):
-                    if cell not in seen:
+                    if cell in new_keys:
+                        new_keys.remove(cell)
                         seen.add(cell)
-                        reps.append((a, b0 + i // n, i % n))
+                        reps.append(_cell_triple(start + i, n))
+                        if not new_keys:
+                            break
     object.__setattr__(pf, "_triple_reps", reps)  # frozen dataclass memo
     return reps
+
+
+def _cell_triple(cell: int, n: int) -> tuple[int, int, int]:
+    """The triple (a, b, c) at index a * n^2 + b * n + c of the n^3 cells."""
+    ab, c = divmod(cell, n)
+    a, b = divmod(ab, n)
+    return a, b, c
 
 
 def _span_equations(pf: PairFunctions, span_family: str):
     """The equation of each representative triple (a, b, c), in their order.
 
     Its row holds the values of the span family's words at the triple ("D"
-    for 3a, "S" for 3b); its target is the other family's word (P, P, P).
+    for 3a, "S" for 3b); its target is the other family's word (P, P, P),
+    the only word over the one letter P.
     """
-    words = triple_words(pf)
-    span_eval, target_eval = (d_value, s_value) if span_family == "D" else (s_value, d_value)
-    return ((tuple(span_eval(pf, w, a, b, c) for w in words),
-             target_eval(pf, _TARGET_WORD, a, b, c))
+    letters = [pf.rows[sym] for sym in pf.alphabet()]
+    target = [pf.rows[P]]
+    span_row, target_row = (_d_row, _s_row) if span_family == "D" else (_s_row, _d_row)
+    return ((span_row(letters, a, b, c), target_row(target, a, b, c)[0])
             for a, b, c in _representative_triples(pf))
 
 
@@ -505,15 +563,9 @@ def dim_v3(obj) -> int:
     pf = _pair_functions(obj)
     if not any(pf.rows[P]):
         raise ZeroGenerator("edgeless input: C_P = 0 and the rank is not dim V3")
-    words = triple_words(pf)
-    seen = set()
-    rows = []
-    for a, b, c in _representative_triples(pf):
-        row = tuple(d_value(pf, w, a, b, c) for w in words) + \
-              tuple(s_value(pf, w, a, b, c) for w in words)
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
+    letters = [pf.rows[sym] for sym in pf.alphabet()]
+    rows = dict.fromkeys(_d_row(letters, a, b, c) + _s_row(letters, a, b, c)
+                         for a, b, c in _representative_triples(pf))
     return matrix_rank(rows)
 
 

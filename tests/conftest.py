@@ -17,6 +17,23 @@ def load_fixture(name: str):
     return parse_graph6((FIXTURE_DIR / f"{name}.g6").read_bytes())
 
 
+def pair_value(pf: PairFunctions, sym: str, u: int, v: int) -> int:
+    """sym(u, v) as 0 or 1, read from the oracle's bit rows."""
+    return (pf.rows[sym][u] >> v) & 1
+
+
+def d_value(pf: PairFunctions, word, a: int, b: int, c: int) -> int:
+    """D[g1,g2,g3](a,b,c) = g1(a,b) * g2(b,c) * g3(c,a), one triple and word at a time."""
+    g1, g2, g3 = word
+    return pair_value(pf, g1, a, b) * pair_value(pf, g2, b, c) * pair_value(pf, g3, c, a)
+
+
+def s_value(pf: PairFunctions, word, a: int, b: int, c: int) -> int:
+    """S[g1,g2,g3](a,b,c) = sum_x g1(a,x) g2(b,x) g3(c,x), one triple and word at a time."""
+    g1, g2, g3 = word
+    return (pf.rows[g1][a] & pf.rows[g2][b] & pf.rows[g3][c]).bit_count()
+
+
 def partition_identity_holds(obj) -> bool:
     """One = Delta + P + Q pointwise on a graph or tournament.
 
@@ -31,8 +48,8 @@ def partition_identity_holds(obj) -> bool:
         pf = PairFunctions.from_graph(obj)
         q_rows = complement(obj).adj
     return all(
-        pf.value("One", u, v) == pf.value("Delta", u, v) + pf.value("P", u, v)
-        + ((q_rows[u] >> v) & 1)
+        pair_value(pf, "One", u, v) == pair_value(pf, "Delta", u, v)
+        + pair_value(pf, "P", u, v) + ((q_rows[u] >> v) & 1)
         for u in range(pf.n) for v in range(pf.n))
 
 

@@ -190,6 +190,26 @@ class TestRunCensus:
         res = run_census(CensusConfig(max_n=5, mode=CensusMode.LIST_SPIN_MODELS))
         assert (res.disagreement.n, res.disagreement.index) == (5, 236)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stopped_block_counts_only_what_it_saw(self, workers, monkeypatch):
+        # a flipped verdict on the regular graph at index 236 stops the n = 5
+        # block there: it saw indices 0..236, and the tallies sum to that
+        target = graph_from_index(5, 236).adj
+        real = census.classify_symmetric
+
+        def flipped(g):
+            verdict = real(g)
+            if g.n == 5 and g.adj == target:
+                return dataclasses.replace(verdict, is_spin_model=not verdict.is_spin_model)
+            return verdict
+
+        monkeypatch.setattr(census, "classify_symmetric", flipped)
+        res = run_census(CensusConfig(max_n=5, mode=CensusMode.LIST_SPIN_MODELS,
+                                      workers=workers))
+        assert (res.disagreement.n, res.disagreement.index) == (5, 236)
+        assert res.graphs_seen == 1 + 2 + 8 + 64 + 237
+        assert sum(res.counts.values()) == res.graphs_seen
+
     def test_three_point_mode(self):
         res = run_census(CensusConfig(max_n=4, mode=CensusMode.LIST_3PT_REGULAR))
         assert all(h.verdict.case.value != "pentagon" for h in res.hits)

@@ -10,11 +10,11 @@ from spinweb.census import (graph_from_index, iter_all_regular_labeled_graphs,
 from spinweb.graphs import (Graph, Tournament, circulant_tournament, clebsch, complement,
                             complete, cycle, paley, petersen, union_complete)
 from spinweb.regularity import srg_params, three_point_params
-from spinweb.statesum import (PairFunctions, ZeroGenerator, _pair_functions,
-                              _representative_triples, check_1b, check_2b,
-                              check_3a, check_3b, d_value, dim_v3, full_report,
-                              s_value, spin_model_verdict, triple_words)
-from tests.conftest import load_fixture, partition_identity_holds
+from spinweb.statesum import (PairFunctions, ZeroGenerator, _d_row, _pair_functions,
+                              _representative_triples, _s_row, check_1b, check_2b,
+                              check_3a, check_3b, dim_v3, full_report,
+                              spin_model_verdict, triple_words)
+from tests.conftest import d_value, load_fixture, partition_identity_holds, s_value
 
 
 def path3():
@@ -165,6 +165,38 @@ class TestCheck3b:
         assert count == 4
 
 
+def row_builder_corpus():
+    rng = random.Random(34)
+    yield from (cycle(5), petersen(), paley(9), union_complete(3, 3), complete(1))
+    for n in range(1, 5):
+        for index in range(1 << (n * (n - 1) // 2)):
+            yield tournament_from_index(n, index)
+    for index in rng.sample(range(1 << 10), 64):
+        yield tournament_from_index(5, index)
+    yield from iter_circulant_tournaments(7)
+
+
+class TestRowBuilders:
+    """The one-step D and S rows equal the pointwise values at every triple."""
+
+    def test_match_pointwise_reference_at_every_triple(self):
+        checked = 0
+        for obj in row_builder_corpus():
+            pf = _pair_functions(obj)
+            words = triple_words(pf)
+            letters = [pf.rows[sym] for sym in pf.alphabet()]
+            target = [pf.rows["P"]]
+            for a, b, c in product(range(pf.n), repeat=3):
+                assert _d_row(letters, a, b, c) == \
+                    tuple(d_value(pf, w, a, b, c) for w in words)
+                assert _s_row(letters, a, b, c) == \
+                    tuple(s_value(pf, w, a, b, c) for w in words)
+                assert _d_row(target, a, b, c) == (d_value(pf, ("P", "P", "P"), a, b, c),)
+                assert _s_row(target, a, b, c) == (s_value(pf, ("P", "P", "P"), a, b, c),)
+            checked += 1
+        assert checked == 5 + 75 + 64 + 8
+
+
 class TestDimV3:
     @pytest.mark.parametrize("maker,expected", [
         (lambda: complete(4), 5),
@@ -263,7 +295,7 @@ class TestInvariants:
             assert not spin_model_verdict(g)
 
     def test_verdict_shortcut_matches_full_report_on_5_tournaments(self):
-        # full_report runs both span systems of all 1 024 (about 20 ms each)
+        # full_report runs both span systems of all 1 024 (about 13 ms each)
         for idx in range(1 << 10):
             t = tournament_from_index(5, idx)
             assert spin_model_verdict(t) == full_report(t).is_spin_model
@@ -375,6 +407,26 @@ def record_presence(monkeypatch, rule) -> list[tuple[int, bool]]:
     return taken
 
 
+def slab_boundary_corpus():
+    """Graphs and tournaments with n^2 on both sides of the kernel's 4096-cell slab.
+
+    n = 16 is one slab of all 16 first vertices, n = 17 slabs of 14 and 3;
+    n = 63 and 64 take one first vertex per slab (n^2 = 3969 and 4096),
+    n = 65 bands of 63 and 2 b rows within one first vertex.  The graphs
+    are structured (few pair ids, so a forced histogram can take them) and
+    random; the tournaments circulant for odd n and random for even n.
+    """
+    rng = random.Random(35)
+    structured = {16: clebsch(), 17: paley(17), 63: cycle(63), 64: union_complete(8, 8),
+                  65: cycle(65)}
+    for n, g in structured.items():
+        yield g
+        yield Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                   if rng.random() < 0.5])
+        yield (circulant_tournament(n, range(1, n // 2 + 1)) if n % 2
+               else tournament_from_index(n, rng.getrandbits(n * (n - 1) // 2)))
+
+
 class TestRepresentativeTriples:
     """The numpy slab kernel returns the reference's triples in its order."""
 
@@ -398,6 +450,18 @@ class TestRepresentativeTriples:
                 assert got == cached_reference_triples(subject)
         assert len(taken) == 2 * (320 + 75 + 40 + 24 + 2)
         assert sum(hist for _, hist in taken) == (2 * 353 if path == "histogram" else 0)
+
+    @pytest.mark.parametrize("path", sorted(PRESENCE_PATHS))
+    def test_slab_layout_boundaries(self, monkeypatch, path):
+        assert statesum._SLAB == 4096
+        taken = record_presence(monkeypatch, PRESENCE_PATHS[path])
+        for subject in slab_boundary_corpus():
+            got = _representative_triples(_pair_functions(subject))
+            assert got == cached_reference_triples(subject)
+        assert len(taken) == 15
+        # the five structured graphs and the circulant tournament on 17 vertices
+        # (17 pair ids) fit a forced histogram
+        assert sum(hist for _, hist in taken) == (6 if path == "histogram" else 0)
 
     def test_presence_rule_follows_key_space(self, monkeypatch):
         taken = record_presence(monkeypatch, statesum._histogram_presence)
