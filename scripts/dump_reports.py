@@ -19,6 +19,9 @@ every verdict, coefficient, witness and rank:
   python3 scripts/dump_reports.py > before.jsonl     # in the old checkout
   python3 scripts/dump_reports.py > after.jsonl      # in the new checkout
   diff before.jsonl after.jsonl
+
+The output is pinned in ``tests/data/reports_dump.jsonl.gz``, which
+``tests/test_reports_dump.py`` checks line by line.
 """
 
 import json

@@ -6,28 +6,26 @@ regularity parameter extraction, and exhaustive census tooling.
 """
 
 from .classifier import (Family, FamilyKind, Verdict, VerdictCase,
-                         classify_symmetric, classify_tournament, family_of,
+                         classify_symmetric, classify_tournament,
                          is_regular_tournament)
 from .graph6 import parse_graph6, write_graph6
-from .graphs import (Graph, PairType, Tournament, TripleType,
-                     circulant_tournament, clebsch, complement, complete,
-                     cycle, is_connected, paley, petersen, triple_type,
+from .graphs import (Graph, Tournament, circulant_tournament, clebsch,
+                     complement, complete, cycle, paley, petersen,
                      union_complete)
-from .regularity import (SrgParams, ThreePointParams, freeness, q_condition,
-                         regularity, srg_params, three_point_params)
+from .regularity import (SrgParams, ThreePointParams, q_condition, regularity,
+                         srg_params, three_point_params)
 from .statesum import (RelationReport, check_1b, check_2b, check_3a,
                        check_3b, dim_v3, full_report, spin_model_verdict)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Family", "FamilyKind", "Graph", "PairType", "RelationReport",
-    "SrgParams", "ThreePointParams", "Tournament", "TripleType", "Verdict",
-    "VerdictCase", "check_1b", "check_2b", "check_3a", "check_3b",
-    "circulant_tournament", "classify_symmetric", "classify_tournament",
-    "clebsch", "complement", "complete", "cycle", "dim_v3", "family_of",
-    "freeness", "full_report", "is_connected", "is_regular_tournament",
+    "Family", "FamilyKind", "Graph", "RelationReport", "SrgParams",
+    "ThreePointParams", "Tournament", "Verdict", "VerdictCase", "check_1b",
+    "check_2b", "check_3a", "check_3b", "circulant_tournament",
+    "classify_symmetric", "classify_tournament", "clebsch", "complement",
+    "complete", "cycle", "dim_v3", "full_report", "is_regular_tournament",
     "paley", "parse_graph6", "petersen", "q_condition", "regularity",
-    "spin_model_verdict", "srg_params", "three_point_params", "triple_type",
+    "spin_model_verdict", "srg_params", "three_point_params",
     "union_complete", "write_graph6",
 ]

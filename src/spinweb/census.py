@@ -14,8 +14,8 @@ The built-in census enumerates every labeled graph on 1..max_n vertices
 pre-filter rejects non-regular graphs before any oracle linear algebra:
 a non-regular graph cannot pass Relation 1b nor be strongly regular, so
 both paths say "not a spin model" without further work.  To guard the
-pre-filter itself, every guard_stride-th rejected graph still runs both
-full paths.
+pre-filter itself, every rejected graph whose index is a multiple of
+_GUARD_STRIDE (100) still runs both full paths.
 
 Enumeration order is fixed (n ascending, edge-bit index ascending, bits
 in graph6 pair order), and the guard sample is a deterministic function
@@ -26,6 +26,9 @@ second each, so a pool's workers finish within one small block of each
 other and each worker's numpy pre-filter arrays stay small.  Blocks are
 merged in task order; the first disagreement in enumeration order stops
 the census and cancels the blocks not yet started.
+
+The tournament census enumerates every labeled tournament on up to
+_EXHAUSTIVE_TOURNAMENTS (5) vertices and only the circulant ones on more.
 
 A graph is built from its index one byte at a time: each byte of the
 index selects a precomputed n x n bit matrix of its pairs, packed with one
@@ -55,6 +58,8 @@ from .statesum import full_report, spin_model_verdict
 
 MAX_BUILTIN_N = 8
 _BLOCK = 1 << 16
+_GUARD_STRIDE = 100            # a rejected index that is a multiple of it is still checked
+_EXHAUSTIVE_TOURNAMENTS = 5    # largest tournament size enumerated in full; circulants beyond
 
 
 class CensusMode(enum.Enum):
@@ -75,18 +80,14 @@ class CounterexampleFound(RuntimeError):
 @dataclass(frozen=True)
 class CensusConfig:
     max_n: int = 7
-    input: str | None = None
     mode: CensusMode = CensusMode.ASSERT_EQUIVALENCE
     workers: int = 1
-    guard_stride: int = 100
 
     def __post_init__(self):
-        if self.input is None and not 1 <= self.max_n <= MAX_BUILTIN_N:
+        if not 1 <= self.max_n <= MAX_BUILTIN_N:
             raise ValueError(f"built-in enumeration supports 1 <= max_n <= {MAX_BUILTIN_N}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.guard_stride < 1:
-            raise ValueError(f"guard_stride must be >= 1, got {self.guard_stride}")
         if isinstance(self.mode, str):
             object.__setattr__(self, "mode", CensusMode(self.mode))
 
@@ -275,7 +276,7 @@ def _census_block(args) -> CensusResult:
     including the disagreeing index: ``graphs_seen`` and the pre-filter's
     tally count those only, so the case tallies still sum to it.
     """
-    n, start, stop, mode_value, guard_stride = args
+    n, start, stop, mode_value = args
     out = CensusResult(counts={VerdictCase.NOT_SPIN_MODEL.value: 0})   # the pre-filter's, first
     indices = np.arange(start, stop, dtype=np.int64)
     if n == 1:
@@ -283,7 +284,7 @@ def _census_block(args) -> CensusResult:
     else:
         regular = _regular_mask(n, indices)
 
-    checked = regular | (indices % guard_stride == 0)
+    checked = regular | (indices % _GUARD_STRIDE == 0)
     chosen = indices[checked].tolist()
     graphs = map(functools.partial(graph_from_index, n), chosen)
     rejected = (~regular[checked]).tolist()
@@ -307,15 +308,12 @@ def _merge(total: CensusResult, part: CensusResult):
 
 
 def run_census(cfg: CensusConfig) -> CensusResult:
-    """Run the configured census; see scan_stream for the stream variant."""
-    if cfg.input is not None:
-        return scan_stream(cfg.input, cfg.mode)
+    """Run the configured built-in census; scan_stream is the stream variant."""
     tasks = []
     for n in range(1, cfg.max_n + 1):
         total = 1 << (n * (n - 1) // 2)
         for start in range(0, total, _BLOCK):
-            tasks.append((n, start, min(start + _BLOCK, total),
-                          cfg.mode.value, cfg.guard_stride))
+            tasks.append((n, start, min(start + _BLOCK, total), cfg.mode.value))
     result = CensusResult()
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -375,19 +373,18 @@ def iter_circulant_tournaments(n: int):
         yield circulant_tournament(n, choice)
 
 
-def run_tournament_census(ns=(3, 5), exhaustive_limit: int = 5,
-                          assert_equivalence: bool = True) -> CensusResult:
+def run_tournament_census(ns=(3, 5), assert_equivalence: bool = True) -> CensusResult:
     """Classifier-vs-oracle census over tournaments.
 
-    Exhaustive labeled enumeration up to exhaustive_limit vertices; the
-    circulant family only for larger (odd) n.
+    Exhaustive labeled enumeration up to _EXHAUSTIVE_TOURNAMENTS vertices;
+    the circulant family only for larger (odd) n.
     """
     for n in ns:
         if n < 1:
             raise ValueError(f"tournament census needs n >= 1, got {n}")
     result = CensusResult()
     for n in ns:
-        if n <= exhaustive_limit:
+        if n <= _EXHAUSTIVE_TOURNAMENTS:
             tournaments = map(functools.partial(tournament_from_index, n),
                               range(1 << (n * (n - 1) // 2)))
         else:

@@ -6,9 +6,16 @@ A graph gives a symmetric spin model iff, up to complementation, it is
 strongly regular graph, so a graph that is not one is rejected first.
 Cases are then tested in that order, on the graph and then on its
 complement, and the first match is recorded; ties (K3 is both complete
-and a triangle) therefore resolve to the union case.  The complement's
-3-point parameters come from the graph's by inclusion-exclusion, so the
-triple scan runs once.
+and a triangle) therefore resolve to the union case.
+
+Cases (i) and (ii) are facts about the srg parameters, so no second graph
+is built.  The pentagon is srg(5, 2, 0, 1), the only 2-regular graph on 5
+vertices, and it is its own complement, so the graph's parameters decide
+it.  A strongly regular graph with mu = 0 (no two non-adjacent vertices
+share a neighbour), or with no non-adjacent pair at all, is a disjoint
+union of K_(k+1); the complement's parameters, and its 3-point
+parameters, come from the graph's by inclusion-exclusion, so the triple
+scan runs once.
 
 Case (iii) splits on freeness.  When all four triple types occur the
 q-condition decides directly.  A 3-point regular graph that is
@@ -25,13 +32,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graphs import Graph, Tournament, complement, connected_components
-from .regularity import (complement_three_point_params, q_condition,
-                         srg_params, three_point_params)
-
-
-class NotASpinModel(ValueError):
-    """family_of was called on a graph that is not a spin model."""
+from .graphs import Graph, Tournament
+from .regularity import (complement_srg_params, complement_three_point_params,
+                         q_condition, srg_params, three_point_params)
 
 
 class VerdictCase(enum.Enum):
@@ -85,24 +88,6 @@ _NOT_REGULAR_TOURNAMENT = Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None,
                                   "not a regular tournament")
 
 
-def _as_union_of_equal_completes(g: Graph) -> tuple[int, int] | None:
-    """(m, size) if g is a disjoint union of m equal complete graphs."""
-    comps = connected_components(g)
-    size = len(comps[0])
-    for comp in comps:
-        if len(comp) != size:
-            return None
-        for v in comp:
-            if g.adj[v].bit_count() != size - 1:
-                return None
-    return (len(comps), size)
-
-
-def _is_pentagon(g: Graph) -> bool:
-    # the 5-cycle is the only 2-regular graph on 5 vertices
-    return g.n == 5 and all(row.bit_count() == 2 for row in g.adj)
-
-
 def _family_for_union(m: int, size: int) -> Family:
     if m == 1 or size == 1:
         return Family(FamilyKind.TLJ, (5,))
@@ -120,19 +105,18 @@ def classify_symmetric(g: Graph) -> Verdict:
     srg = srg_params(g)
     if srg is None:
         return _NOT_SRG
-    gc = complement(g)
-    sides = ((g, AppliedTo.GRAPH), (gc, AppliedTo.COMPLEMENT))
+    # the 5-cycle is the only 2-regular graph on 5 vertices, and self-complementary
+    if srg.n == 5 and srg.k == 2:
+        return Verdict(True, VerdictCase.PENTAGON, AppliedTo.GRAPH,
+                       Family(FamilyKind.KAUFFMAN, (13,)),
+                       "graph is the pentagon")
 
-    for side, tag in sides:
-        if _is_pentagon(side):
-            return Verdict(True, VerdictCase.PENTAGON, tag,
-                           Family(FamilyKind.KAUFFMAN, (13,)),
-                           f"{tag.value} is the pentagon")
-
-    for side, tag in sides:
-        union = _as_union_of_equal_completes(side)
-        if union is not None:
-            m, size = union
+    sides = ((AppliedTo.GRAPH, srg), (AppliedTo.COMPLEMENT, complement_srg_params(srg)))
+    for tag, side in sides:
+        # no two non-adjacent vertices share a neighbour: every component is K_(k+1)
+        if side.mu_vacuous or side.mu == 0:
+            size = side.k + 1
+            m = side.n // size
             return Verdict(True, VerdictCase.UNION_OF_COMPLETES, tag,
                            _family_for_union(m, size),
                            f"{tag.value} is {m} disjoint K_{size}")
@@ -169,13 +153,6 @@ def classify_symmetric(g: Graph) -> Verdict:
 
     return Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None,
                    "3-point regular but no classification case applies")
-
-
-def family_of(g: Graph) -> Family:
-    verdict = classify_symmetric(g)
-    if not verdict.is_spin_model:
-        raise NotASpinModel(verdict.reason)
-    return verdict.family
 
 
 def is_regular_tournament(t: Tournament) -> int | None:

@@ -264,7 +264,7 @@ def cmd_census(ns) -> int:
     try:
         if ns.tournament:
             result = census_mod.run_tournament_census(
-                ns=_tournament_sizes(ns.ns) if ns.ns else (3, 5),
+                ns=(3, 5) if ns.ns is None else _tournament_sizes(ns.ns),
                 assert_equivalence=ns.mode == "assert_equivalence")
         elif ns.input is not None:
             result = census_mod.scan_stream(

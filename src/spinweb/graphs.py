@@ -30,7 +30,6 @@ module: rows packed into int64 words, flat-array windows and row tiles.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 from itertools import combinations
@@ -43,22 +42,6 @@ WORD_MASK = (1 << WORD_BITS) - 1
 
 class BadOrder(ValueError):
     """A generator was asked for a size/parameter it cannot realize."""
-
-
-class PairType(enum.Enum):
-    EQUAL = "equal"
-    ADJACENT = "adjacent"
-    NON_ADJACENT = "non-adjacent"
-
-
-class TripleType(enum.Enum):
-    """Induced subgraph on three distinct vertices, by edge count 3..0."""
-
-    TRIANGLE = 3
-    LAMBDA = 2
-    ANTI_LAMBDA = 1
-    ANTI_TRIANGLE = 0
-    DEGENERATE = -1
 
 
 @dataclass(frozen=True)
@@ -89,21 +72,11 @@ class Graph:
             rows[b] |= 1 << a
         return cls(n, tuple(rows))
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return bool((self.adj[a] >> b) & 1)
-
     def degree(self, a: int) -> int:
         return self.adj[a].bit_count()
 
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(a, b) for a in range(self.n) for b in range(a + 1, self.n)
-                if (self.adj[a] >> b) & 1]
-
-    def edge_count(self) -> int:
-        return sum(self.degrees()) // 2
 
 
 @dataclass(frozen=True)
@@ -131,9 +104,6 @@ class Tournament:
             rows[a] |= 1 << b
         return cls(n, tuple(rows))
 
-    def has_arc(self, a: int, b: int) -> bool:
-        return bool((self.arc[a] >> b) & 1)
-
     def out_degree(self, a: int) -> int:
         return self.arc[a].bit_count()
 
@@ -145,46 +115,6 @@ def complement(g: Graph) -> Graph:
     """Graph with the same vertices and exactly the missing edges of g."""
     mask = (1 << g.n) - 1
     return Graph(g.n, tuple((mask & ~row & ~(1 << a)) for a, row in enumerate(g.adj)))
-
-
-def pair_type(g: Graph, a: int, b: int) -> PairType:
-    if a == b:
-        return PairType.EQUAL
-    return PairType.ADJACENT if g.has_edge(a, b) else PairType.NON_ADJACENT
-
-
-def triple_type(g: Graph, a: int, b: int, c: int) -> TripleType:
-    if a == b or b == c or a == c:
-        return TripleType.DEGENERATE
-    count = (int(g.has_edge(a, b)) + int(g.has_edge(b, c)) + int(g.has_edge(a, c)))
-    return TripleType(count)
-
-
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    remaining = (1 << g.n) - 1
-    comps = []
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            f = frontier
-            a = 0
-            while f:
-                if f & 1:
-                    nxt |= g.adj[a]
-                f >>= 1
-                a += 1
-            frontier = nxt & ~seen
-            seen |= frontier
-        comps.append([v for v in range(g.n) if (seen >> v) & 1])
-        remaining &= ~seen
-    return comps
 
 
 # ---------------------------------------------------------------------------

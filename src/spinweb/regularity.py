@@ -1,4 +1,4 @@
-"""Regularity, strong regularity, 3-point regularity, and freeness.
+"""Regularity, strong regularity and 3-point regularity.
 
 Parameter conventions: a class with no pair (or triple) of the relevant
 kind reports value 0 with its vacuity flag set, mirroring the usual habit
@@ -16,11 +16,10 @@ scans once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .graphs import Graph, TripleType, fill_rows, pack_rows, window
+from .graphs import Graph, fill_rows, pack_rows, window
 
 _SLAB = 1 << 12      # (pair, c) cells per slab of the triple kernel
 _E_BITS = 3          # low key bits: the cell's edge count, 4 + 2*AB when degenerate
@@ -64,18 +63,6 @@ class ThreePointParams:
 
     def any_vacuous(self) -> bool:
         return self.q3_vacuous or self.q2_vacuous or self.q1_vacuous or self.q0_vacuous
-
-
-@dataclass(frozen=True)
-class Freeness:
-    triangle_free: bool
-    lambda_free: bool
-    anti_lambda_free: bool
-    anti_triangle_free: bool
-
-    def none_free(self) -> bool:
-        return not (self.triangle_free or self.lambda_free
-                    or self.anti_lambda_free or self.anti_triangle_free)
 
 
 def regularity(g: Graph) -> int | None:
@@ -303,20 +290,6 @@ def complement_three_point_params(p: ThreePointParams) -> ThreePointParams:
         q3=mirrored[0], q2=mirrored[1], q1=mirrored[2], q0=mirrored[3],
         q3_vacuous=vacuous[0], q2_vacuous=vacuous[1],
         q1_vacuous=vacuous[2], q0_vacuous=vacuous[3])
-
-
-def freeness(g: Graph) -> Freeness:
-    """Which of the four induced triple types never occur."""
-    present = [False, False, False, False]
-    for a, b, c in combinations(range(g.n), 3):
-        edges = (((g.adj[a] >> b) & 1) + ((g.adj[b] >> c) & 1) + ((g.adj[a] >> c) & 1))
-        present[edges] = True
-    return Freeness(
-        triangle_free=not present[TripleType.TRIANGLE.value],
-        lambda_free=not present[TripleType.LAMBDA.value],
-        anti_lambda_free=not present[TripleType.ANTI_LAMBDA.value],
-        anti_triangle_free=not present[TripleType.ANTI_TRIANGLE.value],
-    )
 
 
 def q_condition(p: ThreePointParams) -> int:

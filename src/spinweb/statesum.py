@@ -47,20 +47,27 @@ the letters' (a,b), (b,c) and (c,a) bits, an S row the popcounts of the
 3-way ANDs of rows a, b and c, both in ``product(alphabet, repeat=3)``
 order; a target is the same row over the one letter P.
 
+Every entry point takes a Graph or a Tournament and reads its P rows,
+the adjacency or arc rows it already holds (``_generator``); the other
+letters' rows come from ``_letter_rows``: One and Delta shared per n, and
+for a tournament Q, the transpose of its arc rows
+(``graphs.transpose_rows``).  A graph has no Q rows, since its alphabet
+does without them.
+
 ``spin_model_verdict`` is the yes/no question the census asks of every
 regular graph and guard sample.  It runs the checks in the order 1b, 2b,
 3a, 3b and stops at the first failure.  Of 1b it asks, on the P rows and
-before any ``PairFunctions`` is built, only whether some row sum (or, for
-directed input whose row sums agree, column sum) misses vertex 0's row
-sum (``_first_1b_miss``), so an irregular graph costs one popcount per
-row.  2b, 3a and 3b each have one equation generator (``_2b_equations``,
-``_span_equations``) that the verdict and ``check_2b``, ``check_3a`` and
-``check_3b`` share: the checks fit the deduplicated system and report the
-coefficients or the first missed equation as the witness, while the
-verdict asks only whether it is consistent (``linalg.is_consistent``), so
-it builds no fraction, fit or witness.  A graph has no Q rows, since its
-alphabet does without them; the Q rows of a tournament are the transpose
-of its arc rows (``graphs.transpose_rows``).
+before any other row is built, only whether some row sum misses vertex
+0's (``_first_1b_miss``), so an irregular graph costs one popcount per
+row; constant row sums force constant column sums on a tournament, so no
+column is read.  2b, 3a and 3b each have one equation generator
+(``_2b_equations``, ``_span_equations``) that the verdict and
+``check_2b``, ``check_3a`` and ``check_3b`` share: the checks fit the
+deduplicated system and report the coefficients or the first missed
+equation as the witness, while the verdict asks only whether it is
+consistent (``linalg.is_consistent``), so it builds no fraction, fit or
+witness.  ``full_report`` and the verdict find the representative triples
+once and hand them to both 3a and 3b.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ from math import lcm
 
 import numpy as np
 
-from .graphs import Graph, Tournament, fill_rows, pack_rows, transpose_rows, window
+from .graphs import Tournament, fill_rows, pack_rows, transpose_rows, window
 from .linalg import is_consistent, matrix_rank, solve_membership
 
 ONE = "One"
@@ -94,63 +101,29 @@ class ZeroGenerator(ValueError):
     """dim V3 is undefined when C_P = 0 (the generator maps to zero)."""
 
 
-@dataclass(frozen=True)
-class PairFunctions:
-    """The 0/1 pair functions of one graph or tournament, as bitset rows.
-
-    ``rows[sym][u]`` has bit x set iff sym(u, x) = 1, for each sym of the
-    alphabet: One, Delta and P, plus Q for a tournament.  A graph's Q is
-    never built, since its alphabet does without it.
-    """
-
-    n: int
-    directed: bool
-    rows: dict[str, tuple[int, ...]]
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "PairFunctions":
-        one, delta = _constant_rows(g.n)
-        return cls(n=g.n, directed=False, rows={
-            ONE: one,
-            DELTA: delta,
-            P: g.adj,
-        })
-
-    @classmethod
-    def from_tournament(cls, t: Tournament) -> "PairFunctions":
-        one, delta = _constant_rows(t.n)
-        return cls(n=t.n, directed=True, rows={
-            ONE: one,
-            DELTA: delta,
-            P: t.arc,
-            Q: transpose_rows(t.arc, t.n),
-        })
-
-    def alphabet(self) -> tuple[str, ...]:
-        return DIRECTED_ALPHABET if self.directed else UNDIRECTED_ALPHABET
-
-
 @functools.cache
 def _constant_rows(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The One and Delta rows on n vertices, shared by every input of that size."""
     return tuple((1 << n) - 1 for _ in range(n)), tuple(1 << u for u in range(n))
 
 
-def _pair_functions(obj) -> PairFunctions:
-    if isinstance(obj, PairFunctions):
-        return obj
-    if isinstance(obj, Tournament):
-        return PairFunctions.from_tournament(obj)
-    return PairFunctions.from_graph(obj)
-
-
-def _generator_rows(obj) -> tuple[tuple[int, ...], bool]:
-    """The P rows of a Graph, Tournament or PairFunctions, and whether directed."""
-    if isinstance(obj, PairFunctions):
-        return obj.rows[P], obj.directed
+def _generator(obj) -> tuple[tuple[int, ...], bool]:
+    """The P rows of a Graph or Tournament, and whether it is directed."""
     if isinstance(obj, Tournament):
         return obj.arc, True
     return obj.adj, False
+
+
+def _letter_rows(rows: tuple[int, ...], directed: bool) -> list[tuple[int, ...]]:
+    """The bit rows of each letter of the alphabet, in alphabet order.
+
+    ``rows`` are the P rows: row u has bit x set iff P(u, x) = 1.  One and
+    Delta are shared per n; Q, a tournament's only, is the transpose of P.
+    """
+    one, delta = _constant_rows(len(rows))
+    if directed:
+        return [one, delta, rows, transpose_rows(rows, len(rows))]
+    return [one, delta, rows]
 
 
 def _d_row(letters, a: int, b: int, c: int) -> tuple[int, ...]:
@@ -175,8 +148,8 @@ def _s_row(letters, a: int, b: int, c: int) -> tuple[int, ...]:
     return tuple([(x & y & z).bit_count() for x in ra for y in rb for z in rc])
 
 
-def triple_words(pf: PairFunctions) -> list[tuple[str, str, str]]:
-    return list(product(pf.alphabet(), repeat=3))
+def triple_words(directed: bool) -> list[tuple[str, str, str]]:
+    return list(product(DIRECTED_ALPHABET if directed else UNDIRECTED_ALPHABET, repeat=3))
 
 
 def word_label(family: str, word) -> str:
@@ -222,41 +195,36 @@ class RelationReport:
         return all(self.booleans()) and self.nonsymmetric_premise
 
 
-def _first_1b_miss(rows: tuple[int, ...], directed: bool) -> tuple[int, int, int, bool] | None:
-    """The first sum of C_P that differs from vertex 0's row sum k, if any.
+def _first_1b_miss(rows: tuple[int, ...]) -> tuple[int, int, int] | None:
+    """The first row sum of C_P that differs from vertex 0's row sum k, if any.
 
-    ``rows`` are the P rows.  Rows come first; then, for directed input
-    whose row sums are all k, the columns, read as the Q rows (the
-    transpose of P), which are built only then.  Returns None when every
-    sum is k, else (vertex, k, sum, is_row).
+    ``rows`` are the P rows.  Returns None when every row sum is k, else
+    (vertex, k, sum).  The column sums need no reading: a graph's are its
+    row sums, and a tournament whose out-degrees are all k has nk =
+    C(n, 2) arcs, so k = (n - 1)/2 and every in-degree is n - 1 - k = k.
     """
     k = rows[0].bit_count()
     for a, row in enumerate(rows):
         deg = row.bit_count()
         if deg != k:
-            return a, k, deg, True
-    if directed:
-        for a, column in enumerate(transpose_rows(rows, len(rows))):
-            indeg = column.bit_count()
-            if indeg != k:
-                return a, k, indeg, False
+            return a, k, deg
     return None
 
 
 def check_1b(obj) -> RelationCheck:
-    """Relation 1b: constant row sums of C_P (directed also column sums)."""
-    rows, directed = _generator_rows(obj)
-    miss = _first_1b_miss(rows, directed)
+    """Relation 1b: constant row sums of C_P (directed also column sums).
+
+    Constant row sums force constant column sums on a Graph or Tournament
+    (``_first_1b_miss``), so a witness is always a pair of row sums.
+    """
+    rows, _ = _generator(obj)
+    miss = _first_1b_miss(rows)
     if miss is None:
         return RelationCheck(True, coefficients={"k": Fraction(rows[0].bit_count())})
-    a, k, total, is_row = miss
-    if is_row:
-        return RelationCheck(False, witness=Witness(
-            site=(0, a), lhs=k, rhs=total,
-            detail=f"row sums differ: vertex 0 has {k}, vertex {a} has {total}"))
+    a, k, total = miss
     return RelationCheck(False, witness=Witness(
-        site=(a,), lhs=k, rhs=total,
-        detail=f"column sum at vertex {a} is {total}, row sums are {k}"))
+        site=(0, a), lhs=k, rhs=total,
+        detail=f"row sums differ: vertex 0 has {k}, vertex {a} has {total}"))
 
 
 def _fit_or_witness(equations, sites):
@@ -308,7 +276,7 @@ def _2b_equations(rows: tuple[int, ...]):
 
 def check_2b(obj) -> RelationCheck:
     """Relation 2b: sum_x C_P(a,x) C_P(b,x) in span{Delta, P, Q}."""
-    rows, _ = _generator_rows(obj)
+    rows, _ = _generator(obj)
     n = len(rows)
     solution, miss = _fit_or_witness(_2b_equations(rows), product(range(n), repeat=2))
     if miss is not None:
@@ -338,14 +306,15 @@ def _histogram_presence(one_word: bool, bins: int, size: int) -> bool:
     return one_word and bins <= 2 * size
 
 
-def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
+def _representative_triples(rows: tuple[int, ...]) -> list[tuple[int, int, int]]:
     """One ordered triple per distinct evaluation profile, in (a, b, c) order.
 
-    The profile of (a, b, c) is the profile id of each of the pairs (a, b),
-    (b, c) and (a, c) -- pair class, the two out-degrees and |P_u & P_v| --
-    plus T = |P_a & P_b & P_c|.  Since One = Delta + P + Q pointwise (Q is
-    the complement of P for a graph and its transpose for a tournament, so
-    Q_v is every vertex but v outside P_v), inclusion-exclusion turns these
+    ``rows`` are the P rows of a graph or tournament.  The profile of
+    (a, b, c) is the profile id of each of the pairs (a, b), (b, c) and
+    (a, c) -- pair class, the two out-degrees and |P_u & P_v| -- plus
+    T = |P_a & P_b & P_c|.  Since One = Delta + P + Q pointwise (Q is the
+    complement of P for a graph and its transpose for a tournament, so Q_v
+    is every vertex but v outside P_v), inclusion-exclusion turns these
     counts into every D- and S-family value of the triple.  Span membership
     and ranks computed on the first triple of each profile therefore agree
     with the full n^3 systems while touching far fewer rows.
@@ -393,11 +362,7 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
     resident memory by 64 KB per code region, more than the buffers
     themselves.
     """
-    cached = getattr(pf, "_triple_reps", None)
-    if cached is not None:
-        return cached
-    n = pf.n
-    rows = pf.rows[P]
+    n = len(rows)
     deg = [row.bit_count() for row in rows]
     ids: dict[tuple[int, int, int, int], int] = {}
     pid = np.fromiter((ids.setdefault((0 if u == v else 1 if (ru >> v) & 1 else 2,
@@ -503,7 +468,6 @@ def _representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
                         reps.append(_cell_triple(start + i, n))
                         if not new_keys:
                             break
-    object.__setattr__(pf, "_triple_reps", reps)  # frozen dataclass memo
     return reps
 
 
@@ -514,23 +478,23 @@ def _cell_triple(cell: int, n: int) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _span_equations(pf: PairFunctions, span_family: str):
+def _span_equations(letters, triples, span_family: str):
     """The equation of each representative triple (a, b, c), in their order.
 
-    Its row holds the values of the span family's words at the triple ("D"
-    for 3a, "S" for 3b); its target is the other family's word (P, P, P),
-    the only word over the one letter P.
+    ``letters`` are the alphabet's bit rows (``_letter_rows``), P third.
+    An equation's row holds the values of the span family's words at the
+    triple ("D" for 3a, "S" for 3b); its target is the other family's word
+    (P, P, P), the only word over the one letter P.
     """
-    letters = [pf.rows[sym] for sym in pf.alphabet()]
-    target = [pf.rows[P]]
+    target = [letters[2]]
     span_row, target_row = (_d_row, _s_row) if span_family == "D" else (_s_row, _d_row)
     return ((span_row(letters, a, b, c), target_row(target, a, b, c)[0])
-            for a, b, c in _representative_triples(pf))
+            for a, b, c in triples)
 
 
-def _span_check(pf: PairFunctions, span_family: str, target_family: str) -> RelationCheck:
-    solution, miss = _fit_or_witness(_span_equations(pf, span_family),
-                                     _representative_triples(pf))
+def _span_check(letters, triples, span_family: str, target_family: str) -> RelationCheck:
+    """Relation 3a (span family "D") or 3b ("S") on the given representative triples."""
+    solution, miss = _fit_or_witness(_span_equations(letters, triples, span_family), triples)
     if miss is not None:
         site, target, fitted = miss
         lhs_label = word_label(target_family, _TARGET_WORD)
@@ -538,19 +502,22 @@ def _span_check(pf: PairFunctions, span_family: str, target_family: str) -> Rela
             site=site, lhs=target, rhs=fitted,
             detail=(f"triple {site}: {lhs_label} = {target} vs "
                     f"{fitted} from coefficients fitted elsewhere")))
+    directed = len(letters) == len(DIRECTED_ALPHABET)
     coeffs = {word_label(span_family, w): v
-              for w, v in zip(triple_words(pf), solution) if v != 0}
+              for w, v in zip(triple_words(directed), solution) if v != 0}
     return RelationCheck(True, coefficients=coeffs)
 
 
 def check_3a(obj) -> RelationCheck:
     """Relation 3a: S[P,P,P] in the rational span of the D family."""
-    return _span_check(_pair_functions(obj), "D", "S")
+    rows, directed = _generator(obj)
+    return _span_check(_letter_rows(rows, directed), _representative_triples(rows), "D", "S")
 
 
 def check_3b(obj) -> RelationCheck:
     """Relation 3b: D[P,P,P] in the rational span of the S family."""
-    return _span_check(_pair_functions(obj), "S", "D")
+    rows, directed = _generator(obj)
+    return _span_check(_letter_rows(rows, directed), _representative_triples(rows), "S", "D")
 
 
 def dim_v3(obj) -> int:
@@ -560,49 +527,50 @@ def dim_v3(obj) -> int:
     of the planar algebra the graph gives a spin model for; the two
     families realize the 16 spanning diagrams of that space.
     """
-    pf = _pair_functions(obj)
-    if not any(pf.rows[P]):
+    rows, directed = _generator(obj)
+    if not any(rows):
         raise ZeroGenerator("edgeless input: C_P = 0 and the rank is not dim V3")
-    letters = [pf.rows[sym] for sym in pf.alphabet()]
-    rows = dict.fromkeys(_d_row(letters, a, b, c) + _s_row(letters, a, b, c)
-                         for a, b, c in _representative_triples(pf))
-    return matrix_rank(rows)
+    letters = _letter_rows(rows, directed)
+    system = dict.fromkeys(_d_row(letters, a, b, c) + _s_row(letters, a, b, c)
+                           for a, b, c in _representative_triples(rows))
+    return matrix_rank(system)
 
 
 def full_report(obj) -> RelationReport:
     """Run the four relation checks on a Graph or Tournament.
 
-    The overall verdict requires all four relations plus, in the directed
-    case, at least one arc: a tournament with C_P symmetric (only possible
-    with no arcs at all) cannot carry a *non-symmetric* spin model because
-    its generator and the rotated generator coincide.
+    3a and 3b share one set of representative triples.  The overall
+    verdict requires all four relations plus, in the directed case, at
+    least one arc: a tournament with C_P symmetric (only possible with no
+    arcs at all) cannot carry a *non-symmetric* spin model because its
+    generator and the rotated generator coincide.
     """
-    pf = _pair_functions(obj)
-    premise = True
-    if pf.directed:
-        premise = any(pf.rows[P])
+    rows, directed = _generator(obj)
+    letters, triples = _letter_rows(rows, directed), _representative_triples(rows)
     return RelationReport(
-        n=pf.n, directed=pf.directed,
-        r1b=check_1b(pf), r2b=check_2b(pf),
-        r3a=check_3a(pf), r3b=check_3b(pf),
-        nonsymmetric_premise=premise)
+        n=len(rows), directed=directed,
+        r1b=check_1b(obj), r2b=check_2b(obj),
+        r3a=_span_check(letters, triples, "D", "S"),
+        r3b=_span_check(letters, triples, "S", "D"),
+        nonsymmetric_premise=not directed or any(rows))
 
 
 def spin_model_verdict(obj) -> bool:
     """The oracle's overall verdict, short-circuiting cheap checks first.
 
     Equivalent to ``full_report(obj).is_spin_model``.  It asks 1b for the
-    first miss on the P rows before any ``PairFunctions`` is built, so an
+    first miss on the P rows before any other row is built, so an
     irregular graph costs one popcount per row; it skips the span systems
     when an earlier relation already fails; and of 2b, 3a and 3b it asks
     only whether each deduplicated system is consistent, so it builds no
     fit, coefficient or witness.  These are what make census-scale scans
     affordable.
     """
-    rows, directed = _generator_rows(obj)
+    rows, directed = _generator(obj)
     if directed and not any(rows):
         return False
-    if _first_1b_miss(rows, directed) is not None or not _consistent(_2b_equations(rows)):
+    if _first_1b_miss(rows) is not None or not _consistent(_2b_equations(rows)):
         return False
-    pf = _pair_functions(obj)
-    return _consistent(_span_equations(pf, "D")) and _consistent(_span_equations(pf, "S"))
+    letters, triples = _letter_rows(rows, directed), _representative_triples(rows)
+    return (_consistent(_span_equations(letters, triples, "D"))
+            and _consistent(_span_equations(letters, triples, "S")))

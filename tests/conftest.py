@@ -1,4 +1,6 @@
+import enum
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -7,8 +9,9 @@ import pytest
 
 from spinweb.census import _BLOCK, pair_positions
 from spinweb.graph6 import parse_graph6
-from spinweb.graphs import Tournament, complement
-from spinweb.statesum import PairFunctions
+from spinweb.graphs import Graph, Tournament, complement
+from spinweb.statesum import (DIRECTED_ALPHABET, UNDIRECTED_ALPHABET, _generator,
+                              _letter_rows)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -17,21 +20,117 @@ def load_fixture(name: str):
     return parse_graph6((FIXTURE_DIR / f"{name}.g6").read_bytes())
 
 
-def pair_value(pf: PairFunctions, sym: str, u: int, v: int) -> int:
+# ---------------------------------------------------------------------------
+# reference helpers: plain readings of a graph that the program does not need
+# ---------------------------------------------------------------------------
+
+def has_edge(g: Graph, a: int, b: int) -> bool:
+    return bool((g.adj[a] >> b) & 1)
+
+
+def edges(g: Graph) -> list[tuple[int, int]]:
+    return [(a, b) for a in range(g.n) for b in range(a + 1, g.n)
+            if (g.adj[a] >> b) & 1]
+
+
+def edge_count(g: Graph) -> int:
+    return sum(g.degrees()) // 2
+
+
+def has_arc(t: Tournament, a: int, b: int) -> bool:
+    return bool((t.arc[a] >> b) & 1)
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    remaining = (1 << g.n) - 1
+    comps = []
+    while remaining:
+        start = (remaining & -remaining).bit_length() - 1
+        seen = 1 << start
+        frontier = seen
+        while frontier:
+            nxt = 0
+            f = frontier
+            a = 0
+            while f:
+                if f & 1:
+                    nxt |= g.adj[a]
+                f >>= 1
+                a += 1
+            frontier = nxt & ~seen
+            seen |= frontier
+        comps.append([v for v in range(g.n) if (seen >> v) & 1])
+        remaining &= ~seen
+    return comps
+
+
+class TripleType(enum.Enum):
+    """Induced subgraph on three distinct vertices, by edge count 3..0."""
+
+    TRIANGLE = 3
+    LAMBDA = 2
+    ANTI_LAMBDA = 1
+    ANTI_TRIANGLE = 0
+    DEGENERATE = -1
+
+
+@dataclass(frozen=True)
+class Freeness:
+    triangle_free: bool
+    lambda_free: bool
+    anti_lambda_free: bool
+    anti_triangle_free: bool
+
+    def none_free(self) -> bool:
+        return not (self.triangle_free or self.lambda_free
+                    or self.anti_lambda_free or self.anti_triangle_free)
+
+
+def freeness(g: Graph) -> Freeness:
+    """Which of the four induced triple types never occur."""
+    present = [False, False, False, False]
+    for a, b, c in combinations(range(g.n), 3):
+        edges = (((g.adj[a] >> b) & 1) + ((g.adj[b] >> c) & 1) + ((g.adj[a] >> c) & 1))
+        present[edges] = True
+    return Freeness(
+        triangle_free=not present[TripleType.TRIANGLE.value],
+        lambda_free=not present[TripleType.LAMBDA.value],
+        anti_lambda_free=not present[TripleType.ANTI_LAMBDA.value],
+        anti_triangle_free=not present[TripleType.ANTI_TRIANGLE.value],
+    )
+
+
+# ---------------------------------------------------------------------------
+# pointwise values of the oracle's pair functions
+# ---------------------------------------------------------------------------
+
+def letter_rows(obj) -> dict[str, tuple[int, ...]]:
+    """The oracle's bit rows of each letter of obj's alphabet, by letter name.
+
+    ``letters[sym][u]`` has bit x set iff sym(u, x) = 1: One, Delta and P,
+    plus Q for a tournament.
+    """
+    rows, directed = _generator(obj)
+    alphabet = DIRECTED_ALPHABET if directed else UNDIRECTED_ALPHABET
+    return dict(zip(alphabet, _letter_rows(rows, directed)))
+
+
+def pair_value(letters, sym: str, u: int, v: int) -> int:
     """sym(u, v) as 0 or 1, read from the oracle's bit rows."""
-    return (pf.rows[sym][u] >> v) & 1
+    return (letters[sym][u] >> v) & 1
 
 
-def d_value(pf: PairFunctions, word, a: int, b: int, c: int) -> int:
+def d_value(letters, word, a: int, b: int, c: int) -> int:
     """D[g1,g2,g3](a,b,c) = g1(a,b) * g2(b,c) * g3(c,a), one triple and word at a time."""
     g1, g2, g3 = word
-    return pair_value(pf, g1, a, b) * pair_value(pf, g2, b, c) * pair_value(pf, g3, c, a)
+    return (pair_value(letters, g1, a, b) * pair_value(letters, g2, b, c)
+            * pair_value(letters, g3, c, a))
 
 
-def s_value(pf: PairFunctions, word, a: int, b: int, c: int) -> int:
+def s_value(letters, word, a: int, b: int, c: int) -> int:
     """S[g1,g2,g3](a,b,c) = sum_x g1(a,x) g2(b,x) g3(c,x), one triple and word at a time."""
     g1, g2, g3 = word
-    return (pf.rows[g1][a] & pf.rows[g2][b] & pf.rows[g3][c]).bit_count()
+    return (letters[g1][a] & letters[g2][b] & letters[g3][c]).bit_count()
 
 
 def partition_identity_holds(obj) -> bool:
@@ -41,16 +140,12 @@ def partition_identity_holds(obj) -> bool:
     a tournament's Q rows are the oracle's transpose of its arcs; the
     oracle builds no Q rows for a graph, so its Q is ``complement(g)``.
     """
-    if isinstance(obj, Tournament):
-        pf = PairFunctions.from_tournament(obj)
-        q_rows = pf.rows["Q"]
-    else:
-        pf = PairFunctions.from_graph(obj)
-        q_rows = complement(obj).adj
+    letters = letter_rows(obj)
+    q_rows = letters["Q"] if isinstance(obj, Tournament) else complement(obj).adj
     return all(
-        pair_value(pf, "One", u, v) == pair_value(pf, "Delta", u, v)
-        + pair_value(pf, "P", u, v) + ((q_rows[u] >> v) & 1)
-        for u in range(pf.n) for v in range(pf.n))
+        pair_value(letters, "One", u, v) == pair_value(letters, "Delta", u, v)
+        + pair_value(letters, "P", u, v) + ((q_rows[u] >> v) & 1)
+        for u in range(obj.n) for v in range(obj.n))
 
 
 # ---------------------------------------------------------------------------

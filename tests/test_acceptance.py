@@ -13,11 +13,12 @@ from spinweb.census import (CensusConfig, CensusMode, iter_all_regular_labeled_g
                             iter_regular_labeled_graphs, run_census,
                             run_tournament_census)
 from spinweb.classifier import classify_symmetric
-from spinweb.graphs import (circulant_tournament, clebsch, complete,
-                            connected_components, cycle, paley, union_complete)
-from spinweb.regularity import freeness, q_condition, srg_params, three_point_params
+from spinweb.graphs import (circulant_tournament, clebsch, complete, cycle, paley,
+                            union_complete)
+from spinweb.regularity import q_condition, srg_params, three_point_params
 from spinweb.statesum import check_2b, dim_v3, full_report
-from tests.conftest import (freeness_duality_violations, load_fixture,
+from tests.conftest import (connected_components, freeness,
+                            freeness_duality_violations, load_fixture,
                             partition_identity_holds)
 
 WORKERS = 2
@@ -114,7 +115,7 @@ def test_criterion_5_structural_lemmas():
 def test_criterion_6_nonsymmetric_uniqueness():
     with criterion(6, "3-cycle is the only spin-model tournament on 3, 5, 7 vertices"):
         started = time.time()
-        result = run_tournament_census(ns=(3, 5, 7), exhaustive_limit=5)
+        result = run_tournament_census(ns=(3, 5, 7))
         assert result.disagreement is None
         assert result.graphs_seen == 8 + 1024 + 8  # exhaustive 3,5; circulants on 7
         assert len(result.hits) == 2  # the two labelings of the 3-cycle

@@ -1,16 +1,13 @@
 import sys
 
-import pytest
-
 from spinweb.census import graph_from_index, tournament_from_index
-from spinweb.classifier import (AppliedTo, FamilyKind, NotASpinModel,
-                                Verdict, VerdictCase, classify_symmetric,
-                                classify_tournament, family_of,
+from spinweb.classifier import (AppliedTo, FamilyKind, Verdict, VerdictCase,
+                                classify_symmetric, classify_tournament,
                                 is_regular_tournament)
 from spinweb.graphs import (Graph, circulant_tournament, clebsch, complement,
                             complete, cycle, paley, petersen, union_complete)
 from spinweb.statesum import spin_model_verdict
-from tests.conftest import load_fixture
+from tests.conftest import freeness, load_fixture
 
 
 class TestClassifySymmetric:
@@ -78,13 +75,21 @@ class TestClassifySymmetric:
                 classify_symmetric(complement(g)).is_spin_model
 
     def test_not_strongly_regular_rejected_before_complement(self, monkeypatch):
-        def refuse(g):
-            raise AssertionError("complement built for a graph that is not srg")
+        # the complement's cases come from its srg parameters: no graph is
+        # built for it, strongly regular or not
+        inputs = (cycle(6), Graph.from_edges(3, [(0, 1)]), Graph.from_edges(3, [(0, 1), (1, 2)]),
+                  complete(1), Graph(4, (0,) * 4), cycle(4), cycle(5), union_complete(3, 2),
+                  complement(union_complete(3, 2)), paley(9), petersen(), clebsch(),
+                  complement(clebsch()), load_fixture("schlafli"))
+        expected = [classify_symmetric(g) for g in inputs]
 
-        monkeypatch.setattr("spinweb.classifier.complement", refuse)
-        for g in (cycle(6), Graph.from_edges(3, [(0, 1)]), Graph.from_edges(3, [(0, 1), (1, 2)])):
-            v = classify_symmetric(g)
-            assert not v.is_spin_model and v.reason == "not strongly regular"
+        def refuse(g):
+            raise AssertionError("classifier built a complement graph")
+
+        monkeypatch.setattr("spinweb.graphs.complement", refuse)
+        assert [classify_symmetric(g) for g in inputs] == expected
+        assert [v.reason for v in expected[:3]] == ["not strongly regular"] * 3
+        assert {v.applied_to for v in expected} >= {AppliedTo.GRAPH, AppliedTo.COMPLEMENT}
 
     def test_not_strongly_regular_verdict_is_shared(self):
         graphs = (cycle(6), Graph.from_edges(3, [(0, 1), (1, 2)]), graph_from_index(7, 5))
@@ -121,8 +126,6 @@ class TestClassifySymmetric:
     def test_pentagon_only_triangle_free_k2_spin_model_up_to_10(self):
         # 2-regular graphs are cycle unions; scan one representative per
         # cycle-length partition, which covers every isomorphism type
-        from spinweb.regularity import freeness
-
         def partitions(n, smallest=3):
             if n == 0:
                 yield ()
@@ -156,7 +159,7 @@ class TestClassifySymmetric:
 
     def test_triangle_free_3pt_regular_hits_have_positive_q0(self):
         from spinweb.census import CensusConfig, CensusMode, run_census
-        from spinweb.regularity import freeness, three_point_params
+        from spinweb.regularity import three_point_params
         res = run_census(CensusConfig(max_n=6, mode=CensusMode.LIST_SPIN_MODELS))
         checked = 0
         for hit in res.hits:
@@ -171,25 +174,25 @@ class TestClassifySymmetric:
 
 class TestFamilyOf:
     def test_2k2(self):
-        fam = family_of(union_complete(2, 2))
+        fam = classify_symmetric(union_complete(2, 2)).family
         assert fam.kind is FamilyKind.BISCH_JONES and fam.dims == (10,)
 
     def test_3k4(self):
-        fam = family_of(union_complete(3, 4))
+        fam = classify_symmetric(union_complete(3, 4)).family
         assert fam.kind is FamilyKind.BISCH_JONES and fam.dims == (12,)
 
     def test_clebsch(self):
-        fam = family_of(clebsch())
+        fam = classify_symmetric(clebsch()).family
         assert fam.kind is FamilyKind.KAUFFMAN and fam.dims == (14, 15)
 
     def test_3k2_untabulated(self):
-        fam = family_of(union_complete(3, 2))
+        fam = classify_symmetric(union_complete(3, 2)).family
         assert fam.kind is FamilyKind.BISCH_JONES
         assert fam.untabulated and fam.dims == ()
 
     def test_not_a_spin_model(self):
-        with pytest.raises(NotASpinModel):
-            family_of(petersen())
+        v = classify_symmetric(petersen())
+        assert not v.is_spin_model and v.family is None
 
 
 class TestTournaments:

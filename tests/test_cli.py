@@ -216,7 +216,7 @@ class TestCensusCommand:
         assert code == 2 and out == ""
         assert err == f"error: circulant tournament needs odd n, got {n}\n"
 
-    @pytest.mark.parametrize("sizes, entry", [("0", "0"), ("-1", "-1"), ("3,x", "x")])
+    @pytest.mark.parametrize("sizes, entry", [("0", "0"), ("-1", "-1"), ("3,x", "x"), ("", "")])
     def test_bad_tournament_size_exits_2(self, capsys, sizes, entry):
         code, out, err = run(capsys, "census", "--tournament", "--ns", sizes)
         assert code == 2 and out == ""

@@ -5,14 +5,14 @@ from itertools import combinations
 import pytest
 
 from spinweb.census import graph_from_index, iter_all_regular_labeled_graphs
-from spinweb.graphs import (Graph, clebsch, complement, complete,
-                            connected_components, cycle, paley, petersen,
-                            union_complete)
+from spinweb.classifier import (AppliedTo, Family, FamilyKind, VerdictCase,
+                                _family_for_union, classify_symmetric)
+from spinweb.graphs import (Graph, clebsch, complement, complete, cycle, paley,
+                            petersen, union_complete)
 from spinweb.regularity import (ThreePointParams, VacuousParameter,
-                                complement_three_point_params, freeness,
-                                q_condition, regularity, srg_params,
-                                three_point_params)
-from tests.conftest import load_fixture
+                                complement_three_point_params, q_condition,
+                                regularity, srg_params, three_point_params)
+from tests.conftest import connected_components, edges, freeness, load_fixture
 
 # the package attribute spinweb.regularity is a function: patch the module
 regularity_module = sys.modules["spinweb.regularity"]
@@ -49,10 +49,41 @@ def reference_three_point_params(g):
     )
 
 
+def as_union_of_equal_completes(g):
+    """(m, size) if g is a disjoint union of m equal complete graphs, read off
+    its connected components."""
+    comps = connected_components(g)
+    size = len(comps[0])
+    for comp in comps:
+        if len(comp) != size:
+            return None
+        for v in comp:
+            if g.adj[v].bit_count() != size - 1:
+                return None
+    return (len(comps), size)
+
+
+def reference_union_verdict(g):
+    """(case, applied_to, family, reason) of the pentagon and union cases,
+    found on g and then on its complement as graphs; None for neither."""
+    sides = ((g, AppliedTo.GRAPH), (complement(g), AppliedTo.COMPLEMENT))
+    for side, tag in sides:
+        if side.n == 5 and all(row.bit_count() == 2 for row in side.adj):
+            return (VerdictCase.PENTAGON, tag, Family(FamilyKind.KAUFFMAN, (13,)),
+                    f"{tag.value} is the pentagon")
+    for side, tag in sides:
+        union = as_union_of_equal_completes(side)
+        if union is not None:
+            m, size = union
+            return (VerdictCase.UNION_OF_COMPLETES, tag, _family_for_union(m, size),
+                    f"{tag.value} is {m} disjoint K_{size}")
+    return None
+
+
 def relabel(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+    return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in edges(g)])
 
 
 def small_srg_corpus():
@@ -312,15 +343,35 @@ class TestStructuralLemmas:
                 assert (srg_params(g) is not None) == expected, part
 
     def test_lambda_free_srg_up_to_8_is_union_of_completes(self):
-        hits = 0
+        # the classifier decides the pentagon and the unions from the srg
+        # parameters alone; a component reading of g and of its complement
+        # must give the same case, side, family and reason
+        def agrees_with_components(g):
+            v = classify_symmetric(g)
+            expected = reference_union_verdict(g)
+            if expected is None:
+                assert v.case not in (VerdictCase.PENTAGON, VerdictCase.UNION_OF_COMPLETES)
+                return False
+            assert (v.case, v.applied_to, v.family, v.reason) == expected
+            return v.case is VerdictCase.UNION_OF_COMPLETES
+
+        hits = srgs = unions = 0
         for n in range(1, 9):
             for g in iter_all_regular_labeled_graphs(n):
                 p = srg_params(g)
-                if p is None or not freeness(g).lambda_free:
+                if p is None:
+                    continue
+                srgs += 1
+                unions += agrees_with_components(g)
+                if not freeness(g).lambda_free:
                     continue
                 comps = connected_components(g)
                 size = p.k + 1
                 assert all(len(c) == size for c in comps)
                 assert all(g.degree(v) == size - 1 for c in comps for v in c)
                 hits += 1
-        assert hits > 0
+        assert hits > 0 and srgs == 363 and 0 < unions < srgs
+        for m in range(1, 7):
+            for size in range(1, 7):
+                g = union_complete(m, size)
+                assert agrees_with_components(g) and agrees_with_components(complement(g))

@@ -10,15 +10,42 @@ from spinweb.census import (graph_from_index, iter_all_regular_labeled_graphs,
 from spinweb.graphs import (Graph, Tournament, circulant_tournament, clebsch, complement,
                             complete, cycle, paley, petersen, union_complete)
 from spinweb.regularity import srg_params, three_point_params
-from spinweb.statesum import (PairFunctions, ZeroGenerator, _d_row, _pair_functions,
-                              _representative_triples, _s_row, check_1b, check_2b,
-                              check_3a, check_3b, dim_v3, full_report,
-                              spin_model_verdict, triple_words)
-from tests.conftest import d_value, load_fixture, partition_identity_holds, s_value
+from spinweb.statesum import (ZeroGenerator, _d_row, _representative_triples, _s_row,
+                              check_1b, check_2b, check_3a, check_3b, dim_v3,
+                              full_report, spin_model_verdict, triple_words)
+from tests.conftest import (d_value, has_edge, letter_rows, load_fixture,
+                            partition_identity_holds, s_value)
 
 
 def path3():
     return Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+def p_rows(obj):
+    """The P rows of a graph or tournament: its adjacency or arc rows."""
+    return obj.arc if isinstance(obj, Tournament) else obj.adj
+
+
+def reference_1b(t: Tournament):
+    """Relation 1b read off every row and column sum of C_P.
+
+    (holds, k) when all row and column sums are k, else (False, site, lhs,
+    rhs, detail) for the first row sum that differs from vertex 0's, or,
+    with the row sums equal, the first column sum that does.
+    """
+    n = t.n
+    row_sums = [sum((t.arc[a] >> x) & 1 for x in range(n)) for a in range(n)]
+    column_sums = [sum((t.arc[x] >> a) & 1 for x in range(n)) for a in range(n)]
+    k = row_sums[0]
+    for a, total in enumerate(row_sums):
+        if total != k:
+            return (False, (0, a), k, total,
+                    f"row sums differ: vertex 0 has {k}, vertex {a} has {total}")
+    for a, total in enumerate(column_sums):
+        if total != k:
+            return (False, (a,), k, total,
+                    f"column sum at vertex {a} is {total}, row sums are {k}")
+    return (True, k)
 
 
 class TestCheck1b:
@@ -53,15 +80,22 @@ class TestCheck1b:
             ((0, 2), 2, 1, "row sums differ: vertex 0 has 2, vertex 2 has 1")
         assert not spin_model_verdict(t)
 
-    def test_column_witness_is_pinned(self):
-        # directed pair functions with out-degrees 1, 1, 1 and in-degrees 2, 1, 0
-        arcs = (0b010, 0b001, 0b001)             # 0 -> 1, 1 -> 0, 2 -> 0
-        pf = PairFunctions(n=3, directed=True, rows={
-            "One": (7, 7, 7), "Delta": (1, 2, 4), "P": arcs, "Q": (0b110, 0b001, 0)})
-        witness = check_1b(pf).witness
-        assert (witness.site, witness.lhs, witness.rhs, witness.detail) == \
-            ((0,), 1, 2, "column sum at vertex 0 is 2, row sums are 1")
-        assert not spin_model_verdict(pf)
+    def test_row_and_column_sum_reference_on_every_tournament_up_to_5(self):
+        # constant out-degrees force constant in-degrees on a tournament,
+        # so the reference never reaches a column witness
+        checked = 0
+        for n in range(1, 6):
+            for idx in range(1 << (n * (n - 1) // 2)):
+                t = tournament_from_index(n, idx)
+                check = check_1b(t)
+                if check.holds:
+                    got = (True, check.coefficients["k"])
+                else:
+                    w = check.witness
+                    got = (False, w.site, w.lhs, w.rhs, w.detail)
+                assert got == reference_1b(t)
+                checked += 1
+        assert checked == 1 + 2 + 8 + 64 + 1024
 
 
 class TestCheck2b:
@@ -101,14 +135,14 @@ class TestCheck3a:
         check = check_3a(g)
         assert check.holds
         assert three_point_params(g).q0 == 1
-        pf = PairFunctions.from_graph(g)
-        words = triple_words(pf)
+        letters = letter_rows(g)
+        words = triple_words(False)
         coeffs = [check.coefficients.get(f"D[{','.join(w)}]", Fraction(0))
                   for w in words]
         for a, b, c in product(range(g.n), repeat=3):
-            combo = sum(f * d_value(pf, w, a, b, c)
+            combo = sum(f * d_value(letters, w, a, b, c)
                         for f, w in zip(coeffs, words) if f)
-            assert combo == s_value(pf, ("P", "P", "P"), a, b, c)
+            assert combo == s_value(letters, ("P", "P", "P"), a, b, c)
 
     def test_petersen_fails(self):
         assert not check_3a(petersen()).holds
@@ -132,8 +166,8 @@ class TestCheck3a:
 class TestCheck3b:
     def test_petersen_triangle_free_holds(self):
         g = petersen()
-        pf = PairFunctions.from_graph(g)
-        assert all(d_value(pf, ("P", "P", "P"), a, b, c) == 0
+        letters = letter_rows(g)
+        assert all(d_value(letters, ("P", "P", "P"), a, b, c) == 0
                    for a, b, c in product(range(10), repeat=3))
         assert check_3b(g).holds
 
@@ -142,19 +176,19 @@ class TestCheck3b:
 
     def test_2k3_holds_with_triangles_present(self):
         g = union_complete(2, 3)
-        pf = PairFunctions.from_graph(g)
-        assert any(d_value(pf, ("P", "P", "P"), a, b, c) == 1
+        letters = letter_rows(g)
+        assert any(d_value(letters, ("P", "P", "P"), a, b, c) == 1
                    for a, b, c in product(range(6), repeat=3))
         check = check_3b(g)
         assert check.holds
         # solution really does reproduce the triangle function
-        words = triple_words(pf)
+        words = triple_words(False)
         coeffs = [check.coefficients.get(f"S[{','.join(w)}]", Fraction(0))
                   for w in words]
         for a, b, c in product(range(6), repeat=3):
-            combo = sum(f * s_value(pf, w, a, b, c)
+            combo = sum(f * s_value(letters, w, a, b, c)
                         for f, w in zip(coeffs, words) if f)
-            assert combo == d_value(pf, ("P", "P", "P"), a, b, c)
+            assert combo == d_value(letters, ("P", "P", "P"), a, b, c)
 
     def test_regular_5_tournaments_fail(self):
         count = 0
@@ -182,17 +216,18 @@ class TestRowBuilders:
     def test_match_pointwise_reference_at_every_triple(self):
         checked = 0
         for obj in row_builder_corpus():
-            pf = _pair_functions(obj)
-            words = triple_words(pf)
-            letters = [pf.rows[sym] for sym in pf.alphabet()]
-            target = [pf.rows["P"]]
-            for a, b, c in product(range(pf.n), repeat=3):
+            by_name = letter_rows(obj)
+            words = triple_words(isinstance(obj, Tournament))
+            letters = list(by_name.values())
+            target = [by_name["P"]]
+            ppp = ("P", "P", "P")
+            for a, b, c in product(range(obj.n), repeat=3):
                 assert _d_row(letters, a, b, c) == \
-                    tuple(d_value(pf, w, a, b, c) for w in words)
+                    tuple(d_value(by_name, w, a, b, c) for w in words)
                 assert _s_row(letters, a, b, c) == \
-                    tuple(s_value(pf, w, a, b, c) for w in words)
-                assert _d_row(target, a, b, c) == (d_value(pf, ("P", "P", "P"), a, b, c),)
-                assert _s_row(target, a, b, c) == (s_value(pf, ("P", "P", "P"), a, b, c),)
+                    tuple(s_value(by_name, w, a, b, c) for w in words)
+                assert _d_row(target, a, b, c) == (d_value(by_name, ppp, a, b, c),)
+                assert _s_row(target, a, b, c) == (s_value(by_name, ppp, a, b, c),)
             checked += 1
         assert checked == 5 + 75 + 64 + 8
 
@@ -261,11 +296,11 @@ class TestInvariants:
         for n in range(3, 6):
             for idx in range(1 << (n * (n - 1) // 2)):
                 g = graph_from_index(n, idx)
-                pf = PairFunctions.from_graph(g)
-                zero = all(d_value(pf, ("P", "P", "P"), a, b, c) == 0
+                letters = letter_rows(g)
+                zero = all(d_value(letters, ("P", "P", "P"), a, b, c) == 0
                            for a, b, c in product(range(n), repeat=3))
                 has_triangle = any(
-                    g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
+                    has_edge(g, a, b) and has_edge(g, b, c) and has_edge(g, a, c)
                     for a in range(n) for b in range(a + 1, n)
                     for c in range(b + 1, n))
                 assert zero == (not has_triangle)
@@ -301,15 +336,16 @@ class TestInvariants:
             assert spin_model_verdict(t) == full_report(t).is_spin_model
 
 
-def reference_representative_triples(pf: PairFunctions) -> list[tuple[int, int, int]]:
+def reference_representative_triples(obj) -> list[tuple[int, int, int]]:
     """The pure-Python n^3 profile scan the numpy kernel replaced.
 
     Graphs key a triple on pair classes, degrees, pairwise and 3-way
     intersection counts; tournaments on classes, out- and in-degrees, the
     four P/Q pairwise counts of each pair and all eight P/Q 3-way counts.
     """
-    n = pf.n
-    rows_p = pf.rows["P"]
+    n = obj.n
+    letters = letter_rows(obj)
+    rows_p = letters["P"]
 
     def pair_class(u, v):
         if u == v:
@@ -318,7 +354,7 @@ def reference_representative_triples(pf: PairFunctions) -> list[tuple[int, int, 
 
     classes = [[pair_class(u, v) for v in range(n)] for u in range(n)]
     reps = {}
-    if not pf.directed:
+    if isinstance(obj, Graph):
         deg = [row.bit_count() for row in rows_p]
         common = [[(rows_p[u] & rows_p[v]).bit_count() for v in range(n)]
                   for u in range(n)]
@@ -328,7 +364,7 @@ def reference_representative_triples(pf: PairFunctions) -> list[tuple[int, int, 
                    (rows_p[a] & rows_p[b] & rows_p[c]).bit_count())
             reps.setdefault(key, (a, b, c))
     else:
-        rows_q = pf.rows["Q"]
+        rows_q = letters["Q"]
         degs = ([row.bit_count() for row in rows_p], [row.bit_count() for row in rows_q])
         tabs = {(g, h): [[(grows[u] & hrows[v]).bit_count() for v in range(n)]
                          for u in range(n)]
@@ -352,10 +388,9 @@ _REFERENCE_TRIPLES: dict = {}
 
 def cached_reference_triples(subject) -> list[tuple[int, int, int]]:
     """``reference_representative_triples``, computed once per subject per session."""
-    pf = _pair_functions(subject)
-    key = (pf.n, pf.directed, pf.rows["P"])
+    key = (subject.n, type(subject), p_rows(subject))
     if key not in _REFERENCE_TRIPLES:
-        _REFERENCE_TRIPLES[key] = reference_representative_triples(pf)
+        _REFERENCE_TRIPLES[key] = reference_representative_triples(subject)
     return _REFERENCE_TRIPLES[key]
 
 
@@ -435,7 +470,7 @@ class TestRepresentativeTriples:
         checked = 0
         for obj in triple_kernel_corpus():
             for subject in (obj, relabel(obj, rng)):
-                got = _representative_triples(_pair_functions(subject))
+                got = _representative_triples(p_rows(subject))
                 assert got == cached_reference_triples(subject)
                 checked += 1
         assert checked == 2 * (320 + 75 + 40 + 24 + 2)
@@ -446,7 +481,7 @@ class TestRepresentativeTriples:
         rng = random.Random(32)
         for obj in triple_kernel_corpus():
             for subject in (obj, relabel(obj, rng)):
-                got = _representative_triples(_pair_functions(subject))
+                got = _representative_triples(p_rows(subject))
                 assert got == cached_reference_triples(subject)
         assert len(taken) == 2 * (320 + 75 + 40 + 24 + 2)
         assert sum(hist for _, hist in taken) == (2 * 353 if path == "histogram" else 0)
@@ -456,7 +491,7 @@ class TestRepresentativeTriples:
         assert statesum._SLAB == 4096
         taken = record_presence(monkeypatch, PRESENCE_PATHS[path])
         for subject in slab_boundary_corpus():
-            got = _representative_triples(_pair_functions(subject))
+            got = _representative_triples(p_rows(subject))
             assert got == cached_reference_triples(subject)
         assert len(taken) == 15
         # the five structured graphs and the circulant tournament on 17 vertices
@@ -466,11 +501,11 @@ class TestRepresentativeTriples:
     def test_presence_rule_follows_key_space(self, monkeypatch):
         taken = record_presence(monkeypatch, statesum._histogram_presence)
         # 3 pair ids: 3^3 * 101 bins against slabs of 40 x 100 cells
-        _representative_triples(_pair_functions(load_fixture("higman_sims")))
+        _representative_triples(p_rows(load_fixture("higman_sims")))
         # the stream workload's irregular 6-vertex graph: 22 pair ids, 36 cells
         irregular = Graph.from_edges(6, [(0, 1), (0, 2), (0, 5), (1, 5), (3, 4), (3, 5),
                                          (4, 5)])
-        _representative_triples(_pair_functions(irregular))
+        _representative_triples(p_rows(irregular))
         assert taken == [(2727, True), (22 ** 3 * 7, False)]
 
     def test_two_word_keys_match_reference(self, monkeypatch):
@@ -484,11 +519,11 @@ class TestRepresentativeTriples:
                 for density in (0.0, 0.3, 0.7, 1.0):
                     g = Graph.from_edges(n, [(u, v) for u in range(n)
                                              for v in range(u + 1, n) if rng.random() < density])
-                    assert _representative_triples(_pair_functions(g)) == \
-                        reference_representative_triples(_pair_functions(g))
+                    assert _representative_triples(p_rows(g)) == \
+                        reference_representative_triples(g)
             for t in iter_circulant_tournaments(9):
-                assert _representative_triples(_pair_functions(t)) == \
-                    reference_representative_triples(_pair_functions(t))
+                assert _representative_triples(p_rows(t)) == \
+                    reference_representative_triples(t)
             assert taken and not any(hist for _, hist in taken)
 
     def test_slabs_smaller_than_a_row(self, monkeypatch):
@@ -497,8 +532,8 @@ class TestRepresentativeTriples:
         for path, rule in PRESENCE_PATHS.items():
             taken = record_presence(monkeypatch, rule)
             for g in (petersen(), paley(13), union_complete(3, 2)):
-                assert _representative_triples(_pair_functions(g)) == \
-                    reference_representative_triples(_pair_functions(g))
+                assert _representative_triples(p_rows(g)) == \
+                    reference_representative_triples(g)
             assert [hist for _, hist in taken] == [path == "histogram"] * 3
 
 
