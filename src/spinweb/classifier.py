@@ -156,10 +156,15 @@ def classify_symmetric(g: Graph) -> Verdict:
 
 
 def is_regular_tournament(t: Tournament) -> int | None:
-    """k = (n-1)/2 when all in- and out-degrees agree, else None."""
+    """k = (n-1)/2 when all in- and out-degrees agree, else None.
+
+    Only the out-degrees are read: a tournament whose out-degrees are all
+    k has nk = C(n, 2) arcs, so k = (n - 1)/2 and every in-degree is
+    n - 1 - k = k.
+    """
     k = t.arc[0].bit_count()
-    for a in range(t.n):
-        if t.out_degree(a) != k or t.in_degree(a) != k:
+    for row in t.arc:
+        if row.bit_count() != k:
             return None
     return k
 

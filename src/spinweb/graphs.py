@@ -107,9 +107,6 @@ class Tournament:
     def out_degree(self, a: int) -> int:
         return self.arc[a].bit_count()
 
-    def in_degree(self, a: int) -> int:
-        return sum((self.arc[b] >> a) & 1 for b in range(self.n))
-
 
 def complement(g: Graph) -> Graph:
     """Graph with the same vertices and exactly the missing edges of g."""

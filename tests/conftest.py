@@ -10,6 +10,7 @@ import pytest
 from spinweb.census import _BLOCK, pair_positions
 from spinweb.graph6 import parse_graph6
 from spinweb.graphs import Graph, Tournament, complement
+from spinweb.linalg import is_consistent
 from spinweb.statesum import (DIRECTED_ALPHABET, UNDIRECTED_ALPHABET, _generator,
                               _letter_rows)
 
@@ -39,6 +40,10 @@ def edge_count(g: Graph) -> int:
 
 def has_arc(t: Tournament, a: int, b: int) -> bool:
     return bool((t.arc[a] >> b) & 1)
+
+
+def in_degree(t: Tournament, a: int) -> int:
+    return sum((t.arc[b] >> a) & 1 for b in range(t.n))
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -146,6 +151,16 @@ def partition_identity_holds(obj) -> bool:
         pair_value(letters, "One", u, v) == pair_value(letters, "Delta", u, v)
         + pair_value(letters, "P", u, v) + ((q_rows[u] >> v) & 1)
         for u in range(obj.n) for v in range(obj.n))
+
+
+def reference_consistent(equations) -> bool:
+    """Whether (row, target) equations have a common solution, with no early exit.
+
+    Every distinct equation is kept, in order of first appearance, and the
+    whole system is eliminated once, even where one row has two targets.
+    """
+    distinct = dict.fromkeys(equations)
+    return is_consistent([row for row, _ in distinct], [target for _, target in distinct])
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 import sys
 
-from spinweb.census import graph_from_index, tournament_from_index
+from spinweb.census import graph_from_index, iter_circulant_tournaments, tournament_from_index
 from spinweb.classifier import (AppliedTo, FamilyKind, Verdict, VerdictCase,
                                 classify_symmetric, classify_tournament,
                                 is_regular_tournament)
 from spinweb.graphs import (Graph, circulant_tournament, clebsch, complement,
                             complete, cycle, paley, petersen, union_complete)
 from spinweb.statesum import spin_model_verdict
-from tests.conftest import freeness, load_fixture
+from tests.conftest import freeness, in_degree, load_fixture
 
 
 class TestClassifySymmetric:
@@ -228,3 +228,19 @@ class TestTournaments:
         assert is_regular_tournament(circulant_tournament(5, {1, 2})) == 2
         assert all(is_regular_tournament(tournament_from_index(4, idx)) is None
                    for idx in range(1 << 6))
+
+    def test_is_regular_tournament_matches_two_sided_degree_scan(self):
+        # the out-degrees alone decide: constant out-degrees force the in-degrees
+        def two_sided(t):
+            k = t.out_degree(0)
+            if all(t.out_degree(a) == k and in_degree(t, a) == k for a in range(t.n)):
+                return k
+            return None
+
+        labeled = [tournament_from_index(n, idx) for n in range(1, 6)
+                   for idx in range(1 << (n * (n - 1) // 2))]
+        circulant = [t for n in range(1, 14, 2) for t in iter_circulant_tournaments(n)]
+        for t in labeled + circulant:
+            assert is_regular_tournament(t) == two_sided(t)
+        assert sum(is_regular_tournament(t) is not None for t in labeled) == 1 + 2 + 24
+        assert len(circulant) == 1 + 2 + 4 + 8 + 16 + 32 + 64

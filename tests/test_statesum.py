@@ -14,7 +14,7 @@ from spinweb.statesum import (ZeroGenerator, _d_row, _representative_triples, _s
                               check_1b, check_2b, check_3a, check_3b, dim_v3,
                               full_report, spin_model_verdict, triple_words)
 from tests.conftest import (d_value, has_edge, letter_rows, load_fixture,
-                            partition_identity_holds, s_value)
+                            partition_identity_holds, reference_consistent, s_value)
 
 
 def path3():
@@ -232,6 +232,26 @@ class TestRowBuilders:
         assert checked == 5 + 75 + 64 + 8
 
 
+# dim V3 of the circulant tournament on Z_n with each outset, as
+# (the value of every outset not listed, {value: outsets}); the outsets with
+# dim 16 on 7 and 11 vertices are the quadratic residues and non-residues
+CIRCULANT_DIM_V3 = {
+    3: (9, {}),
+    5: (18, {}),
+    7: (18, {16: [(1, 2, 4), (3, 5, 6)]}),
+    9: (19, {18: [(1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 5, 7), (2, 4, 6, 8), (3, 4, 7, 8),
+                  (5, 6, 7, 8)]}),
+    11: (19, {16: [(1, 3, 4, 5, 9), (2, 6, 7, 8, 10)],
+              18: [(1, 2, 3, 4, 5), (1, 2, 6, 7, 8), (1, 3, 4, 6, 9), (1, 3, 5, 7, 9),
+                   (1, 4, 5, 8, 9), (2, 3, 6, 7, 10), (2, 4, 6, 8, 10), (2, 5, 7, 8, 10),
+                   (3, 4, 5, 9, 10), (6, 7, 8, 9, 10)]}),
+    13: (19, {18: [(1, 2, 3, 4, 5, 6), (1, 2, 3, 7, 8, 9), (1, 2, 5, 6, 9, 10),
+                   (1, 3, 5, 7, 9, 11), (1, 3, 6, 8, 9, 11), (1, 4, 7, 8, 10, 11),
+                   (2, 3, 5, 6, 9, 12), (2, 4, 5, 7, 10, 12), (2, 4, 6, 8, 10, 12),
+                   (3, 4, 7, 8, 11, 12), (4, 5, 6, 10, 11, 12), (7, 8, 9, 10, 11, 12)]}),
+}
+
+
 class TestDimV3:
     @pytest.mark.parametrize("maker,expected", [
         (lambda: complete(4), 5),
@@ -254,6 +274,21 @@ class TestDimV3:
         for g in (cycle(5), paley(9), clebsch(), complete(6),
                   union_complete(3, 3), petersen()):
             assert dim_v3(g) <= 16
+
+    def test_circulant_tournaments_pinned_per_outset(self):
+        # one outset per choice of d or n - d, for d = 1 .. (n - 1)/2
+        dims = {}
+        for n, (usual, listed) in CIRCULANT_DIM_V3.items():
+            for outset in product(*[(d, n - d) for d in range(1, (n + 1) // 2)]):
+                t = circulant_tournament(n, outset)
+                expected = next((dim for dim, outsets in listed.items()
+                                 if tuple(sorted(outset)) in outsets), usual)
+                assert dim_v3(t) == expected, (n, outset)
+                assert spin_model_verdict(t) == (n == 3), (n, outset)
+                dims.setdefault(n, []).append(expected)
+        assert sum(map(len, dims.values())) == 126
+        assert {n: sorted(set(d)) for n, d in dims.items()} == {
+            3: [9], 5: [18], 7: [16, 18], 9: [18, 19], 11: [16, 18, 19], 13: [18, 19]}
 
     def test_zero_generator(self):
         with pytest.raises(ZeroGenerator):
@@ -336,12 +371,123 @@ class TestInvariants:
             assert spin_model_verdict(t) == full_report(t).is_spin_model
 
 
+def random_equations(rng) -> list[tuple[tuple[int, ...], int]]:
+    """A seeded (row, target) stream in which a row always has the same target.
+
+    Rows come from a small pool, so many recur; a target is a hidden
+    integer fit of its row, except that one pool row may be given another
+    target, which makes some streams inconsistent without an equal row.
+    """
+    width = rng.randint(1, 6)
+    pool = [tuple(rng.randint(0, 3) for _ in range(width)) for _ in range(rng.randint(1, 12))]
+    fit = [rng.randint(-3, 3) for _ in range(width)]
+    target = {row: sum(c * v for c, v in zip(fit, row)) for row in pool}
+    if rng.random() < 0.5:
+        target[pool[0]] += rng.randint(1, 3)
+    return [(row, target[row]) for row in (rng.choice(pool) for _ in range(rng.randint(2, 40)))]
+
+
+def plant_conflict(equations, position, rng):
+    """The stream with the equation at ``position`` replaced by an earlier row, another target.
+
+    Rows keep one target in ``random_equations``, so this is the stream's
+    first equal-row conflict.
+    """
+    row, target = equations[rng.randrange(position)]
+    return equations[:position] + [(row, target + rng.randint(1, 3))] + equations[position + 1:]
+
+
+def read_up_to(equations, last):
+    """Yield equations[0..last], then fail the test if read once more."""
+    yield from equations[:last + 1]
+    raise AssertionError(f"equations read past position {last}")
+
+
+class TestConsistent:
+    """The equal-row early exit answers as eliminating every distinct equation does."""
+
+    def test_empty_stream(self):
+        assert statesum._consistent(iter(())) is reference_consistent([]) is True
+
+    def test_seeded_streams_with_and_without_a_planted_conflict(self):
+        rng = random.Random(36)
+        consistent = 0
+        for _ in range(300):
+            equations = random_equations(rng)
+            expected = reference_consistent(equations)
+            assert statesum._consistent(iter(equations)) == expected
+            consistent += expected
+            for position in (1, len(equations) // 2, len(equations) - 1):
+                planted = plant_conflict(equations, position, rng)
+                assert statesum._consistent(iter(planted)) is reference_consistent(planted) \
+                    is False
+        assert 0 < consistent < 300
+
+    def test_stops_reading_at_the_first_conflict(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            equations = random_equations(rng)
+            for position in (1, len(equations) // 2, len(equations) - 1):
+                planted = plant_conflict(equations, position, rng)
+                assert not statesum._consistent(read_up_to(planted, position))
+
+    def test_every_system_the_verdict_asks(self, monkeypatch):
+        # 2b on the regular graphs with n <= 7 and the 1 024 five-vertex
+        # tournaments, and 3a and 3b where the verdict gets that far
+        asked = {}
+        early_exit = statesum._consistent
+
+        def compare(equations):
+            equations = list(equations)
+            got = early_exit(iter(equations))
+            assert got == reference_consistent(equations)
+            width = len(equations[0][0]) if equations else 0
+            asked[width, got] = asked.get((width, got), 0) + 1
+            return got
+
+        monkeypatch.setattr(statesum, "_consistent", compare)
+        graphs = [g for n in range(1, 8) for g in iter_all_regular_labeled_graphs(n)]
+        tournaments = [tournament_from_index(5, idx) for idx in range(1 << 10)]
+        hits = sum(spin_model_verdict(obj) for obj in graphs + tournaments)
+        assert (len(graphs), hits) == (1131, 81)
+        # (row width, consistent): 2b rows have 3 entries, 3a and 3b rows 27;
+        # every regular tournament on 5 vertices fails 2b, and every graph here
+        # that passes 2b passes 3a and 3b
+        assert asked == {(3, False): 1050 + 24, (3, True): 81, (27, True): 2 * 81}
+
+    def test_all_three_systems_of_sampled_tournaments_and_named_graphs(self):
+        # 2b, 3a and 3b asked of every input, whatever its 1b and 2b: the
+        # tournaments' 27-word basis systems and inconsistent span systems
+        rng = random.Random(38)
+        tournaments = [tournament_from_index(5, idx) for idx in rng.sample(range(1 << 10), 160)]
+        systems = {}
+        for obj in tournaments + [circulant_tournament(5, {1, 2}), petersen(),
+                                  load_fixture("schlafli"), clebsch(), paley(9), cycle(6)]:
+            rows, directed = statesum._generator(obj)
+            letters = statesum._basis_rows(rows, directed)
+            triples = _representative_triples(rows)
+            for name, equations in (
+                    ("2b", statesum._2b_equations(rows)),
+                    ("3a", statesum._span_equations(letters, rows, triples, "D")),
+                    ("3b", statesum._span_equations(letters, rows, triples, "S"))):
+                equations = list(equations)
+                got = statesum._consistent(iter(equations))
+                assert got == reference_consistent(equations)
+                systems[name, got] = systems.get((name, got), 0) + 1
+        # 2b holds on the four srgs only; 3a on Clebsch, Paley(9) and Schlafli
+        assert systems == {("2b", False): 162, ("2b", True): 4, ("3a", False): 163,
+                           ("3a", True): 3, ("3b", False): 146, ("3b", True): 20}
+
+
 def reference_representative_triples(obj) -> list[tuple[int, int, int]]:
     """The pure-Python n^3 profile scan the numpy kernel replaced.
 
     Graphs key a triple on pair classes, degrees, pairwise and 3-way
     intersection counts; tournaments on classes, out- and in-degrees, the
     four P/Q pairwise counts of each pair and all eight P/Q 3-way counts.
+    The fields are grouped into tuples, which keeps equal keys equal: a
+    tournament's four pairwise counts are one tuple per ordered pair, and
+    the 2-way ANDs of rows a and b are taken once per (a, b).
     """
     n = obj.n
     letters = letter_rows(obj)
@@ -358,28 +504,29 @@ def reference_representative_triples(obj) -> list[tuple[int, int, int]]:
         deg = [row.bit_count() for row in rows_p]
         common = [[(rows_p[u] & rows_p[v]).bit_count() for v in range(n)]
                   for u in range(n)]
-        for a, b, c in product(range(n), repeat=3):
-            key = (classes[a][b], classes[b][c], classes[a][c], deg[a], deg[b], deg[c],
-                   common[a][b], common[b][c], common[a][c],
-                   (rows_p[a] & rows_p[b] & rows_p[c]).bit_count())
-            reps.setdefault(key, (a, b, c))
+        for a, b in product(range(n), repeat=2):
+            meet = rows_p[a] & rows_p[b]
+            head = (classes[a][b], deg[a], deg[b], common[a][b])
+            for c, row_c in enumerate(rows_p):
+                key = (head, classes[b][c], classes[a][c], deg[c], common[b][c], common[a][c],
+                       (meet & row_c).bit_count())
+                reps.setdefault(key, (a, b, c))
     else:
-        rows_q = letters["Q"]
-        degs = ([row.bit_count() for row in rows_p], [row.bit_count() for row in rows_q])
-        tabs = {(g, h): [[(grows[u] & hrows[v]).bit_count() for v in range(n)]
-                         for u in range(n)]
-                for g, grows in enumerate((rows_p, rows_q))
-                for h, hrows in enumerate((rows_p, rows_q))}
-        for a, b, c in product(range(n), repeat=3):
-            pair_part = tuple(tabs[g, h][u][v] for g in (0, 1) for h in (0, 1)
-                              for u, v in ((a, b), (a, c), (b, c)))
-            pop3 = tuple((g1[a] & g2[b] & g3[c]).bit_count()
-                         for g1 in (rows_p, rows_q) for g2 in (rows_p, rows_q)
-                         for g3 in (rows_p, rows_q))
-            key = (classes[a][b], classes[b][c], classes[a][c],
-                   degs[0][a], degs[0][b], degs[0][c], degs[1][a], degs[1][b], degs[1][c],
-                   pair_part, pop3)
-            reps.setdefault(key, (a, b, c))
+        both = (rows_p, letters["Q"])
+        degs = [(p.bit_count(), q.bit_count()) for p, q in zip(*both)]
+        # the (P, P), (P, Q), (Q, P) and (Q, Q) counts |g_u & h_v| of each (u, v)
+        counts = [[tuple((g[u] & h[v]).bit_count() for g in both for h in both)
+                   for v in range(n)] for u in range(n)]
+        for a, b in product(range(n), repeat=2):
+            pp, pq, qp, qq = (g[a] & h[b] for g in both for h in both)
+            head = (classes[a][b], degs[a], degs[b], counts[a][b])
+            for c, (p, q) in enumerate(zip(*both)):
+                pop3 = ((pp & p).bit_count(), (pp & q).bit_count(), (pq & p).bit_count(),
+                        (pq & q).bit_count(), (qp & p).bit_count(), (qp & q).bit_count(),
+                        (qq & p).bit_count(), (qq & q).bit_count())
+                key = (head, classes[b][c], classes[a][c], degs[c],
+                       counts[a][c], counts[b][c], pop3)
+                reps.setdefault(key, (a, b, c))
     return list(reps.values())
 
 
