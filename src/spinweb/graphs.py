@@ -23,9 +23,10 @@ exactly one arc per pair) is one XOR with the transpose, masked to the cells
 above the diagonal.  The lowest set bit of a failing mask names the same
 first pair, with the same message, as a pair-by-pair scan.
 
-The two numpy triple kernels (the classifier's 3-point parameters and the
-oracle's triple profiles) share the bit-row plumbing at the end of this
-module: rows packed into int64 words, flat-array windows and row tiles.
+The two numpy triple kernels (the classifier's 3-point parameters on
+large graphs, and the oracle's triple profiles) share the bit-row
+plumbing at the end of this module: rows packed into int64 words,
+flat-array windows and row tiles.  They share no decision logic.
 """
 
 from __future__ import annotations
@@ -103,9 +104,6 @@ class Tournament:
         for a, b in arcs:
             rows[a] |= 1 << b
         return cls(n, tuple(rows))
-
-    def out_degree(self, a: int) -> int:
-        return self.arc[a].bit_count()
 
 
 def complement(g: Graph) -> Graph:

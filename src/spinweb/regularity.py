@@ -5,24 +5,25 @@ kind reports value 0 with its vacuity flag set, mirroring the usual habit
 of writing srg(3,2,1,0) for the triangle while keeping vacuity detectable.
 
 Common-neighbor counts are bitset ANDs plus popcounts.  The one triple
-scan, ``three_point_params``, is an exact int64-popcount numpy kernel: it
-histograms (edge count, common-neighbor count) over slabs of triple cells
-and stops after the first slab in which one edge count shows two common
-counts.  The complement's parameters are derived from the graph's by
-inclusion-exclusion (``complement_three_point_params``), so the classifier
-scans once.
+scan, ``three_point_params``, stops once one edge count shows two
+common-neighbor counts.  Graphs on up to _LOOP_MAX_N vertices take a plain
+loop over the triples; larger ones take an exact int64-popcount numpy
+kernel with one rectangle of cells per middle vertex, which histograms
+(edge count, common-neighbor count).  The complement's parameters are
+derived from the graph's by inclusion-exclusion
+(``complement_three_point_params``), so the classifier scans once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .graphs import Graph, fill_rows, pack_rows, window
 
-_SLAB = 1 << 12      # (pair, c) cells per slab of the triple kernel
-_E_BITS = 3          # low key bits: the cell's edge count, 4 + 2*AB when degenerate
+_LOOP_MAX_N = 24     # graphs up to this order take the plain triple scan
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -126,128 +127,79 @@ def three_point_params(g: Graph, srg: SrgParams | None = None) -> ThreePointPara
     )
 
 
-def _pair_slabs(n: int):
-    """The pairs (a, b), a < b < n - 1, in slabs of at most _SLAB cells.
-
-    Pairs run b-major (b ascending, then a).  A slab's cells are its pairs
-    times the columns c in (c0, n), where c0 is the b of its first pair, so
-    every triple a < b < c is a cell of exactly the slab holding (a, b).
-    Yields (c0, pieces, pairs); a piece (b, a0, take) stands for the pairs
-    (a0, b) .. (a0 + take - 1, b).  A slab holds one pair when n - 1 - c0
-    columns alone exceed _SLAB.
-    """
-    pieces, pairs = [], 0
-    for b in range(1, n - 1):
-        a0 = 0
-        while a0 < b:
-            if not pieces:
-                c0, height = b, max(1, _SLAB // (n - 1 - b))
-            take = min(b - a0, height - pairs)
-            pieces.append((b, a0, take))
-            pairs += take
-            a0 += take
-            if pairs == height:
-                yield c0, pieces, pairs
-                pieces, pairs = [], 0
-    if pieces:
-        yield c0, pieces, pairs
-
-
-def _and_bytes(x: bytes, y: bytes) -> bytes:
-    """Bitwise AND of two byte strings of equal length."""
-    return (int.from_bytes(x, "little") & int.from_bytes(y, "little")).to_bytes(len(x), "little")
-
-
 def _common_counts_by_type(g: Graph, k: int) -> list[int | None] | None:
     """The common-neighbor count T of the distinct triples with e edges.
 
     Entry e is None when no triple has e edges; the result is None when
     some e shows two values of T.  k bounds the degrees, hence T.
 
-    Before any array is built, the triples through vertex 0 and its first
-    neighbor, and through vertex 0 and its first non-neighbor, are checked
-    in Python: a numpy slab has a fixed cost of some tens of microseconds,
-    while a graph that is not 3-point regular, such as Paley(13), Paley(17)
-    or Petersen, often shows two values of T among these 2(n - 2) triples.
+    Graphs with at most _LOOP_MAX_N vertices take a plain scan of the
+    C(n, 3) triples that stops at the first triple showing a second value:
+    there the numpy rectangles, at some ten calls each, cost more than the
+    whole scan.
 
-    The kernel is exact integer numpy.  For each slab of ``_pair_slabs``,
-    T = |N_a & N_b & N_c| is the popcount, summed over the int64 words of
-    ``graphs.pack_rows``, of a column of N_a & N_b AND-ed with a tile of the
-    rows N_c.  The edge count e = AB + AC + BC comes from the adjacency
-    matrix as bytes, laid out by bytes joins; the matrix carries 4 on its
-    diagonal.  Each cell's key T << _E_BITS | e goes into a histogram by
-    ``np.bincount``, whose bins of e = 0..3 are read off ``.tolist()``
-    after each slab.  A slab's columns c <= b of its later pairs give cells
-    that are either another ordering of a distinct triple, with its own
-    (e, T), or degenerate (c = a or c = b): those have e = 4 + 2 * AB, so
-    they land in bins of their own and need no correction.
+    Larger graphs take one exact integer numpy rectangle per middle vertex
+    b, holding the cells (a, c) with a < b < c, so every distinct triple is
+    one cell of exactly one rectangle.  T = |N_a & N_b & N_c| is the
+    popcount, summed over the int64 words of ``graphs.pack_rows``, of the
+    column N_a & N_b AND-ed with a tile of the rows N_c.  The edge count
+    e = AB + AC + BC comes from the 0/1 adjacency matrix as bytes: a tile
+    of row b's entries past b (BC), a strided view of rows a < b (AC) and a
+    column of row b's first b entries (AB; the matrix is symmetric).  Each
+    cell's key T << 2 | e goes into a histogram by ``np.bincount``, whose
+    bins of e = 0..3 are read off ``.tolist()``, and the scan stops after
+    the first rectangle in which one e shows two values of T.
 
-    As in the oracle's triple kernel, arrays are views of preallocated
-    buffers (``graphs.window``) or of bytes, and every operation is
-    elementwise, broadcasts a column, or is ``np.bincount`` or
-    ``.tolist()``: indexing and reductions such as ``.any()`` or
-    ``np.unique`` run numpy code that nothing else on a large graph's path
-    runs, and faulting it in raises the peak resident memory.
+    As in the oracle's triple kernel, arrays are views of buffers sized to
+    the largest rectangle (``graphs.window``, filled by
+    ``graphs.fill_rows``).  Every operation is elementwise on equal shapes,
+    broadcasts a column or one word, adds bytes into int64 keys, or is
+    ``np.bincount`` or ``.tolist()``: indexing, reductions, row broadcasts
+    and byte arithmetic run numpy code that nothing else on a large graph's
+    path runs, and faulting it in raises the peak resident memory.
     """
     n, rows = g.n, g.adj
-    r0, seen = rows[0], {}
-    for others in (r0, ((1 << n) - 2) & ~r0):     # vertex 0's neighbors, non-neighbors
-        if others:
-            b = (others & -others).bit_length() - 1
-            ab, rb = r0 >> b & 1, rows[b]
-            for c in range(1, n):
-                if c != b:
-                    e = ab + (r0 >> c & 1) + (rb >> c & 1)
-                    common = (r0 & rb & rows[c]).bit_count()
-                    if seen.setdefault(e, common) != common:
-                        return None
+    if n <= _LOOP_MAX_N:
+        counts = [None, None, None, None]       # index = edge count
+        for a, b, c in combinations(range(n), 3):
+            e = (rows[a] >> b & 1) + (rows[a] >> c & 1) + (rows[b] >> c & 1)
+            common = (rows[a] & rows[b] & rows[c]).bit_count()
+            if counts[e] is None:
+                counts[e] = common
+            elif counts[e] != common:
+                return None
+        return counts
     words = pack_rows(rows, n)
-    word_bytes = [memoryview(word).tobytes() for word in words]      # 8 bytes a vertex
-    top = 1 << n           # bin(row | top)[:2:-1] is row's n bits, bit 0 first
-    adj = bytearray("".join([bin(row | top)[:2:-1] for row in rows]).encode().translate(_DIGITS))
-    adj[::n + 1] = b"\x04" * n
-    size = max(_SLAB, n)
+    # bin(row | 1 << n)[:2:-1] is row's n bits, bit 0 first
+    adj = np.frombuffer("".join([bin(row | 1 << n)[:2:-1] for row in rows]).encode()
+                        .translate(_DIGITS), dtype=np.uint8)
+    size = (n - 1) // 2 * (n // 2)                 # cells of the largest rectangle
     key, tile = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    cnt = np.empty(size, dtype=np.uint8)
-    bins = (k + 1) << _E_BITS
-    hist = np.zeros(bins, dtype=np.int64)
-    counts = [0] * bins
-    for c0, pieces, m in _pair_slabs(n):
-        width = n - 1 - c0
-        cells = m * width
-        key_2d, tile_2d = (window(array, 0, cells).reshape(m, width) for array in (key, tile))
-        for w, (word, data) in enumerate(zip(words, word_bytes)):
-            meet = np.frombuffer(_and_bytes(
-                b"".join([data[8 * a0:8 * (a0 + take)] for _, a0, take in pieces]),
-                b"".join([data[8 * b:8 * b + 8] * take for b, _, take in pieces])),
-                dtype=np.int64).reshape(m, 1)                               # N_a & N_b
-            fill_rows(tile, window(word, c0 + 1, width), width, m)          # N_c, c > c0
-            if w == 0:
-                np.bitwise_and(meet, tile_2d, out=key_2d)
-                np.bitwise_count(key_2d, out=key_2d)
-            else:
-                np.bitwise_and(meet, tile_2d, out=tile_2d)
-                key_2d += np.bitwise_count(tile_2d, out=window(cnt, 0, cells).reshape(m, width))
-        lo = min(a0 for _, a0, _ in pieces)
-        a_rows = b"".join([adj[a * n + c0 + 1:(a + 1) * n]                # AC, c > c0
-                           for a in range(lo, max(a0 + take for _, a0, take in pieces))])
-        # bytes are 0, 1 or 4, so adding AC and BC as integers never carries
-        edges = (int.from_bytes(b"".join([a_rows[(a0 - lo) * width:(a0 + take - lo) * width]
-                                          for _, a0, take in pieces]), "little")
-                 + int.from_bytes(b"".join([adj[b * n + c0 + 1:(b + 1) * n] * take     # BC
-                                            for b, _, take in pieces]), "little"))
-        key_2d <<= _E_BITS
-        key_2d += np.frombuffer(edges.to_bytes(cells, "little"), dtype=np.uint8).reshape(m, width)
-        key_2d += np.frombuffer(b"".join([adj[b * n + a0:b * n + a0 + take]           # AB
-                                          for b, a0, take in pieces]),
-                                dtype=np.uint8).reshape(m, 1)
-        hist += np.bincount(key_2d.reshape(cells), minlength=bins)
-        counts = hist.tolist()
-        if any(len(column) - column.count(0) > 1
-               for column in (counts[e::1 << _E_BITS] for e in range(4))):
+    bc, meet = np.empty(size, dtype=np.uint8), np.empty(n, dtype=np.int64)
+    bins = (k + 1) << 2
+    hist, tally = np.zeros(bins, dtype=np.int64), [0] * bins
+    for b in range(1, n - 1):
+        width = n - 1 - b
+        key_2d, tile_2d, bc_2d = (window(array, 0, (b, width)) for array in (key, tile, bc))
+        meet_col = window(meet, 0, (b, 1))
+        for w, word in enumerate(words):
+            np.bitwise_and(window(word, b, (1, 1)), window(word, 0, (b, 1)), out=meet_col)
+            fill_rows(tile, window(word, b + 1, width), width, b)       # N_c, c > b
+            part = tile_2d if w else key_2d             # T of word w, counted in place
+            np.bitwise_and(meet_col, tile_2d, out=part)
+            np.bitwise_count(part, out=part)
+            if w:
+                key_2d += part
+        key_2d <<= 2
+        fill_rows(bc, window(adj, b * n + b + 1, width), width, b)
+        key_2d += bc_2d                                                 # BC
+        key_2d += np.ndarray((b, width), np.uint8, adj, b + 1, (n, 1))  # AC
+        key_2d += window(adj, b * n, (b, 1))                            # AB
+        hist += np.bincount(window(key, 0, b * width), minlength=bins)
+        tally = hist.tolist()
+        if any(sum(map(bool, tally[e::4])) > 1 for e in range(4)):
             return None
-    return [next((t for t, hits in enumerate(counts[e::1 << _E_BITS]) if hits), None)
-            for e in range(4)]
+    return [next((t for t, hits in enumerate(tally[e::4]) if hits), None) for e in range(4)]
 
 
 def complement_srg_params(p: SrgParams) -> SrgParams:

@@ -67,8 +67,8 @@ before any other row is built, only whether some row sum misses vertex
 0's (``_first_1b_miss``), so an irregular graph costs one popcount per
 row; constant row sums force constant column sums on a tournament, so no
 column is read.  2b, 3a and 3b each have one equation generator
-(``_2b_equations``, ``_span_equations``) that the verdict and
-``check_2b``, ``check_3a`` and ``check_3b`` share: the checks fit the
+(``_2b_equations``, ``_span_equations``) that the verdict and the checks
+of ``full_report`` (``check_2b``, ``_span_check``) share: the checks fit the
 deduplicated system and report the coefficients or the first missed
 equation as the witness, while the verdict asks only whether it is
 consistent (``_consistent``), so it builds no fraction, fit or witness.
@@ -543,18 +543,6 @@ def _span_check(letters, triples, span_family: str, target_family: str) -> Relat
     coeffs = {word_label(span_family, w): v
               for w, v in zip(triple_words(directed), solution) if v != 0}
     return RelationCheck(True, coefficients=coeffs)
-
-
-def check_3a(obj) -> RelationCheck:
-    """Relation 3a: S[P,P,P] in the rational span of the D family."""
-    rows, directed = _generator(obj)
-    return _span_check(_letter_rows(rows, directed), _representative_triples(rows), "D", "S")
-
-
-def check_3b(obj) -> RelationCheck:
-    """Relation 3b: D[P,P,P] in the rational span of the S family."""
-    rows, directed = _generator(obj)
-    return _span_check(_letter_rows(rows, directed), _representative_triples(rows), "S", "D")
 
 
 def dim_v3(obj) -> int:

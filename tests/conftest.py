@@ -11,8 +11,9 @@ from spinweb.census import _BLOCK, pair_positions
 from spinweb.graph6 import parse_graph6
 from spinweb.graphs import Graph, Tournament, complement
 from spinweb.linalg import is_consistent
-from spinweb.statesum import (DIRECTED_ALPHABET, UNDIRECTED_ALPHABET, _generator,
-                              _letter_rows)
+from spinweb.statesum import (DIRECTED_ALPHABET, UNDIRECTED_ALPHABET, RelationCheck,
+                              _generator, _letter_rows, _representative_triples,
+                              _span_check)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -40,6 +41,10 @@ def edge_count(g: Graph) -> int:
 
 def has_arc(t: Tournament, a: int, b: int) -> bool:
     return bool((t.arc[a] >> b) & 1)
+
+
+def out_degree(t: Tournament, a: int) -> int:
+    return t.arc[a].bit_count()
 
 
 def in_degree(t: Tournament, a: int) -> int:
@@ -151,6 +156,20 @@ def partition_identity_holds(obj) -> bool:
         pair_value(letters, "One", u, v) == pair_value(letters, "Delta", u, v)
         + pair_value(letters, "P", u, v) + ((q_rows[u] >> v) & 1)
         for u in range(obj.n) for v in range(obj.n))
+
+
+def check_3a(obj) -> RelationCheck:
+    """Relation 3a alone, as ``full_report`` checks it: S[P,P,P] in the
+    rational span of the D family."""
+    rows, directed = _generator(obj)
+    return _span_check(_letter_rows(rows, directed), _representative_triples(rows), "D", "S")
+
+
+def check_3b(obj) -> RelationCheck:
+    """Relation 3b alone, as ``full_report`` checks it: D[P,P,P] in the
+    rational span of the S family."""
+    rows, directed = _generator(obj)
+    return _span_check(_letter_rows(rows, directed), _representative_triples(rows), "S", "D")
 
 
 def reference_consistent(equations) -> bool:

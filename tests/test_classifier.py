@@ -1,5 +1,8 @@
 import sys
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from spinweb.census import graph_from_index, iter_circulant_tournaments, tournament_from_index
 from spinweb.classifier import (AppliedTo, FamilyKind, Verdict, VerdictCase,
                                 classify_symmetric, classify_tournament,
@@ -7,7 +10,45 @@ from spinweb.classifier import (AppliedTo, FamilyKind, Verdict, VerdictCase,
 from spinweb.graphs import (Graph, circulant_tournament, clebsch, complement,
                             complete, cycle, paley, petersen, union_complete)
 from spinweb.statesum import spin_model_verdict
-from tests.conftest import freeness, in_degree, load_fixture
+from spinweb.regularity import three_point_params
+from tests.conftest import edges, freeness, in_degree, load_fixture, out_degree
+
+# fixed up front, so that every run draws the same examples and writes nothing
+RELABELING = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+NAMED = (cycle(5), paley(9), paley(13), petersen(), clebsch(), complete(4),
+         union_complete(3, 3), complement(union_complete(3, 3)), union_complete(4, 2),
+         load_fixture("schlafli"))
+
+
+def random_regular_graph(n, k, rng):
+    """A k-regular graph on n vertices (n * k even, k < n): a circulant, then
+    degree-preserving swaps of two edges ab, cd for ac, bd."""
+    offsets = list(range(1, k // 2 + 1)) + ([n // 2] if k % 2 else [])
+    pairs = sorted({tuple(sorted((v, (v + s) % n))) for v in range(n) for s in offsets})
+    present = set(pairs)
+    for _ in range(n * k if len(pairs) > 1 else 0):
+        i, j = rng.sample(range(len(pairs)), 2)
+        (a, b), (c, d) = pairs[i], pairs[j]
+        ac, bd = tuple(sorted((a, c))), tuple(sorted((b, d)))
+        if len({a, b, c, d}) == 4 and ac not in present and bd not in present:
+            present -= {pairs[i], pairs[j]}
+            present |= {ac, bd}
+            pairs[i], pairs[j] = ac, bd
+    return Graph.from_edges(n, pairs)
+
+
+@st.composite
+def regular_graphs(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.sampled_from([k for k in range(n) if n * k % 2 == 0]))
+    return random_regular_graph(n, k, draw(st.randoms(use_true_random=False)))
+
+
+@st.composite
+def relabelings(draw):
+    g = draw(st.one_of(st.sampled_from(NAMED), regular_graphs()))
+    perm = draw(st.permutations(range(g.n)))
+    return g, Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in edges(g)])
 
 
 class TestClassifySymmetric:
@@ -172,6 +213,18 @@ class TestClassifySymmetric:
         assert checked > 0  # K_{3,3} shows up at n = 6
 
 
+class TestRelabelingInvariance:
+    @RELABELING
+    @given(relabelings())
+    def test_verdict_and_three_point_params(self, pair):
+        g, h = pair
+        assert all(row.bit_count() == g.adj[0].bit_count() for row in g.adj)
+        v, w = classify_symmetric(g), classify_symmetric(h)
+        assert ((w.is_spin_model, w.case, w.applied_to, w.family, w.q_value)
+                == (v.is_spin_model, v.case, v.applied_to, v.family, v.q_value))
+        assert three_point_params(h) == three_point_params(g)
+
+
 class TestFamilyOf:
     def test_2k2(self):
         fam = classify_symmetric(union_complete(2, 2)).family
@@ -232,8 +285,8 @@ class TestTournaments:
     def test_is_regular_tournament_matches_two_sided_degree_scan(self):
         # the out-degrees alone decide: constant out-degrees force the in-degrees
         def two_sided(t):
-            k = t.out_degree(0)
-            if all(t.out_degree(a) == k and in_degree(t, a) == k for a in range(t.n)):
+            k = out_degree(t, 0)
+            if all(out_degree(t, a) == k and in_degree(t, a) == k for a in range(t.n)):
                 return k
             return None
 

@@ -7,7 +7,7 @@ from spinweb.graphs import (BadOrder, Graph, Tournament, circulant_tournament,
                             clebsch, complement, complete, cycle, matrix_stride,
                             paley, petersen, transpose_rows, union_complete)
 from tests.conftest import (connected_components, edge_count, edges, has_arc, has_edge,
-                            in_degree)
+                            in_degree, out_degree)
 
 
 def isomorphic(g: Graph, h: Graph) -> bool:
@@ -272,7 +272,7 @@ class TestTournamentType:
 
     def test_degrees(self):
         t = circulant_tournament(5, {1, 2})
-        assert all(t.out_degree(a) == 2 and in_degree(t, a) == 2 for a in range(5))
+        assert all(out_degree(t, a) == 2 and in_degree(t, a) == 2 for a in range(5))
 
 
 class TestConnectivity:

@@ -2,6 +2,7 @@ import random
 import sys
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from spinweb.census import graph_from_index, iter_all_regular_labeled_graphs
@@ -10,8 +11,8 @@ from spinweb.classifier import (AppliedTo, Family, FamilyKind, VerdictCase,
 from spinweb.graphs import (Graph, clebsch, complement, complete, cycle, paley,
                             petersen, union_complete)
 from spinweb.regularity import (ThreePointParams, VacuousParameter,
-                                complement_three_point_params, q_condition,
-                                regularity, srg_params, three_point_params)
+                                complement_srg_params, complement_three_point_params,
+                                q_condition, regularity, srg_params, three_point_params)
 from tests.conftest import connected_components, edges, freeness, load_fixture
 
 # the package attribute spinweb.regularity is a function: patch the module
@@ -34,6 +35,22 @@ def reference_counts(g):
         elif counts[edges] != common:
             return None
     return counts
+
+
+def counts_by_type(g):
+    """The program's triple scan alone, with k the largest degree."""
+    return regularity_module._common_counts_by_type(g, max(g.degrees()))
+
+
+def random_graph(n, rng):
+    density = rng.random()
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
+                                if rng.random() < density])
+
+
+def cliques(n, *blocks):
+    """n vertices with a clique on each block and no other edge."""
+    return Graph.from_edges(n, [pair for block in blocks for pair in combinations(block, 2)])
 
 
 def reference_three_point_params(g):
@@ -187,17 +204,27 @@ class TestThreePointParams:
                     assert srg_params(g) is not None
 
     def test_complement_derived_by_inclusion_exclusion(self):
-        # values, vacuity flags and srg parameters equal a scan of the complement
-        graphs = [g for n in range(1, 8) for g in iter_all_regular_labeled_graphs(n)]
+        # srg parameters, and 3-point values and vacuity flags, derived for
+        # the complement equal a scan of the complement, on all 47 067
+        # regular labeled graphs with n <= 8 and on the named graphs
+        graphs = [g for n in range(1, 9) for g in iter_all_regular_labeled_graphs(n)]
+        assert len(graphs) == 47067
         graphs += [paley(9), paley(13), paley(17), clebsch(), petersen(),
                    load_fixture("schlafli"), load_fixture("higman_sims")]
-        checked = 0
+        srgs = three_point = 0
         for g in graphs:
-            p = three_point_params(g)
-            if p is not None:
-                assert complement_three_point_params(p) == three_point_params(complement(g))
-                checked += 1
-        assert checked == 85
+            p = srg_params(g)
+            if p is None:
+                continue
+            assert complement_srg_params(p) == srg_params(complement(g))
+            srgs += 1
+            q = three_point_params(g)
+            if q is not None:
+                assert complement_three_point_params(q) == three_point_params(complement(g))
+                three_point += 1
+        # the 363 srgs with n <= 8 are all 3-point regular; of the named
+        # graphs Paley(13), Paley(17) and Petersen are not
+        assert (srgs, three_point) == (363 + 7, 363 + 4)
 
 
 class TestThreePointKernel:
@@ -222,54 +249,89 @@ class TestThreePointKernel:
             assert p.q_vector() == (0, 0, 0, 0)
             assert p.q3_vacuous and p.q2_vacuous and p.q1_vacuous and p.q0_vacuous
 
-    @pytest.mark.parametrize("slab", [1, 7, 100, 1 << 12])
-    def test_slab_sizes_match_reference(self, monkeypatch, slab):
-        # slab 1: one pair per slab, and slabs narrower than a row of cells
-        monkeypatch.setattr(regularity_module, "_SLAB", slab)
-        rng = random.Random(slab)
+    @pytest.mark.parametrize("bound", [1, 7, 100, 1 << 12])
+    def test_slab_sizes_match_reference(self, monkeypatch, bound):
+        # _LOOP_MAX_N is the largest order the plain loop scans as one slab
+        # of triples; larger graphs are cut into one rectangle per middle
+        # vertex.  At 1 every graph of two or more vertices takes the
+        # rectangles, at 7 the corpus splits between the two paths, and at
+        # 100 and 4096 all of it takes the loop
+        monkeypatch.setattr(regularity_module, "_LOOP_MAX_N", bound)
+        rng = random.Random(bound)
         for g in small_srg_corpus():
             subject = relabel(g, rng)
             assert three_point_params(subject) == reference_three_point_params(subject)
-        # the kernel alone, on any graph, with k its largest degree: about a
-        # quarter pass the triples through vertex 0 and differ in a slab
+        # the scan alone, on any graph, with k its largest degree
         graphs = [graph_from_index(n, index) for n in range(1, 6)
                   for index in range(1 << (n * (n - 1) // 2))]
-        for _ in range(300):
-            n, density = rng.randint(6, 14), rng.random()
-            graphs.append(Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
-                                               if rng.random() < density]))
+        graphs += [random_graph(rng.randint(6, 14), rng) for _ in range(300)]
         for g in graphs:
-            assert regularity_module._common_counts_by_type(g, max(g.degrees())) == \
-                reference_counts(g)
+            assert counts_by_type(g) == reference_counts(g)
 
-    def test_stops_after_the_first_slab_showing_two_values(self, monkeypatch):
-        monkeypatch.setattr(regularity_module, "_SLAB", 8)
-        slabs = regularity_module._pair_slabs
-        taken = []
+    def test_order_boundary(self, monkeypatch):
+        # n = _LOOP_MAX_N is the last order the loop takes, and the next one
+        # the first that the rectangles take
+        bound = regularity_module._LOOP_MAX_N
+        packed = []
+        pack_rows = regularity_module.pack_rows
+        monkeypatch.setattr(regularity_module, "pack_rows",
+                            lambda rows, n: packed.append(n) or pack_rows(rows, n))
+        rng = random.Random(bound)
+        for n in (bound, bound + 1):
+            graphs = [random_graph(n, rng) for _ in range(20)]
+            graphs += [union_complete(m, n // m) for m in range(2, n) if n % m == 0]
+            graphs += [complement(g) for g in graphs]
+            for g in graphs:
+                subject = relabel(g, rng)
+                assert counts_by_type(subject) == reference_counts(subject)
+            assert packed == ([n] * len(graphs) if n > bound else [])
+            packed.clear()
 
-        def counted(n):
-            for slab in slabs(n):
-                taken.append(slab)
-                yield slab
+    @pytest.mark.parametrize("n", [7, 30, 63, 70])
+    def test_first_and_last_rectangle(self, monkeypatch, n):
+        # a triple with a < b < c is a cell of the rectangle of b only; each
+        # graph below changes its result if the first (b = 1) or the last
+        # (b = n - 2) rectangle is left out
+        monkeypatch.setattr(regularity_module, "_LOOP_MAX_N", 0)
+        lone_first = cliques(n, (0, 1, n - 1))            # T = 0 on the one triangle
+        lone_last = cliques(n, (0, n - 2, n - 1))
+        k4_then_k3 = cliques(n, (0, 1, 2, 3), (n - 3, n - 2, n - 1))   # T = 1 and 0
+        k3_then_k4 = cliques(n, (0, 1, n - 1), (2, 3, 4, 5))
+        for g in (lone_first, lone_last):
+            assert counts_by_type(g) == reference_counts(g) == [0, 0, None, 0]
+        for g in (k4_then_k3, k3_then_k4):
+            assert counts_by_type(g) is None and reference_counts(g) is None
 
-        monkeypatch.setattr(regularity_module, "_pair_slabs", counted)
-        # K4 + K3 + K4: a triangle of a K4 has one common neighbor, the K3 has
-        # none, and the triples through vertex 0 meet only the former; the
-        # K3 is first a cell of the slab holding the pair (4, 5)
-        g = Graph.from_edges(11, [pair for block in ((0, 1, 2, 3), (4, 5, 6), (7, 8, 9, 10))
-                                  for pair in combinations(block, 2)])
-        assert regularity_module._common_counts_by_type(g, 3) is None
-        holding = next(i for i, (_, pieces, _) in enumerate(slabs(11))
-                       if any(b == 5 and a0 <= 4 < a0 + take for b, a0, take in pieces))
-        assert len(taken) == holding + 1 < sum(1 for _ in slabs(11))
-        # these already show two values among the triples through vertex 0
-        for g in (petersen(), paley(13), paley(17)):
-            taken.clear()
-            assert three_point_params(g) is None and taken == []
+    def test_rows_longer_than_one_word(self):
+        # 63..70 vertices: two packed words of 62 bits a row, on both paths
+        rng = random.Random(62)
+        graphs = [random_graph(rng.randint(63, 70), rng) for _ in range(20)]
+        graphs += [union_complete(9, 7), union_complete(5, 13), union_complete(2, 35)]
+        graphs += [relabel(complement(g), rng) for g in graphs[-3:]]
+        for g in graphs:
+            expected = reference_counts(g)
+            assert counts_by_type(g) == expected
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(regularity_module, "_LOOP_MAX_N", 1 << 30)
+                assert counts_by_type(g) == expected
+        assert sum(reference_counts(g) is not None for g in graphs) >= 6
+
+    def test_stops_after_the_first_rectangle_showing_two_values(self, monkeypatch):
+        monkeypatch.setattr(regularity_module, "_LOOP_MAX_N", 0)
+        rectangles = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount",
+                            lambda *args, **kwargs: rectangles.append(1) or bincount(*args, **kwargs))
+        # K4 + K3 + K4: a triangle of a K4 has one common neighbor, the K3
+        # has none; the K3 is the cell (4, 6) of the rectangle of b = 5
+        g = cliques(11, (0, 1, 2, 3), (4, 5, 6), (7, 8, 9, 10))
+        assert counts_by_type(g) is None
+        assert len(rectangles) == 5 < 11 - 2
+        # a 3-point regular graph is scanned to its last rectangle
         for g in (clebsch(), paley(9)):
-            taken.clear()
+            rectangles.clear()
             assert three_point_params(g) is not None
-            assert len(taken) == sum(1 for _ in slabs(g.n)) > 1
+            assert len(rectangles) == g.n - 2
 
 
 class TestFreeness:

@@ -11,10 +11,11 @@ from spinweb.graphs import (Graph, Tournament, circulant_tournament, clebsch, co
                             complete, cycle, paley, petersen, union_complete)
 from spinweb.regularity import srg_params, three_point_params
 from spinweb.statesum import (ZeroGenerator, _d_row, _representative_triples, _s_row,
-                              check_1b, check_2b, check_3a, check_3b, dim_v3,
-                              full_report, spin_model_verdict, triple_words)
-from tests.conftest import (d_value, has_edge, letter_rows, load_fixture,
-                            partition_identity_holds, reference_consistent, s_value)
+                              check_1b, check_2b, dim_v3, full_report,
+                              spin_model_verdict, triple_words)
+from tests.conftest import (check_3a, check_3b, d_value, has_edge, letter_rows,
+                            load_fixture, partition_identity_holds,
+                            reference_consistent, s_value)
 
 
 def path3():
