@@ -321,13 +321,15 @@ def pack_rows(rows, n: int) -> list[np.ndarray]:
                         dtype=np.int64, count=n) for shift in range(0, n, WORD_BITS)]
 
 
-def window(array: np.ndarray, start: int, shape) -> np.ndarray:
+def window(array: np.ndarray, start: int, shape, pitch: int | None = None) -> np.ndarray:
     """Elements of a flat array from ``start``, as a writable view of ``shape``.
 
     ``shape`` is a count, or (rows, width) for that many rows of the
-    elements that follow.
+    elements that follow; with a ``pitch``, row i starts ``pitch`` * i
+    elements after ``start`` instead of right after row i - 1.
     """
-    return np.ndarray(shape, array.dtype, array, start * array.itemsize)
+    strides = None if pitch is None else (pitch * array.itemsize, array.itemsize)
+    return np.ndarray(shape, array.dtype, array, start * array.itemsize, strides)
 
 
 def fill_rows(tile: np.ndarray, rows: np.ndarray, n: int, height: int) -> None:

@@ -45,7 +45,16 @@ histogram of its keys when the key space is at most two slabs' cells, as
 on the large strongly regular graphs; tiny graphs and wide key spaces keep
 a Python set, since a histogram there costs more to build and clear than
 the slab it tests.  Either way a slab's new profiles are counted first, so
-its cell-by-cell scan stops at the last of them.
+its cell-by-cell scan stops at the last of them.  Where a first vertex
+spans several slabs (n^2 > 4096) and vertex 0's row holds every pair id,
+as on every vertex-transitive graph, the kernel works in two exact
+phases.  Phase 1 counts the profiles: it keys only the cells whose first
+vertex is their smallest, about n^3 / 3 of them, and closes the keys found
+under the six orders of a triple.  Every cell is a reordering of such a
+cell, and a reordering maps a profile to a profile through the pair-id
+swap id(u, v) -> id(v, u), so the closure is every profile there is.
+Phase 2 is the slab walk, which stops as soon as it has met that many
+profiles: on a vertex-transitive graph, within vertex 0's slabs.
 
 The row of a representative triple is built in one step over the bit
 rows of the alphabet (``_d_row``, ``_s_row``): a D row is the product of
@@ -388,9 +397,33 @@ def _representative_triples(rows: tuple[int, ...]) -> list[tuple[int, int, int]]
     slab, the first one of a vertex-transitive graph already shows every
     profile, so the scan rarely passes it.
 
+    Where a first vertex spans several slabs (band < n), the walk would
+    still key all n^3 cells to learn that none holds a new profile, so
+    the profiles are counted first and the walk returns at the last one.
+    Phase 1 keys the cells (a, b, c) with b, c >= a, one rectangle of
+    the n - a columns c >= a per first vertex a, cut into bands of b rows
+    where it exceeds a slab: the c and (a, c) tiles are refilled with the
+    columns from a, and the bc ids are a window of the pair-id table with
+    a pitch of n.  Its keys are collected in the histogram (counted down
+    from -1 in the mask, which is then reset) or in the set of the
+    presence path chosen once per call.  Their closure under the six
+    orders of a triple (``_closed_profile_count``) is exact: every cell is
+    a reordering of one whose first vertex is its smallest, and reordering
+    (a, b, c) permutes the pairs ab, ac, bc and reverses some, whose ids
+    map through ``_reversed_ids``; T does not change.  Phase 2 is the slab
+    walk above, which returns as soon as it holds that many
+    representatives, so its triples and their order are those of the
+    whole walk.  Phase 1 runs only where it can pay: a pair id first met
+    in a row u > 0 puts the walk's last profile (the one of the cell
+    (u, v, v)) in first vertex u or later, so it needs every pair id in
+    vertex 0's row (an irregular graph never has them there); and while
+    a slab holds whole first vertices its n rectangles would cost as
+    many numpy passes as the walk itself.
+
     Every array operation is elementwise on equal shapes, broadcasts a
     column or is ``np.bincount``; rows are laid out by memoryview copies
-    and windows (``graphs.window``).  Indexing an array, ``len()`` of one
+    and windows (``graphs.window``; phase 1's bc ids with a pitch).
+    Indexing an array, ``len()`` of one
     and row broadcasts each run numpy code that nothing else on the
     oracle's path runs, and faulting that code in raised the process's peak
     resident memory by 64 KB per code region, more than the buffers
@@ -417,9 +450,8 @@ def _representative_triples(rows: tuple[int, ...]) -> list[tuple[int, int, int]]
     words = pack_rows(rows, n)
     b_tiles = [np.empty(group * n, dtype=np.int64) for _ in words]   # `group` copies of a word
     c_tiles = [np.empty(size, dtype=np.int64) for _ in words]        # `height` copies of a word
-    for b_tile, c_tile, word in zip(b_tiles, c_tiles, words):
+    for b_tile, word in zip(b_tiles, words):
         fill_rows(b_tile, word, n, group)
-        fill_rows(c_tile, word, n, height)
     if group == 1:
         bc_cells = pid
     else:
@@ -431,12 +463,83 @@ def _representative_triples(rows: tuple[int, ...]) -> list[tuple[int, int, int]]
     low = np.empty(size, dtype=np.int64)
     high = low if one_word else np.empty(size, dtype=np.int64)
     spare = low if len(words) == 1 else np.empty(size, dtype=np.int64)   # a later word's T
+    seen: set = set()
+    if histogram:
+        unseen = np.frombuffer(bytearray(b"\xff") * (8 * bins), dtype=np.int64)  # all -1
+        unseen_cells = memoryview(unseen)
+
+    def group_views(k):
+        """Views of the per-group buffers for k first vertices."""
+        return ([window(b_tile, 0, (k, n)) for b_tile in b_tiles],
+                [window(meet, 0, (k, n)) for meet in meets],
+                window(ab_rows, 0, k * n), window(ac_rows, 0, k * n))
+
+    def pair_terms(a0, k, views):
+        """P_a & P_b and the (a, b) and (a, c) key terms of the k first vertices from a0."""
+        b_parts, meet_parts, ab_out, ac_out = views
+        for word, b_part, meet_part in zip(words, b_parts, meet_parts):
+            np.bitwise_and(window(word, a0, (k, 1)), b_part, out=meet_part)
+        pid_a = window(pid, a0 * n, k * n)
+        np.multiply(pid_a, scale_ab, out=ab_out, dtype=np.int64)
+        np.multiply(pid_a, scale_ac, out=ac_out, dtype=np.int64)
+
+    def slab_keys(meet_cols, bits_c, bc, ab, ac, lo, hi, tmp):
+        """The profile keys of a slab's cells, packed into ``lo`` (and ``hi``)."""
+        for w, (meet_col, bits) in enumerate(zip(meet_cols, bits_c)):
+            part = tmp if w else lo                 # T of word w, counted in place
+            np.bitwise_and(meet_col, bits, out=part)
+            np.bitwise_count(part, out=part)
+            if w:
+                lo += tmp
+        lo *= n_ids
+        lo += bc
+        if one_word:
+            lo += ac
+            lo += ab
+            return (lo,)
+        np.add(ac, ab, out=hi)
+        return hi, lo
+
+    def profile_count(reversed_ids):
+        """Phase 1: the number of profiles among all n^3 cells."""
+        lead = group_views(1)
+        for a in range(n):
+            width = n - a                          # the cells with b, c >= a
+            tall = min(width, size // width)       # b rows of a rectangle
+            pair_terms(a, 1, lead)
+            fill_rows(ac_tile, window(ac_rows, a, width), width, tall)
+            for c_tile, word in zip(c_tiles, words):
+                fill_rows(c_tile, window(word, a, width), width, tall)
+            for b0 in range(a, n, tall):
+                m = min(tall, n - b0)
+                if b0 == a or m < tall:            # views of a new rectangle shape
+                    shape = (m, width)
+                    bits_c = [window(c_tile, 0, shape) for c_tile in c_tiles]
+                    ac, lo, hi, tmp = (window(buffer, 0, shape)
+                                       for buffer in (ac_tile, low, high, spare))
+                    flat = window(low, 0, m * width)
+                key = slab_keys([window(meet, b0, (m, 1)) for meet in meets], bits_c,
+                                window(pid, b0 * n + a, shape, n), window(ab_rows, b0, (m, 1)),
+                                ac, lo, hi, tmp)
+                if histogram:          # unseen counts down from -1 at each key met
+                    np.subtract(unseen, np.bincount(flat, minlength=bins), out=unseen)
+                else:
+                    seen.update(_cells(key))
+        if histogram:
+            keys = [cell for cell, mark in enumerate(unseen_cells) if mark != -1]
+            unseen_cells.cast("B")[:] = b"\xff" * (8 * bins)
+        else:
+            keys = list(seen)
+            seen.clear()
+        return _closed_profile_count(keys, reversed_ids, n_ids, n + 1, one_word)
+
+    reversed_ids = _reversed_ids(pid, n, n_ids) if band < n else None
+    total = None if reversed_ids is None else profile_count(reversed_ids)   # None: no stop
+    for c_tile, word in zip(c_tiles, words):
+        fill_rows(c_tile, word, n, height)
 
     def layout(k):
         """Views of the buffers for a group of k first vertices and for its slabs."""
-        group_views = ([window(b_tile, 0, (k, n)) for b_tile in b_tiles],
-                       [window(meet, 0, (k, n)) for meet in meets],
-                       window(ab_rows, 0, k * n), window(ac_rows, 0, k * n))
         slab_views = []
         for b0 in range(0, n, band):
             m = k * min(band, n - b0)              # (a, b) rows of the slab
@@ -444,42 +547,20 @@ def _representative_triples(rows: tuple[int, ...]) -> list[tuple[int, int, int]]
                                [window(c_tile, 0, (m, n)) for c_tile in c_tiles],
                                window(bc_cells, b0 * n, (m, n)), window(ab_rows, b0, (m, 1)),
                                window(ac_tile, 0, (m, n)), window(low, 0, (m, n)),
-                               window(low, 0, m * n), window(high, 0, (m, n)),
-                               window(spare, 0, (m, n))))
-        return group_views, slab_views
+                               window(high, 0, (m, n)), window(spare, 0, (m, n)),
+                               window(low, 0, m * n)))
+        return group_views(k), slab_views
 
     layouts = {k: layout(k) for k in {group, n % group or group}}
-    seen: set = set()
     reps: list[tuple[int, int, int]] = []
-    if histogram:
-        unseen = np.frombuffer(bytearray(b"\xff") * (8 * bins), dtype=np.int64)  # all -1
-        unseen_cells = memoryview(unseen)
     for a0 in range(0, n, group):
         k = min(group, n - a0)
-        (b_parts, meet_parts, ab_out, ac_out), slabs = layouts[k]
-        for word, b_part, meet_part in zip(words, b_parts, meet_parts):
-            np.bitwise_and(window(word, a0, (k, 1)), b_part, out=meet_part)
-        pid_a = window(pid, a0 * n, k * n)
-        np.multiply(pid_a, scale_ab, out=ab_out, dtype=np.int64)
-        np.multiply(pid_a, scale_ac, out=ac_out, dtype=np.int64)
-        fill_rows(ac_tile, ac_out, n, band)
+        group_view, slabs = layouts[k]
+        pair_terms(a0, k, group_view)
+        fill_rows(ac_tile, group_view[-1], n, band)     # `band` copies of the (a, c) terms
         first = a0 * n * n
-        for offset, meet_cols, bits_c, bc, ab, ac, lo, flat, hi, tmp in slabs:
-            for w, (meet_col, bits) in enumerate(zip(meet_cols, bits_c)):
-                part = tmp if w else lo                 # T of word w, counted in place
-                np.bitwise_and(meet_col, bits, out=part)
-                np.bitwise_count(part, out=part)
-                if w:
-                    lo += tmp
-            lo *= n_ids
-            lo += bc
-            if one_word:
-                lo += ac
-                lo += ab
-                key = (lo,)
-            else:
-                np.add(ac, ab, out=hi)
-                key = (hi, lo)
+        for offset, *slab, flat in slabs:
+            key = slab_keys(*slab)
             start = first + offset
             if histogram:
                 hits = np.bincount(flat, minlength=bins)
@@ -502,7 +583,46 @@ def _representative_triples(rows: tuple[int, ...]) -> list[tuple[int, int, int]]
                         reps.append(_cell_triple(start + i, n))
                         if not new_keys:
                             break
+            if len(reps) == total:
+                return reps
     return reps
+
+
+def _reversed_ids(pid: np.ndarray, n: int, n_ids: int) -> list[int] | None:
+    """The id of (v, u) for each pair id of (u, v), or None if vertex 0's row lacks an id.
+
+    A pair id fixes the pair class, both out-degrees and |P_u & P_v|, and
+    so the id of the reversed pair, read here at the id's first cell (0, v).
+    """
+    row = memoryview(pid)[:n].tolist()
+    if n_ids - 1 not in row:        # ids are numbered in order of first appearance
+        return None
+    cells = memoryview(pid)
+    return [cells[row.index(i) * n] for i in range(n_ids)]
+
+
+def _closed_profile_count(keys, reversed_ids: list[int], n_ids: int, t_radix: int,
+                          one_word: bool) -> int:
+    """The number of profiles reached from ``keys`` by the six orders of a triple.
+
+    A key packs the pair ids ab, ac, bc of (a, b, c) and T (below
+    ``t_radix``), as one word ((ab * I + ac) * t_radix + T) * I + bc or as
+    the two words (ab * I + ac, T * I + bc).  Reordering the triple
+    permutes its three pairs and reverses some (``reversed_ids``); T stays.
+    """
+    closed = set()
+    for key in keys:
+        if one_word:
+            rest, bc = divmod(key, n_ids)
+            rest, t = divmod(rest, t_radix)
+            ab, ac = divmod(rest, n_ids)
+        else:
+            (ab, ac), (t, bc) = divmod(key[0], n_ids), divmod(key[1], n_ids)
+        ba, ca, cb = reversed_ids[ab], reversed_ids[ac], reversed_ids[bc]
+        # (a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)
+        closed.update(((ab, ac, bc, t), (ac, ab, cb, t), (ba, bc, ac, t), (bc, ba, ca, t),
+                       (ca, cb, ab, t), (cb, ca, ba, t)))
+    return len(closed)
 
 
 def _cell_triple(cell: int, n: int) -> tuple[int, int, int]:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from spinweb.census import _BLOCK, pair_positions
 from spinweb.graph6 import parse_graph6
@@ -72,6 +73,30 @@ def connected_components(g: Graph) -> list[list[int]]:
         comps.append([v for v in range(g.n) if (seen >> v) & 1])
         remaining &= ~seen
     return comps
+
+
+def random_regular_graph(n, k, rng):
+    """A k-regular graph on n vertices (n * k even, k < n): a circulant, then
+    degree-preserving swaps of two edges ab, cd for ac, bd."""
+    offsets = list(range(1, k // 2 + 1)) + ([n // 2] if k % 2 else [])
+    pairs = sorted({tuple(sorted((v, (v + s) % n))) for v in range(n) for s in offsets})
+    present = set(pairs)
+    for _ in range(n * k if len(pairs) > 1 else 0):
+        i, j = rng.sample(range(len(pairs)), 2)
+        (a, b), (c, d) = pairs[i], pairs[j]
+        ac, bd = tuple(sorted((a, c))), tuple(sorted((b, d)))
+        if len({a, b, c, d}) == 4 and ac not in present and bd not in present:
+            present -= {pairs[i], pairs[j]}
+            present |= {ac, bd}
+            pairs[i], pairs[j] = ac, bd
+    return Graph.from_edges(n, pairs)
+
+
+@st.composite
+def regular_graphs(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.sampled_from([k for k in range(n) if n * k % 2 == 0]))
+    return random_regular_graph(n, k, draw(st.randoms(use_true_random=False)))
 
 
 class TripleType(enum.Enum):

@@ -11,37 +11,14 @@ from spinweb.graphs import (Graph, circulant_tournament, clebsch, complement,
                             complete, cycle, paley, petersen, union_complete)
 from spinweb.statesum import spin_model_verdict
 from spinweb.regularity import three_point_params
-from tests.conftest import edges, freeness, in_degree, load_fixture, out_degree
+from tests.conftest import (edges, freeness, in_degree, load_fixture, out_degree,
+                            regular_graphs)
 
 # fixed up front, so that every run draws the same examples and writes nothing
 RELABELING = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 NAMED = (cycle(5), paley(9), paley(13), petersen(), clebsch(), complete(4),
          union_complete(3, 3), complement(union_complete(3, 3)), union_complete(4, 2),
          load_fixture("schlafli"))
-
-
-def random_regular_graph(n, k, rng):
-    """A k-regular graph on n vertices (n * k even, k < n): a circulant, then
-    degree-preserving swaps of two edges ab, cd for ac, bd."""
-    offsets = list(range(1, k // 2 + 1)) + ([n // 2] if k % 2 else [])
-    pairs = sorted({tuple(sorted((v, (v + s) % n))) for v in range(n) for s in offsets})
-    present = set(pairs)
-    for _ in range(n * k if len(pairs) > 1 else 0):
-        i, j = rng.sample(range(len(pairs)), 2)
-        (a, b), (c, d) = pairs[i], pairs[j]
-        ac, bd = tuple(sorted((a, c))), tuple(sorted((b, d)))
-        if len({a, b, c, d}) == 4 and ac not in present and bd not in present:
-            present -= {pairs[i], pairs[j]}
-            present |= {ac, bd}
-            pairs[i], pairs[j] = ac, bd
-    return Graph.from_edges(n, pairs)
-
-
-@st.composite
-def regular_graphs(draw):
-    n = draw(st.integers(1, 12))
-    k = draw(st.sampled_from([k for k in range(n) if n * k % 2 == 0]))
-    return random_regular_graph(n, k, draw(st.randoms(use_true_random=False)))
 
 
 @st.composite

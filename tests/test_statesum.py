@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinweb import statesum
 from spinweb.census import (graph_from_index, iter_all_regular_labeled_graphs,
-                            iter_circulant_tournaments, tournament_from_index)
+                            iter_circulant_tournaments, iter_regular_labeled_graphs,
+                            tournament_from_index)
 from spinweb.graphs import (Graph, Tournament, circulant_tournament, clebsch, complement,
                             complete, cycle, paley, petersen, union_complete)
 from spinweb.regularity import srg_params, three_point_params
@@ -15,7 +18,7 @@ from spinweb.statesum import (ZeroGenerator, _d_row, _representative_triples, _s
                               spin_model_verdict, triple_words)
 from tests.conftest import (check_3a, check_3b, d_value, has_edge, letter_rows,
                             load_fixture, partition_identity_holds,
-                            reference_consistent, s_value)
+                            reference_consistent, regular_graphs, s_value)
 
 
 def path3():
@@ -545,6 +548,11 @@ def cached_reference_triples(subject) -> list[tuple[int, int, int]]:
 def relabel(obj, rng):
     perm = list(range(obj.n))
     rng.shuffle(perm)
+    return permuted(obj, perm)
+
+
+def permuted(obj, perm):
+    """The Graph or Tournament with vertex u renamed perm[u]."""
     rows = [0] * obj.n
     for u, row in enumerate(obj.adj if isinstance(obj, Graph) else obj.arc):
         for v in range(obj.n):
@@ -608,6 +616,26 @@ def slab_boundary_corpus():
                                    if rng.random() < 0.5])
         yield (circulant_tournament(n, range(1, n // 2 + 1)) if n % 2
                else tournament_from_index(n, rng.getrandbits(n * (n - 1) // 2)))
+
+
+def two_phase_corpus():
+    """The kernel corpus and sampled regular labeled graphs on 8-10 vertices."""
+    yield from triple_kernel_corpus()
+    for n, k in ((8, 3), (9, 4), (10, 3), (10, 4)):
+        yield from islice(iter_regular_labeled_graphs(n, k), 0, 2000, 80)
+
+
+def record_counts(monkeypatch) -> list[int]:
+    """Record each profile count the triple kernel's first phase returns."""
+    counts = []
+    count = statesum._closed_profile_count
+
+    def spy(*args):
+        counts.append(count(*args))
+        return counts[-1]
+
+    monkeypatch.setattr("spinweb.statesum._closed_profile_count", spy)
+    return counts
 
 
 class TestRepresentativeTriples:
@@ -674,6 +702,31 @@ class TestRepresentativeTriples:
                     reference_representative_triples(t)
             assert taken and not any(hist for _, hist in taken)
 
+    @pytest.mark.parametrize("keys", ["histogram", "set", "two-word"])
+    def test_two_phase_walk_matches_reference(self, monkeypatch, keys):
+        # 36-cell slabs split the first vertices of every n >= 7 into bands, so
+        # each such input whose vertex 0 row holds every pair id counts its
+        # profiles first and stops its walk at the last one
+        monkeypatch.setattr("spinweb.statesum._SLAB", 36)
+        if keys == "two-word":
+            monkeypatch.setattr("spinweb.statesum._KEY_BITS", 0)
+        path = "set" if keys == "set" else "histogram"    # two-word keys take the set anyway
+        taken = record_presence(monkeypatch, PRESENCE_PATHS[path])
+        counts = record_counts(monkeypatch)
+        rng = random.Random(32)         # the relabelings of the corpus tests
+        calls = 0
+        for obj in two_phase_corpus():
+            for subject in (obj, relabel(obj, rng)):
+                counted = len(counts)
+                got = _representative_triples(p_rows(subject))
+                assert got == cached_reference_triples(subject)
+                if len(counts) > counted:
+                    assert counts[-1] == len(got)
+                calls += 1
+        assert calls == len(taken) == 2 * (320 + 75 + 40 + 24 + 2 + 100)
+        assert len(counts) == 112
+        assert sum(hist for _, hist in taken) == (906 if keys == "histogram" else 0)
+
     def test_slabs_smaller_than_a_row(self, monkeypatch):
         # n > _SLAB: one b row per slab
         monkeypatch.setattr("spinweb.statesum._SLAB", 4)
@@ -706,3 +759,39 @@ class TestComplementInvariance:
         h = complement(g)
         assert full_report(h).is_spin_model == full_report(g).is_spin_model
         assert dim_v3(h) == dim_v3(g)
+
+
+def oracle_invariants(g):
+    """full_report's four truth values, its 1b and 2b coefficients, and dim V3."""
+    report = full_report(g)
+    try:
+        dim = dim_v3(g)
+    except ZeroGenerator:
+        dim = None
+    return report.booleans(), report.r1b.coefficients, report.r2b.coefficients, dim
+
+
+@st.composite
+def oracle_relabelings(draw):
+    names = sorted(set(NAMED_GRAPHS) - {"Higman-Sims"})
+    g = draw(st.one_of(regular_graphs(), st.sampled_from(names).map(
+        lambda name: NAMED_GRAPHS[name]())))
+    return g, permuted(g, draw(st.permutations(range(g.n))))
+
+
+class TestRelabelingInvariance:
+    """The oracle's answers do not depend on the vertex labeling.
+
+    Checked on the oracle alone, against itself: no classifier or
+    regularity function is called.
+    """
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(oracle_relabelings())
+    def test_regular_and_named_graphs(self, pair):
+        g, h = pair
+        assert oracle_invariants(h) == oracle_invariants(g)
+
+    def test_higman_sims(self):
+        g = load_fixture("higman_sims")
+        assert oracle_invariants(relabel(g, random.Random(36))) == oracle_invariants(g)
