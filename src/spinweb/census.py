@@ -1,13 +1,22 @@
 """Exhaustive labeled-graph censuses and graph6 stream scanning.
 
 Every census source (the built-in graph enumeration, a graph6 stream and
-the tournament census) hands its objects to one compare step, which runs
-the closed-form classifier and the state-sum oracle on each, compares
-their answers and records the outcome.  The sources differ only in how
-they produce objects, what they pre-filter and which objects they list.
-A listed object (a ``Hit``) gets the oracle's full report, whose verdict
-is the oracle's answer; every other object, a stream line that is not
-listed included, gets only the oracle's yes/no verdict.
+the tournament census) only builds a list of tasks; one driver
+(``_run_tasks``) runs them, in this process or in a pool of worker
+processes, and merges their results in task order.  Each task hands its
+objects to one compare step, which runs the closed-form classifier and
+the state-sum oracle on each, compares their answers and records the
+outcome.  The sources differ only in how they produce objects, what they
+pre-filter and which objects they list.  A listed object (a ``Hit``) gets
+the oracle's full report, whose verdict is the oracle's answer; every
+other object, a stream line that is not listed included, gets only the
+oracle's yes/no verdict.
+
+Every source stops at its first disagreement, in every mode: the compare
+step returns there, the driver merges no later task and cancels the pool
+tasks not yet started, and in ``assert_equivalence`` mode it raises
+``CounterexampleFound``.  ``graphs_seen`` then counts the objects up to
+and including the disagreeing one, and no object after it is listed.
 
 The built-in census enumerates every labeled graph on 1..max_n vertices
 (max_n <= 8; 2^28 graphs at n = 8 is the accepted ceiling).  A numpy degree
@@ -23,12 +32,11 @@ of the index, so results do not depend on the worker count or the block
 size.  A task is one block of at most 2^16 indices of one n: n <= 7
 makes 38 tasks, 32 of them the n = 7 blocks of a few hundredths of a
 second each, so a pool's workers finish within one small block of each
-other and each worker's numpy pre-filter arrays stay small.  Blocks are
-merged in task order; the first disagreement in enumeration order stops
-the census and cancels the blocks not yet started.
+other and each worker's numpy pre-filter arrays stay small.
 
-The tournament census enumerates every labeled tournament on up to
-_EXHAUSTIVE_TOURNAMENTS (5) vertices and only the circulant ones on more.
+A graph6 stream is one task, its lines.  The tournament census is one
+task per n: every labeled tournament on up to _EXHAUSTIVE_TOURNAMENTS (5)
+vertices and only the circulant ones on more.
 
 A graph is built from its index one byte at a time: each byte of the
 index selects a precomputed n x n bit matrix of its pairs, packed with one
@@ -37,9 +45,9 @@ are the bytes of the OR of one matrix per index byte.  The ``Graph`` or
 ``Tournament`` made from them is validated like any other, by one packed
 transpose.
 """
-
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 from concurrent.futures import ProcessPoolExecutor
@@ -72,7 +80,7 @@ class CounterexampleFound(RuntimeError):
     def __init__(self, disagreement: "Disagreement"):
         self.disagreement = disagreement
         super().__init__(
-            f"classifier/oracle disagreement on {disagreement.graph6!r} "
+            f"classifier/oracle disagreement on {disagreement.name!r} "
             f"(n={disagreement.n}, index={disagreement.index}): "
             f"classifier={disagreement.classifier}, oracle={disagreement.oracle}")
 
@@ -80,7 +88,7 @@ class CounterexampleFound(RuntimeError):
 @dataclass(frozen=True)
 class CensusConfig:
     max_n: int = 7
-    mode: CensusMode = CensusMode.ASSERT_EQUIVALENCE
+    mode: CensusMode | str = CensusMode.ASSERT_EQUIVALENCE
     workers: int = 1
 
     def __post_init__(self):
@@ -88,24 +96,28 @@ class CensusConfig:
             raise ValueError(f"built-in enumeration supports 1 <= max_n <= {MAX_BUILTIN_N}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if isinstance(self.mode, str):
-            object.__setattr__(self, "mode", CensusMode(self.mode))
 
 
 @dataclass(frozen=True)
-class Hit:
+class _CensusObject:
     n: int
     index: int
     graph6: str
+
+    @property
+    def name(self) -> str:
+        """The graph6 text, else ``n=N#I`` (a tournament has no graph6)."""
+        return self.graph6 or f"n={self.n}#{self.index}"
+
+
+@dataclass(frozen=True)
+class Hit(_CensusObject):
     verdict: Verdict
     report: object
 
 
 @dataclass(frozen=True)
-class Disagreement:
-    n: int
-    index: int
-    graph6: str
+class Disagreement(_CensusObject):
     classifier: bool
     oracle: bool
 
@@ -144,11 +156,12 @@ _LISTED = {CensusMode.LIST_SPIN_MODELS: _lists_spin_models,
            CensusMode.LIST_3PT_REGULAR: _lists_3pt_regular}
 
 
-def _compare(result: CensusResult, items, classify, listed, stop: bool) -> int:
+def _compare(result: CensusResult, items, classify, listed) -> int:
     """Run both routes on each object, compare them and record into result.
 
     ``items`` yields (index, graph6, obj, rejected); a graph6 of None is
-    written from obj when a hit or a disagreement needs it.  ``listed(obj,
+    written from obj when a hit or a disagreement needs it, and one of ""
+    (a tournament's) names the object by n and index.  ``listed(obj,
     verdict)`` (or None: nothing is listed) picks the objects recorded as a
     ``Hit``: only they get the oracle's ``full_report``, whose
     ``is_spin_model`` is the oracle's answer; every other object gets
@@ -156,8 +169,8 @@ def _compare(result: CensusResult, items, classify, listed, stop: bool) -> int:
     the pre-filter has already called "not a spin model": it is counted in
     ``guarded``, not in the case tallies, is never listed, and disagrees
     when either route says "spin model".  The first disagreement is kept in
-    ``result.disagreement``; ``stop`` returns there.  Returns the number of
-    objects taken from items.
+    ``result.disagreement`` and ends the step, unlisted.  Returns the number
+    of objects taken from items.
     """
     seen = 0
     for index, text, obj, rejected in items:
@@ -175,11 +188,9 @@ def _compare(result: CensusResult, items, classify, listed, stop: bool) -> int:
         else:
             oracle = spin_model_verdict(obj)
         if verdict.is_spin_model != oracle or (rejected and oracle):
-            if result.disagreement is None:
-                result.disagreement = Disagreement(
-                    obj.n, index, _graph6_text(text, obj), verdict.is_spin_model, oracle)
-            if stop:
-                return seen
+            result.disagreement = Disagreement(
+                obj.n, index, _graph6_text(text, obj), verdict.is_spin_model, oracle)
+            return seen
         if listing:
             result.hits.append(Hit(obj.n, index, _graph6_text(text, obj), verdict, report))
     return seen
@@ -276,7 +287,7 @@ def _census_block(args) -> CensusResult:
     including the disagreeing index: ``graphs_seen`` and the pre-filter's
     tally count those only, so the case tallies still sum to it.
     """
-    n, start, stop, mode_value = args
+    n, start, stop, mode = args
     out = CensusResult(counts={VerdictCase.NOT_SPIN_MODEL.value: 0})   # the pre-filter's, first
     indices = np.arange(start, stop, dtype=np.int64)
     if n == 1:
@@ -289,7 +300,7 @@ def _census_block(args) -> CensusResult:
     graphs = map(functools.partial(graph_from_index, n), chosen)
     rejected = (~regular[checked]).tolist()
     checked_seen = _compare(out, zip(chosen, repeat(None), graphs, rejected),
-                            classify_symmetric, _LISTED.get(CensusMode(mode_value)), stop=True)
+                            classify_symmetric, _LISTED.get(mode))
     last = stop if out.disagreement is None else out.disagreement.index + 1
     out.graphs_seen = last - start
     # every regular graph up to the last index seen went through the compare step
@@ -303,60 +314,70 @@ def _merge(total: CensusResult, part: CensusResult):
     for case, count in part.counts.items():
         total.bump(case, count)
     total.hits.extend(part.hits)
-    if total.disagreement is None:
-        total.disagreement = part.disagreement
+    total.line_errors.extend(part.line_errors)
+    total.disagreement = part.disagreement
+
+
+def _run_tasks(tasks, run_task, mode, workers: int = 1) -> CensusResult:
+    """Run a census source's tasks and merge their results in task order.
+
+    Each task is a tuple of ``run_task``'s arguments, to which the census
+    mode is appended; ``run_task`` returns the task's ``CensusResult``.  The
+    tasks run in this process, one at a time, or in a pool of ``workers``
+    processes, all submitted at once.  The first task with a disagreement
+    is the last one merged: the tasks not yet run are skipped or cancelled,
+    and in ``assert_equivalence`` mode ``CounterexampleFound`` is raised.
+    """
+    mode = CensusMode(mode)
+    tasks = [(*task, mode) for task in tasks]
+    result = CensusResult()
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            parts = pool.map(run_task, tasks)
+        else:
+            parts = map(run_task, tasks)
+        for part in parts:
+            _merge(result, part)
+            if result.disagreement is not None:
+                break
+    if mode is CensusMode.ASSERT_EQUIVALENCE and result.disagreement is not None:
+        raise CounterexampleFound(result.disagreement)
+    return result
 
 
 def run_census(cfg: CensusConfig) -> CensusResult:
-    """Run the configured built-in census; scan_stream is the stream variant."""
+    """Run the configured built-in census, one task per block of indices."""
     tasks = []
     for n in range(1, cfg.max_n + 1):
         total = 1 << (n * (n - 1) // 2)
         for start in range(0, total, _BLOCK):
-            tasks.append((n, start, min(start + _BLOCK, total), cfg.mode.value))
-    result = CensusResult()
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_census_block, task) for task in tasks]
-            for future in futures:
-                _merge(result, future.result())
-                if result.disagreement is not None:
-                    pool.shutdown(cancel_futures=True)
-                    break
-    else:
-        for task in tasks:
-            _merge(result, _census_block(task))
-            if result.disagreement is not None:
-                break
-    if cfg.mode is CensusMode.ASSERT_EQUIVALENCE and result.disagreement is not None:
-        raise CounterexampleFound(result.disagreement)
-    result.hits.sort(key=lambda h: (h.n, h.index))
-    return result
+            tasks.append((n, start, min(start + _BLOCK, total)))
+    return _run_tasks(tasks, _census_block, cfg.mode, cfg.workers)
 
 
-def scan_stream(path, mode: CensusMode = CensusMode.LIST_SPIN_MODELS) -> CensusResult:
-    """Process a file of graph6 lines; malformed lines are recorded and skipped.
+def _stream_task(args) -> CensusResult:
+    """Census of the graph6 lines of a stream; malformed lines are recorded and skipped."""
+    lines, mode = args
+    out = CensusResult()
+    items = ((lineno, text, g, False)
+             for lineno, text, g in read_graph6_lines(lines, out.line_errors))
+    out.graphs_seen = _compare(
+        out, items, classify_symmetric,
+        _lists_every if mode is CensusMode.ASSERT_EQUIVALENCE else _LISTED[mode])
+    return out
+
+
+def scan_stream(path, mode: CensusMode | str = CensusMode.LIST_SPIN_MODELS) -> CensusResult:
+    """Process a file of graph6 lines as one task.
 
     ``assert_equivalence`` lists every line; the list modes list the lines
     they print, and only those get the oracle's full report.
     """
-    if isinstance(mode, str):
-        mode = CensusMode(mode)
-    result = CensusResult()
-    if hasattr(path, "read"):
-        lines = path.read().splitlines()
-    else:
-        with open(path, "rb") as handle:
-            lines = handle.read().splitlines()
-    assert_equivalence = mode is CensusMode.ASSERT_EQUIVALENCE
-    items = ((lineno, text, g, False)
-             for lineno, text, g in read_graph6_lines(lines, result.line_errors))
-    result.graphs_seen = _compare(
-        result, items, classify_symmetric,
-        _lists_every if assert_equivalence else _LISTED[mode], stop=assert_equivalence)
-    if assert_equivalence and result.disagreement is not None:
-        raise CounterexampleFound(result.disagreement)
-    return result
+    with contextlib.nullcontext(path) if hasattr(path, "read") else open(path, "rb") as handle:
+        lines = handle.read().splitlines()
+    return _run_tasks([(lines,)], _stream_task, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +394,22 @@ def iter_circulant_tournaments(n: int):
         yield circulant_tournament(n, choice)
 
 
-def run_tournament_census(ns=(3, 5), assert_equivalence: bool = True) -> CensusResult:
-    """Classifier-vs-oracle census over tournaments.
+def _tournament_task(args) -> CensusResult:
+    """Census of the tournaments on n vertices; it lists the spin models in every mode."""
+    n, _ = args
+    if n <= _EXHAUSTIVE_TOURNAMENTS:
+        tournaments = map(functools.partial(tournament_from_index, n),
+                          range(1 << (n * (n - 1) // 2)))
+    else:
+        tournaments = iter_circulant_tournaments(n)
+    out = CensusResult()
+    out.graphs_seen = _compare(out, zip(count(), repeat(""), tournaments, repeat(False)),
+                               classify_tournament, _lists_spin_models)
+    return out
+
+
+def run_tournament_census(ns=(3, 5), mode=CensusMode.ASSERT_EQUIVALENCE) -> CensusResult:
+    """Classifier-vs-oracle census over tournaments, one task per n.
 
     Exhaustive labeled enumeration up to _EXHAUSTIVE_TOURNAMENTS vertices;
     the circulant family only for larger (odd) n.
@@ -382,19 +417,7 @@ def run_tournament_census(ns=(3, 5), assert_equivalence: bool = True) -> CensusR
     for n in ns:
         if n < 1:
             raise ValueError(f"tournament census needs n >= 1, got {n}")
-    result = CensusResult()
-    for n in ns:
-        if n <= _EXHAUSTIVE_TOURNAMENTS:
-            tournaments = map(functools.partial(tournament_from_index, n),
-                              range(1 << (n * (n - 1) // 2)))
-        else:
-            tournaments = iter_circulant_tournaments(n)
-        result.graphs_seen += _compare(
-            result, zip(count(), repeat(""), tournaments, repeat(False)), classify_tournament,
-            _lists_spin_models, stop=assert_equivalence)
-        if assert_equivalence and result.disagreement is not None:
-            raise CounterexampleFound(result.disagreement)
-    return result
+    return _run_tasks([(n,) for n in ns], _tournament_task, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from .statesum import ZeroGenerator, dim_v3, full_report
 
 FIXTURE_ENV = "SPINWEB_FIXTURES"
 _FIXTURE_GENERATORS = ("higman_sims", "schlafli", "mclaughlin")
+_GENERATORS = {"complete": complete, "union_complete": union_complete, "cycle": cycle,
+               "paley": paley, "clebsch": clebsch, "petersen": petersen}
 
 
 class CliError(ValueError):
@@ -57,18 +59,8 @@ def build_generator(spec: str):
         except ValueError:
             raise CliError(f"generator arguments must be integers: {argtext!r}")
     try:
-        if name == "complete":
-            return complete(*args)
-        if name == "union_complete":
-            return union_complete(*args)
-        if name == "cycle":
-            return cycle(*args)
-        if name == "paley":
-            return paley(*args)
-        if name == "clebsch":
-            return clebsch(*args)
-        if name == "petersen":
-            return petersen(*args)
+        if name in _GENERATORS:
+            return _GENERATORS[name](*args)
         if name == "circulant_tournament":
             if len(args) < 1:
                 raise CliError("circulant_tournament needs n and the outset")
@@ -265,7 +257,7 @@ def cmd_census(ns) -> int:
         if ns.tournament:
             result = census_mod.run_tournament_census(
                 ns=(3, 5) if ns.ns is None else _tournament_sizes(ns.ns),
-                assert_equivalence=ns.mode == "assert_equivalence")
+                mode=ns.mode)
         elif ns.input is not None:
             result = census_mod.scan_stream(
                 sys.stdin.buffer if ns.input == "-" else ns.input, ns.mode)
@@ -282,8 +274,7 @@ def cmd_census(ns) -> int:
         dims = ",".join(map(str, hit.verdict.family.dims)) if hit.verdict.family else "-"
         flags = " ".join(f"{rel}={'T' if check.holds else 'F'}"
                          for rel, check in hit.report.checks())
-        name = hit.graph6 or f"n={hit.n}#{hit.index}"
-        print(f"{name}\t{hit.verdict.case.value}\t{fam}\tdim={dims or '-'}\t{flags}")
+        print(f"{hit.name}\t{hit.verdict.case.value}\t{fam}\tdim={dims or '-'}\t{flags}")
     _report_line_errors(result.line_errors)
     disagreements = 1 if result.disagreement else 0
     status = "OK" if disagreements == 0 else "FAIL"

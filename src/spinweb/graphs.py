@@ -73,9 +73,6 @@ class Graph:
             rows[b] |= 1 << a
         return cls(n, tuple(rows))
 
-    def degree(self, a: int) -> int:
-        return self.adj[a].bit_count()
-
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
 
@@ -261,12 +258,6 @@ def _transpose(packed: int, swaps: tuple[tuple[int, int], ...]) -> int:
         swap = (packed ^ (packed >> shift)) & mask
         packed ^= swap ^ (swap << shift)
     return packed
-
-
-def transpose_rows(rows, n: int) -> tuple[int, ...]:
-    """Rows of the transpose of the n x n bit matrix with rows ``rows`` (< 2^n)."""
-    stride = matrix_stride(n)
-    return unpack_rows(_transpose(_pack(rows, n, stride), _swap_masks(stride)), n)
 
 
 @functools.cache

@@ -65,9 +65,8 @@ order; a target is the same row over the one letter P.
 Every entry point takes a Graph or a Tournament and reads its P rows,
 the adjacency or arc rows it already holds (``_generator``); the other
 letters' rows come from ``_letter_rows``: One and Delta shared per n, and
-for a tournament Q, the transpose of its arc rows
-(``graphs.transpose_rows``).  A graph has no Q rows, since its alphabet
-does without them.
+for a tournament Q, row by row One ^ Delta ^ P.  A graph has no Q rows,
+since its alphabet does without them.
 
 ``spin_model_verdict`` is the yes/no question the census asks of every
 regular graph and guard sample.  It runs the checks in the order 1b, 2b,
@@ -103,7 +102,7 @@ from math import lcm
 
 import numpy as np
 
-from .graphs import Tournament, fill_rows, pack_rows, transpose_rows, window
+from .graphs import Tournament, fill_rows, pack_rows, window
 from .linalg import is_consistent, matrix_rank, solve_membership
 
 ONE = "One"
@@ -141,11 +140,13 @@ def _letter_rows(rows: tuple[int, ...], directed: bool) -> list[tuple[int, ...]]
     """The bit rows of each letter of the alphabet, in alphabet order.
 
     ``rows`` are the P rows: row u has bit x set iff P(u, x) = 1.  One and
-    Delta are shared per n; Q, a tournament's only, is the transpose of P.
+    Delta are shared per n; Q, a tournament's only, is the transpose of P,
+    which on a validated tournament (no loop, one arc per pair) is every
+    vertex but u outside P_u: Q_u = One_u ^ Delta_u ^ P_u.
     """
     one, delta = _constant_rows(len(rows))
     if directed:
-        return [one, delta, rows, transpose_rows(rows, len(rows))]
+        return [one, delta, rows, tuple(o ^ d ^ p for o, d, p in zip(one, delta, rows))]
     return [one, delta, rows]
 
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from spinweb.census import _BLOCK, pair_positions
 from spinweb.graph6 import parse_graph6
-from spinweb.graphs import Graph, Tournament, complement
+from spinweb.graphs import (Graph, Tournament, _pack, _swap_masks, _transpose, complement,
+                            matrix_stride, unpack_rows)
 from spinweb.linalg import is_consistent
 from spinweb.statesum import (DIRECTED_ALPHABET, UNDIRECTED_ALPHABET, RelationCheck,
                               _generator, _letter_rows, _representative_triples,
@@ -50,6 +51,13 @@ def out_degree(t: Tournament, a: int) -> int:
 
 def in_degree(t: Tournament, a: int) -> int:
     return sum((t.arc[b] >> a) & 1 for b in range(t.n))
+
+
+def transpose_rows(rows, n: int) -> tuple[int, ...]:
+    """Rows of the transpose of the n x n bit matrix with rows ``rows`` (< 2^n),
+    by the packed delta-swap transpose that validation uses."""
+    stride = matrix_stride(n)
+    return unpack_rows(_transpose(_pack(rows, n, stride), _swap_masks(stride)), n)
 
 
 def connected_components(g: Graph) -> list[list[int]]:

@@ -106,7 +106,7 @@ def test_criterion_5_structural_lemmas():
                 if p is None or not freeness(g).lambda_free:
                     continue
                 assert all(len(c) == p.k + 1 and
-                           all(g.degree(v) == p.k for v in c)
+                           all(g.adj[v].bit_count() == p.k for v in c)
                            for c in connected_components(g))
         # freeness complement-duality over every labeled graph on <= 8 vertices
         assert freeness_duality_violations(8, workers=WORKERS) == 0

@@ -135,6 +135,10 @@ class TestRunCensus:
         assert one.counts == two.counts
         assert [(h.n, h.index, h.graph6) for h in one.hits] == \
             [(h.n, h.index, h.graph6) for h in two.hits]
+        # merged in task order, with no sort: strictly increasing (n, index)
+        for res in (one, two):
+            keys = [(h.n, h.index) for h in res.hits]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         outcomes = []
@@ -248,6 +252,27 @@ class TestScanStream:
         assert res.disagreement is not None
         assert (res.disagreement.index, res.disagreement.graph6) == (1, "DJG")
 
+    @pytest.mark.parametrize("mode", [CensusMode.LIST_SPIN_MODELS, CensusMode.LIST_3PT_REGULAR])
+    def test_list_mode_stops_at_the_first_disagreement(self, tmp_path, monkeypatch, mode):
+        # the Paley 9 line (line 3 of MIXED_STREAM) is the only one flipped
+        target = paley(9).adj
+        real = census.classify_symmetric
+
+        def flipped(g):
+            verdict = real(g)
+            if g.adj == target:
+                return dataclasses.replace(verdict, is_spin_model=not verdict.is_spin_model)
+            return verdict
+
+        monkeypatch.setattr(census, "classify_symmetric", flipped)
+        stream = tmp_path / "mixed.g6"
+        stream.write_bytes(MIXED_STREAM)
+        res = scan_stream(str(stream), mode)
+        assert (res.disagreement.index, res.disagreement.name) == (3, "H{S{aSf")
+        assert res.graphs_seen == 2           # the pentagon and Paley 9
+        assert [h.index for h in res.hits] == [1]
+        assert res.line_errors == [(2, "byte 32 outside graph6 range 63..126")]
+
 
 # pentagon, a malformed line, Paley 9, Petersen, a blank line, a malformed
 # line, Paley 13 and an irregular graph on 7 vertices
@@ -345,8 +370,36 @@ class TestTournamentCensus:
         from spinweb.classifier import Verdict, VerdictCase
         always = Verdict(True, VerdictCase.THREE_CYCLE, None, None, "patched")
         monkeypatch.setattr("spinweb.census.classify_tournament", lambda t: always)
-        res = run_tournament_census(ns=(3,), assert_equivalence=False)
+        res = run_tournament_census(ns=(3,), mode=CensusMode.LIST_SPIN_MODELS)
         assert res.disagreement is not None and res.disagreement.index == 0
+        assert res.disagreement.name == "n=3#0"
+
+    @pytest.mark.parametrize("mode", [CensusMode.LIST_SPIN_MODELS, "list_spin_models"])
+    def test_list_mode_stops_at_the_first_disagreement(self, monkeypatch, mode):
+        # the flipped 3-cycle at index 5 on 3 vertices follows the listed one
+        # at index 2; no n = 5 tournament is looked at
+        target = tournament_from_index(3, 5).arc
+        real = census.classify_tournament
+
+        def flipped(t):
+            verdict = real(t)
+            if t.arc == target:
+                return dataclasses.replace(verdict, is_spin_model=not verdict.is_spin_model)
+            return verdict
+
+        monkeypatch.setattr(census, "classify_tournament", flipped)
+        res = run_tournament_census(ns=(3, 5), mode=mode)
+        assert (res.disagreement.n, res.disagreement.index) == (3, 5)
+        assert res.graphs_seen == 6
+        assert sum(res.counts.values()) == 6
+        assert [(h.n, h.index, h.name) for h in res.hits] == [(3, 2, "n=3#2")]
+
+    def test_assert_mode_raises_with_the_object_name(self, monkeypatch):
+        from spinweb.classifier import Verdict, VerdictCase
+        always = Verdict(True, VerdictCase.THREE_CYCLE, None, None, "patched")
+        monkeypatch.setattr(census, "classify_tournament", lambda t: always)
+        with pytest.raises(CounterexampleFound, match=r"disagreement on 'n=3#0' \(n=3, index=0\)"):
+            run_tournament_census(ns=(3,))
 
     def test_equivalence_on_every_tournament_up_to_5(self):
         res = run_tournament_census(ns=(1, 2, 3, 4, 5))

@@ -272,11 +272,12 @@ class TestCensusCommand:
         monkeypatch.setattr("spinweb.census.classify_tournament", lambda t: always)
         code, out, err = run(capsys, "census", "--tournament", "--ns", "3")
         assert code == 1 and out == ""
-        assert err == ("COUNTEREXAMPLE: classifier/oracle disagreement on '' "
+        assert err == ("COUNTEREXAMPLE: classifier/oracle disagreement on 'n=3#0' "
                        "(n=3, index=0): classifier=True, oracle=False\n")
         code, out, _ = run(capsys, "census", "--tournament", "--ns", "3",
                            "--mode", "list_spin_models")
-        assert code == 1 and out.splitlines()[-1] == "FAIL, 8 graphs, 1 disagreements"
+        # the list-mode census stops at the first disagreement, tournament 0
+        assert code == 1 and out.splitlines()[-1] == "FAIL, 1 graphs, 1 disagreements"
 
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         from spinweb.census import CounterexampleFound, Disagreement

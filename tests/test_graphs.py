@@ -5,9 +5,9 @@ import pytest
 
 from spinweb.graphs import (BadOrder, Graph, Tournament, circulant_tournament,
                             clebsch, complement, complete, cycle, matrix_stride,
-                            paley, petersen, transpose_rows, union_complete)
+                            paley, petersen, union_complete)
 from tests.conftest import (connected_components, edge_count, edges, has_arc, has_edge,
-                            in_degree, out_degree)
+                            in_degree, out_degree, transpose_rows)
 
 
 def isomorphic(g: Graph, h: Graph) -> bool:

@@ -18,7 +18,8 @@ from spinweb.statesum import (ZeroGenerator, _d_row, _representative_triples, _s
                               spin_model_verdict, triple_words)
 from tests.conftest import (check_3a, check_3b, d_value, has_edge, letter_rows,
                             load_fixture, partition_identity_holds,
-                            reference_consistent, regular_graphs, s_value)
+                            reference_consistent, regular_graphs, s_value,
+                            transpose_rows)
 
 
 def path3():
@@ -234,6 +235,23 @@ class TestRowBuilders:
                 assert _s_row(target, a, b, c) == (s_value(by_name, ppp, a, b, c),)
             checked += 1
         assert checked == 5 + 75 + 64 + 8
+
+    def test_q_rows_are_the_transpose_of_p(self):
+        rng = random.Random(20261019)
+        tournaments = [tournament_from_index(n, index) for n in range(1, 6)
+                       for index in range(1 << (n * (n - 1) // 2))]
+        tournaments += list(iter_circulant_tournaments(9))
+        for n in (8, 17, 64, 65, 130):
+            rows = [0] * n
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if rng.getrandbits(1):
+                        rows[a] |= 1 << b
+                    else:
+                        rows[b] |= 1 << a
+            tournaments.append(Tournament(n, tuple(rows)))
+        for t in tournaments:
+            assert letter_rows(t)["Q"] == transpose_rows(t.arc, t.n)
 
 
 # dim V3 of the circulant tournament on Z_n with each outset, as
