@@ -3,14 +3,32 @@
 Supports the one-byte size field for n < 63 and the 4-byte form for
 63 <= n < 258048.  Payload bits are the upper triangle column by column,
 x(0,1), x(0,2), x(1,2), x(0,3), ..., packed six per byte, each byte + 63.
+
+``parse_graph6`` decodes with C-level string operations, not a loop per
+bit.  One ``bytes.translate`` checks the bytes.  A payload byte 63 + x
+is the base64 digit of x, so a second translate and ``a2b_base64`` pack
+the payload into bytes, read as one bit string.  Column b of the
+triangle is one slice of it, padded with zeros to n characters, and each
+vertex's row is one binary numeral read by ``int(..., 2)`` from two
+slices of the reversed matrix of those columns, one of them strided (the
+transpose).  McLaughlin's graph (n = 275) decodes in 0.7-0.8 ms instead
+of 7.6-9.8 ms with the loop, Higman-Sims in 0.16-0.26 ms instead of
+1.0-1.4 ms; graphs on up to 9 vertices take 2-5 us longer (in-process,
+shared 2-vCPU Xeon).
 """
 
 from __future__ import annotations
+
+from binascii import a2b_base64
 
 from .graphs import Graph
 
 HEADER = b">>graph6<<"
 _MAX_N = 258048
+_GRAPH6_BYTES = bytes(range(63, 127))
+# graph6 byte 63 + x is the base64 digit of value x
+_TO_BASE64 = bytes.maketrans(_GRAPH6_BYTES, b"ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                                            b"abcdefghijklmnopqrstuvwxyz0123456789+/")
 
 
 class Graph6Error(ValueError):
@@ -42,9 +60,9 @@ def parse_graph6(text) -> Graph:
     data = _as_bytes(text).strip()
     if data.startswith(HEADER):
         data = data[len(HEADER):]
-    for byte in data:
-        if not 63 <= byte <= 126:
-            raise InvalidChar(f"byte {byte} outside graph6 range 63..126")
+    bad = data.translate(None, _GRAPH6_BYTES)
+    if bad:
+        raise InvalidChar(f"byte {bad[0]} outside graph6 range 63..126")
     if not data:
         raise Truncated("empty graph6 string")
     if data[0] == 126:
@@ -67,20 +85,21 @@ def parse_graph6(text) -> Graph:
         raise Truncated(f"need {nbytes} payload bytes, got {len(payload)}")
     if len(payload) > nbytes:
         raise TrailingGarbage(f"{len(payload) - nbytes} extra bytes after payload")
-    rows = [0] * n
-    bit = 0
-    for b in range(1, n):
-        for a in range(b):
-            byte = payload[bit // 6] - 63
-            if (byte >> (5 - bit % 6)) & 1:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-            bit += 1
-    # padding bits beyond the triangle must be zero
-    for extra in range(nbits, nbytes * 6):
-        if (payload[extra // 6] - 63) >> (5 - extra % 6) & 1:
-            raise Graph6Error("nonzero padding bits")
-    return Graph(n, tuple(rows))
+    # "A" digits (six zero bits) round the payload up to whole base64 quads,
+    # so that no bit is dropped
+    packed = a2b_base64(payload.translate(_TO_BASE64) + b"A" * (-len(payload) % 4))
+    bits = format(int.from_bytes(packed, "big"), "b").zfill(8 * len(packed))
+    if "1" in bits[nbits:]:
+        raise Graph6Error("nonzero padding bits")
+    # Reversed, the n x n matrix whose row b is column b of the triangle,
+    # x(0,b) .. x(b-1,b), padded with zeros, holds vertex v = n - 1 - c's
+    # adjacency row as a binary numeral, highest bit first: its column c
+    # above the diagonal (a strided slice), then its row c from the diagonal.
+    pad = "0" * n
+    flipped = "".join([bits[b * (b - 1) // 2:b * (b + 1) // 2] + pad[b:]
+                       for b in range(n)])[::-1]
+    return Graph(n, tuple([int(flipped[c:c * (n + 1):n] + flipped[c * (n + 1):c * n + n], 2)
+                           for c in range(n - 1, -1, -1)]))
 
 
 def read_graph6_lines(lines, errors: list[tuple[int, str]]):

@@ -37,9 +37,11 @@ take one representative triple per evaluation profile, found by an exact
 numpy slab kernel (``_representative_triples``): rows packed into 62-bit
 int64 words, 3-way intersections by AND plus ``np.bitwise_count``, and each
 profile packed in mixed radix into one int64 key while the I^3 (n + 1)
-keys of I pair ids fit, else into two.  Slabs are runs of consecutive
-cells in (a, b, c) order: whole first vertices while n^2 <= 4096 (every
-n <= 16 is one slab), bands of b rows within one first vertex beyond.  A
+keys of I pair ids fit, else into two.  The pair ids come from the pair
+table (``_pair_table``), keyed by the same kind of numpy in bands of
+rows.  Slabs are runs of consecutive cells in (a, b, c) order: whole
+first vertices while n^2 <= 4096 (every n <= 16 is one slab), bands of b
+rows within one first vertex beyond.  A
 slab is tested for a profile not seen before by an ``np.bincount``
 histogram of its keys when the key space is at most two slabs' cells, as
 on the large strongly regular graphs; tiny graphs and wide key spaces keep
@@ -74,22 +76,27 @@ regular graph and guard sample.  It runs the checks in the order 1b, 2b,
 before any other row is built, only whether some row sum misses vertex
 0's (``_first_1b_miss``), so an irregular graph costs one popcount per
 row; constant row sums force constant column sums on a tournament, so no
-column is read.  2b, 3a and 3b each have one equation generator
-(``_2b_equations``, ``_span_equations``) that the verdict and the checks
-of ``full_report`` (``check_2b``, ``_span_check``) share: the checks fit the
-deduplicated system and report the coefficients or the first missed
-equation as the witness, while the verdict asks only whether it is
-consistent (``_consistent``), so it builds no fraction, fit or witness.
-``_consistent`` reads the generator lazily, keyed by row, and answers no
-at the first equation whose row it has met before with another target;
-only a system with one target per distinct row is eliminated
-(``linalg.is_consistent``).  The rule is about equations alone and reads
-no graph structure, yet it settles most systems the census asks: 1 050
-of the 1 131 regular graphs on up to 7 vertices fail 2b, each at a
-repeated row (2b has three distinct rows, so it can fail no other way),
-after 5.2 of its n^2 equations on average.  ``full_report`` and the
-verdict find the representative triples once and hand them to both 3a
-and 3b.
+column is read.  3a and 3b each have one equation generator
+(``_span_equations``) that the verdict and ``full_report`` (``_span_check``)
+share.  2b has one equation per pair (a, b), the (Delta, P, Q) row of
+its class (``_2B_ROWS``) with target |P_a & P_b|, read two ways.  The
+verdict streams it lazily over the n^2 pairs (``_2b_equations``);
+``check_2b`` solves it at the first pair of each pair profile of the pair
+table (``_pair_table``), which fixes the class and |P_a & P_b|, so its
+distinct equations, their order and first sites, its fit and its witness
+are those of the n^2 stream.  ``full_report`` builds the pair table once
+for ``check_2b`` and the triple kernel, and the triples once for 3a and
+3b.  The checks fit the deduplicated system and report the coefficients
+or the first missed equation; the verdict asks only whether it is
+consistent (``_consistent``): it reads the equations lazily, keyed by
+row, answers no at the first row met again with another target, and
+otherwise eliminates the distinct rows once (``linalg.is_consistent``),
+building no fraction, fit or witness.  That rule reads no graph
+structure, yet 1 050 of the 1 131 regular graphs on up to 7 vertices
+fail 2b at a repeated row (2b has three distinct rows, so it can fail no
+other way), after 5.2 of their n^2 equations on average; this is why the
+verdict keeps the stream and builds the pair table only once 1b and 2b
+hold.
 """
 
 from __future__ import annotations
@@ -102,7 +109,7 @@ from math import lcm
 
 import numpy as np
 
-from .graphs import Tournament, fill_rows, pack_rows, window
+from .graphs import WORD_BITS, Tournament, fill_rows, pack_rows, window
 from .linalg import is_consistent, matrix_rank, solve_membership
 
 ONE = "One"
@@ -114,6 +121,7 @@ _KEY_BITS = 63       # a packed profile key is a nonnegative int64
 _SLAB = 1 << 12      # (b, c) cells per slab buffer of the triple kernel
 
 _TARGET_WORD = (P, P, P)     # the word each 3-box relation asks to be spanned
+_2B_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))   # (Delta, P, Q) row of pair class 0, 1, 2
 
 UNDIRECTED_ALPHABET = (ONE, DELTA, P)
 DIRECTED_ALPHABET = (ONE, DELTA, P, Q)
@@ -309,20 +317,31 @@ def _consistent(equations) -> bool:
 def _2b_equations(rows: tuple[int, ...]):
     """The 2b equation of each ordered pair (a, b), a then b ascending.
 
-    Its row holds the (Delta, P, Q) values of the pair, of which exactly
-    one is 1 since One = Delta + P + Q pointwise; its target is
-    |P_a & P_b|, the common out-neighbors of a and b.
+    Its row is the (Delta, P, Q) row of the pair's class (``_2B_ROWS``):
+    0 for a = b, 1 for b in P_a, 2 otherwise, exactly one of the three
+    since One = Delta + P + Q pointwise; its target is |P_a & P_b|, the
+    common out-neighbors of a and b.
     """
-    equal, joined, other = (1, 0, 0), (0, 1, 0), (0, 0, 1)   # (Delta, P, Q) rows
-    return ((equal if a == b else joined if (ra >> b) & 1 else other, (ra & rb).bit_count())
+    return ((_2B_ROWS[0 if a == b else 1 if (ra >> b) & 1 else 2], (ra & rb).bit_count())
             for a, ra in enumerate(rows) for b, rb in enumerate(rows))
 
 
-def check_2b(obj) -> RelationCheck:
-    """Relation 2b: sum_x C_P(a,x) C_P(b,x) in span{Delta, P, Q}."""
+def check_2b(obj, pairs=None) -> RelationCheck:
+    """Relation 2b: sum_x C_P(a,x) C_P(b,x) in span{Delta, P, Q}.
+
+    The system is the 2b equation (``_2B_ROWS``, as in ``_2b_equations``)
+    of the first pair of each pair profile of ``pairs``, the pair table of
+    the P rows (``_pair_table``, built here when not given).  A profile
+    fixes the pair's class and |P_a & P_b|, so the first pair with a given
+    equation is the first pair of its profile: these are the distinct
+    equations of the n^2 pairs, at the same first sites and in the same
+    order, and the fit and the witness are theirs.
+    """
     rows, _ = _generator(obj)
-    n = len(rows)
-    solution, miss = _fit_or_witness(_2b_equations(rows), product(range(n), repeat=2))
+    _, profiles = _pair_table(rows) if pairs is None else pairs
+    solution, miss = _fit_or_witness([(_2B_ROWS[pair_class], common)
+                                      for pair_class, common, _ in profiles],
+                                     [site for _, _, site in profiles])
     if miss is not None:
         site, target, fitted = miss
         return RelationCheck(False, witness=Witness(
@@ -331,6 +350,88 @@ def check_2b(obj) -> RelationCheck:
                     f"{fitted} from coefficients fitted elsewhere")))
     kp, lam, mu = solution
     return RelationCheck(True, coefficients={"k": kp, "lambda": lam, "mu": mu})
+
+
+class _FirstSeen(dict):
+    """A dict that numbers each key it is asked for and lacks: 0, 1, 2, ..."""
+
+    def __missing__(self, key):
+        self[key] = number = len(self)
+        return number
+
+
+def _pair_table(rows: tuple[int, ...]) -> tuple[np.ndarray, list[tuple[int, int, tuple[int, int]]]]:
+    """The pair id of every ordered pair (u, v), and the profile each id stands for.
+
+    ``rows`` are the P rows.  The profile of (u, v) is its class (0 for
+    u = v, 1 for v in P_u, 2 otherwise), |P_u|, |P_v| and |P_u & P_v|;
+    ids number the profiles by first appearance in (u, v) order.  Returns
+    the int32 ids, id(u, v) at u * n + v, and per id its (class,
+    |P_u & P_v|, first pair (u, v)).
+
+    Keys are exact int64, ((|P_v| * n + |P_u|) * n + |P_u & P_v|) * 3 +
+    2 - class < 3n^3, built in bands of whole rows u of at most
+    max(_SLAB, n) cells: popcounts of the tiled words of P_v and of their
+    AND with the column of P_u, and the class from the AND of that column
+    with tiled Delta bits 1 << (v mod WORD_BITS), one word's columns at a
+    time, with the diagonal set through a window of pitch n + 1.  The ids
+    are the only n x n array.  One C-level ``map`` of a ``_FirstSeen``
+    dict over a band's keys numbers them; ids first appear in increasing
+    order, so each new id's first pair is found by ``list.index`` on from
+    the previous one's.  The array operations are of the kinds the triple
+    kernel allows.
+    """
+    n = len(rows)
+    pid = np.empty(n * n, dtype=np.int32)
+    words = pack_rows(rows, n)
+    height = max(1, min(n, _SLAB // n))         # rows u of a band
+    size = height * n
+    tiles = [np.empty(size, dtype=np.int64) for _ in words]   # `height` copies of a word
+    for tile, word in zip(tiles, words):
+        fill_rows(tile, word, n, height)
+    delta = np.empty(size, dtype=np.int64)                     # `height` copies of the bits
+    fill_rows(delta, np.fromiter((1 << (v % WORD_BITS) for v in range(n)),
+                                 dtype=np.int64, count=n), n, height)
+    degrees = np.fromiter((row.bit_count() for row in rows), dtype=np.int64, count=n)
+    keys, part = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    cells = memoryview(pid)
+    ids = _FirstSeen()
+    sites: list[tuple[int, int]] = []
+    for u0 in range(0, n, height):
+        m = min(height, n - u0)
+        key, tmp = window(keys, 0, (m, n)), window(part, 0, (m, n))
+        bits_v = [window(tile, 0, (m, n)) for tile in tiles]
+        cols_u = [window(word, u0, (m, 1)) for word in words]
+        for w, bits in enumerate(bits_v):           # |P_v|
+            np.bitwise_count(bits, out=tmp if w else key)
+            if w:
+                key += tmp
+        key *= n
+        key += window(degrees, u0, (m, 1))          # |P_u|
+        key *= n
+        for col, bits in zip(cols_u, bits_v):       # |P_u & P_v|
+            np.bitwise_and(col, bits, out=tmp)
+            np.bitwise_count(tmp, out=tmp)
+            key += tmp
+        key *= 3
+        for w, col in enumerate(cols_u):            # v in P_u, one word's columns each
+            v0 = w * WORD_BITS
+            shape = (m, min(WORD_BITS, n - v0))
+            np.bitwise_and(col, window(delta, v0, shape, n), out=window(part, v0, shape, n))
+        np.bitwise_count(tmp, out=tmp)
+        key += tmp
+        diagonal = window(keys, u0, (m, 1), n + 1)
+        diagonal += 2
+        fresh = len(ids)
+        band = np.fromiter(map(ids.__getitem__, memoryview(window(keys, 0, m * n))),
+                           dtype=np.int32, count=m * n)
+        cells[u0 * n:(u0 + m) * n] = memoryview(band)
+        if len(ids) > fresh:        # ids first appear in increasing order
+            seen, at = band.tolist(), 0
+            for i in range(fresh, len(ids)):
+                at = seen.index(i, at)
+                sites.append(divmod(u0 * n + at, n))
+    return pid, [(2 - cell % 3, cell // 3 % n, site) for cell, site in zip(ids, sites)]
 
 
 def _cells(words: tuple[np.ndarray, ...]):
@@ -350,7 +451,7 @@ def _histogram_presence(one_word: bool, bins: int, size: int) -> bool:
     return one_word and bins <= 2 * size
 
 
-def _representative_triples(rows: tuple[int, ...]) -> list[tuple[int, int, int]]:
+def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int, int, int]]:
     """One ordered triple per distinct evaluation profile, in (a, b, c) order.
 
     ``rows`` are the P rows of a graph or tournament.  The profile of
@@ -362,6 +463,11 @@ def _representative_triples(rows: tuple[int, ...]) -> list[tuple[int, int, int]]
     counts into every D- and S-family value of the triple.  Span membership
     and ranks computed on the first triple of each profile therefore agree
     with the full n^3 systems while touching far fewer rows.
+
+    The pair ids are those of ``pairs``, the pair table of ``rows``
+    (``_pair_table``), which is built here when not given: I ids, numbered
+    in order of first appearance in (u, v) order, as one n x n int32 table,
+    with each id's first pair (u, v).
 
     The kernel is exact integer numpy.  Rows are packed into int64 words of
     WORD_BITS bits (``graphs.pack_rows``).  The n^3 cells are walked in
@@ -431,13 +537,8 @@ def _representative_triples(rows: tuple[int, ...]) -> list[tuple[int, int, int]]
     themselves.
     """
     n = len(rows)
-    deg = [row.bit_count() for row in rows]
-    ids: dict[tuple[int, int, int, int], int] = {}
-    pid = np.fromiter((ids.setdefault((0 if u == v else 1 if (ru >> v) & 1 else 2,
-                                       deg[u], deg[v], (ru & rv).bit_count()), len(ids))
-                       for u, ru in enumerate(rows) for v, rv in enumerate(rows)),
-                      dtype=np.int32, count=n * n)
-    n_ids = len(ids)
+    pid, profiles = _pair_table(rows) if pairs is None else pairs
+    n_ids = len(profiles)
     bins = n_ids ** 3 * (n + 1)
     one_word = bins <= 1 << _KEY_BITS
     scale_ac = (n + 1) * n_ids if one_word else 1
@@ -534,7 +635,7 @@ def _representative_triples(rows: tuple[int, ...]) -> list[tuple[int, int, int]]
             seen.clear()
         return _closed_profile_count(keys, reversed_ids, n_ids, n + 1, one_word)
 
-    reversed_ids = _reversed_ids(pid, n, n_ids) if band < n else None
+    reversed_ids = _reversed_ids(pid, n, profiles) if band < n else None
     total = None if reversed_ids is None else profile_count(reversed_ids)   # None: no stop
     for c_tile, word in zip(c_tiles, words):
         fill_rows(c_tile, word, n, height)
@@ -589,17 +690,17 @@ def _representative_triples(rows: tuple[int, ...]) -> list[tuple[int, int, int]]
     return reps
 
 
-def _reversed_ids(pid: np.ndarray, n: int, n_ids: int) -> list[int] | None:
+def _reversed_ids(pid: np.ndarray, n: int, profiles) -> list[int] | None:
     """The id of (v, u) for each pair id of (u, v), or None if vertex 0's row lacks an id.
 
     A pair id fixes the pair class, both out-degrees and |P_u & P_v|, and
-    so the id of the reversed pair, read here at the id's first cell (0, v).
+    so the id of the reversed pair, read here at (v, 0) for an id whose
+    first pair is (0, v).
     """
-    row = memoryview(pid)[:n].tolist()
-    if n_ids - 1 not in row:        # ids are numbered in order of first appearance
+    if profiles[-1][2][0]:          # ids are numbered in order of first appearance
         return None
     cells = memoryview(pid)
-    return [cells[row.index(i) * n] for i in range(n_ids)]
+    return [cells[v * n] for _, _, (_, v) in profiles]
 
 
 def _closed_profile_count(keys, reversed_ids: list[int], n_ids: int, t_radix: int,
@@ -695,10 +796,11 @@ def full_report(obj) -> RelationReport:
     generator and the rotated generator coincide.
     """
     rows, directed = _generator(obj)
-    letters, triples = _letter_rows(rows, directed), _representative_triples(rows)
+    pairs = _pair_table(rows)
+    letters, triples = _letter_rows(rows, directed), _representative_triples(rows, pairs)
     return RelationReport(
         n=len(rows), directed=directed,
-        r1b=check_1b(obj), r2b=check_2b(obj),
+        r1b=check_1b(obj), r2b=check_2b(obj, pairs),
         r3a=_span_check(letters, triples, "D", "S"),
         r3b=_span_check(letters, triples, "S", "D"),
         nonsymmetric_premise=not directed or any(rows))

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinweb.graph6 import (InvalidChar, TrailingGarbage, Truncated,
+from spinweb.graph6 import (Graph6Error, InvalidChar, TrailingGarbage, Truncated,
                             parse_graph6, write_graph6)
 from spinweb.graphs import Graph, complete, cycle, paley, petersen
 from tests.conftest import has_edge
@@ -93,3 +95,30 @@ def test_truncated():
 def test_trailing_garbage():
     with pytest.raises(TrailingGarbage):
         parse_graph6(b"A_?")
+
+
+@st.composite
+def graphs_up_to_140(draw):
+    """Graphs on 1 to 140 vertices, across the 62/63 size-form boundary."""
+    n = draw(st.sampled_from((1, 2, 62, 63, 140)) | st.integers(1, 140))
+    edges = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    pairs = [(a, b) for b in range(1, n) for a in range(b)]
+    return Graph.from_edges(n, [pair for bit, pair in enumerate(pairs) if (edges >> bit) & 1])
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(graphs_up_to_140())
+def test_roundtrip_against_reference_up_to_140_vertices(g):
+    encoded = reference_graph6(g)
+    assert parse_graph6(encoded) == g
+    assert write_graph6(g) == encoded
+
+
+def test_nonzero_padding_bit_raises_for_every_padded_size():
+    padded = [n for n in range(2, 141) if n * (n - 1) // 2 % 6]
+    assert len(padded) == 94 and {-(n * (n - 1) // 2) % 6 for n in padded} == {2, 3, 5}
+    for n in padded:
+        encoded = reference_graph6(Graph(n, (0,) * n))
+        for bit in range(-(n * (n - 1) // 2) % 6):     # the pad bits of the last byte
+            with pytest.raises(Graph6Error, match="nonzero padding bits"):
+                parse_graph6(encoded[:-1] + bytes([encoded[-1] + (1 << bit)]))

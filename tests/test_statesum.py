@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import islice, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +14,9 @@ from spinweb.census import (graph_from_index, iter_all_regular_labeled_graphs,
 from spinweb.graphs import (Graph, Tournament, circulant_tournament, clebsch, complement,
                             complete, cycle, paley, petersen, union_complete)
 from spinweb.regularity import srg_params, three_point_params
-from spinweb.statesum import (ZeroGenerator, _d_row, _representative_triples, _s_row,
-                              check_1b, check_2b, dim_v3, full_report,
-                              spin_model_verdict, triple_words)
+from spinweb.statesum import (RelationCheck, Witness, ZeroGenerator, _d_row, _pair_table,
+                              _representative_triples, _s_row, check_1b, check_2b, dim_v3,
+                              full_report, spin_model_verdict, triple_words)
 from tests.conftest import (check_3a, check_3b, d_value, has_edge, letter_rows,
                             load_fixture, partition_identity_holds,
                             reference_consistent, regular_graphs, s_value,
@@ -132,6 +133,46 @@ class TestCheck2b:
                     assert (check.coefficients["k"], check.coefficients["lambda"],
                             check.coefficients["mu"]) == \
                         (params.k, params.lam, params.mu)
+
+
+def reference_2b_check(obj) -> RelationCheck:
+    """check_2b's result from the fit of all n^2 pair equations, in (a, b) order."""
+    rows = p_rows(obj)
+    solution, miss = statesum._fit_or_witness(statesum._2b_equations(rows),
+                                              product(range(obj.n), repeat=2))
+    if miss is not None:
+        site, target, fitted = miss
+        return RelationCheck(False, witness=Witness(
+            site=site, lhs=target, rhs=fitted,
+            detail=(f"pair {site}: common-neighbor count {target} vs "
+                    f"{fitted} from coefficients fitted elsewhere")))
+    return RelationCheck(True, coefficients=dict(zip(("k", "lambda", "mu"), solution)))
+
+
+class TestCheck2bMatchesPairStream:
+    """check_2b, solved at each pair profile's first pair, gives the fit of all n^2 pairs."""
+
+    def test_irregular_graphs_and_sampled_tournaments(self):
+        rng = random.Random(39)
+        subjects = [Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                         if rng.random() < density])
+                    for n, density in ((rng.randint(1, 14), rng.random()) for _ in range(200))]
+        subjects += [tournament_from_index(5, idx) for idx in rng.sample(range(1 << 10), 160)]
+        held = 0
+        for obj in subjects:
+            check = check_2b(obj)
+            assert check == reference_2b_check(obj)
+            held += check.holds
+        assert 0 < held < len(subjects)
+
+    @pytest.mark.parametrize("name", ["C5", "Petersen", "Clebsch", "Paley9", "Paley13", "3K3",
+                                      "C6", "schlafli", "higman_sims", "mclaughlin"])
+    def test_named_graphs_and_fixtures(self, name):
+        named = {**NAMED_GRAPHS, "C6": lambda: cycle(6)}
+        obj = named[name]() if name in named else load_fixture(name)
+        check = check_2b(obj)
+        assert check == reference_2b_check(obj)
+        assert full_report(obj).r2b == check
 
 
 class TestCheck3a:
@@ -654,6 +695,78 @@ def record_counts(monkeypatch) -> list[int]:
 
     monkeypatch.setattr("spinweb.statesum._closed_profile_count", spy)
     return counts
+
+
+def reference_pair_table(rows) -> tuple[list[int], list[tuple[int, int, tuple[int, int]]]]:
+    """The Python pair-id generator the numpy pair table replaced.
+
+    A pair's profile is its class (0 for u = v, 1 for v in P_u, 2
+    otherwise), both out-degrees and |P_u & P_v|; ids number the profiles
+    in order of first appearance in (u, v) order.  Returns the ids in
+    (u, v) order and each id's (class, |P_u & P_v|, first pair).
+    """
+    n = len(rows)
+    deg = [row.bit_count() for row in rows]
+    ids: dict = {}
+    pid = [ids.setdefault((0 if u == v else 1 if (ru >> v) & 1 else 2,
+                           deg[u], deg[v], (ru & rv).bit_count()), len(ids))
+           for u, ru in enumerate(rows) for v, rv in enumerate(rows)]
+    first: dict = {}
+    for cell, i in enumerate(pid):
+        first.setdefault(i, divmod(cell, n))
+    return pid, [(pair_class, common, first[i])
+                 for i, (pair_class, _, _, common) in enumerate(ids)]
+
+
+def word_and_band_edge_corpus():
+    """Graphs and tournaments on n = 62 .. 65, 124 and 125 vertices.
+
+    62 is the last n with one packed word per row, 124 the last with two;
+    a band of the pair table holds 4096 // n rows u: one band of 62, 63 and
+    64 rows, bands of 63 and 2 rows for 65, of 33 for 124 and of 32 for 125.
+    """
+    rng = random.Random(40)
+    for n in (62, 63, 64, 65, 124, 125):
+        yield cycle(n)
+        yield Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                   if rng.random() < 0.5])
+        yield Tournament.from_arcs(n, [(u, v) if rng.random() < 0.5 else (v, u)
+                                       for u in range(n) for v in range(u + 1, n)])
+        if n % 2:
+            yield circulant_tournament(n, range(1, n // 2 + 1))
+
+
+class TestPairTable:
+    """The numpy pair table gives the reference generator's ids and profiles."""
+
+    @pytest.mark.parametrize("slab", [4096, 36])
+    def test_matches_reference_on_the_kernel_corpora(self, monkeypatch, slab):
+        # 36-cell bands cut every n >= 7 into several bands of rows
+        monkeypatch.setattr("spinweb.statesum._SLAB", slab)
+        rng = random.Random(32)
+        checked = 0
+        for obj in triple_kernel_corpus():
+            for subject in (obj, relabel(obj, rng)):
+                self.check(subject)
+                checked += 1
+        for subject in slab_boundary_corpus():
+            self.check(subject)
+            checked += 1
+        assert checked == 2 * (320 + 75 + 40 + 24 + 2) + 15
+
+    def test_matches_reference_at_word_and_band_edges(self):
+        assert statesum._SLAB == 4096
+        subjects = list(word_and_band_edge_corpus())
+        for subject in subjects:
+            self.check(subject)
+        assert len(subjects) == 21
+
+    @staticmethod
+    def check(subject):
+        rows = p_rows(subject)
+        pid, profiles = _pair_table(rows)
+        assert pid.dtype == np.int32 and pid.shape == (subject.n ** 2,)
+        assert (pid.tolist(), profiles) == reference_pair_table(rows)
 
 
 class TestRepresentativeTriples:
