@@ -290,11 +290,7 @@ def _census_block(args) -> CensusResult:
     n, start, stop, mode = args
     out = CensusResult(counts={VerdictCase.NOT_SPIN_MODEL.value: 0})   # the pre-filter's, first
     indices = np.arange(start, stop, dtype=np.int64)
-    if n == 1:
-        regular = np.ones(1, dtype=bool)
-    else:
-        regular = _regular_mask(n, indices)
-
+    regular = _regular_mask(n, indices)
     checked = regular | (indices % _GUARD_STRIDE == 0)
     chosen = indices[checked].tolist()
     graphs = map(functools.partial(graph_from_index, n), chosen)

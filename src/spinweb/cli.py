@@ -282,12 +282,11 @@ def cmd_census(ns) -> int:
     return 1 if disagreements else 0
 
 
-def _add_input_flags(sub, tournament=True):
+def _add_input_flags(sub):
     sub.add_argument("--graph6", help="graph6 string, or '-' for stdin lines")
     sub.add_argument("--gen", help="generator name[:a,b,...], e.g. cycle:5")
-    if tournament:
-        sub.add_argument("--tournament", action="store_true",
-                         help="treat the generated object as a tournament")
+    sub.add_argument("--tournament", action="store_true",
+                     help="treat the generated object as a tournament")
     sub.add_argument("--json", action="store_true",
                      help="one JSON object per input line")
 

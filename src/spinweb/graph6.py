@@ -15,11 +15,18 @@ transpose).  McLaughlin's graph (n = 275) decodes in 0.7-0.8 ms instead
 of 7.6-9.8 ms with the loop, Higman-Sims in 0.16-0.26 ms instead of
 1.0-1.4 ms; graphs on up to 9 vertices take 2-5 us longer (in-process,
 shared 2-vCPU Xeon).
+
+``write_graph6`` runs the same steps backwards, again with no loop per
+bit: column b of the triangle is row b's low b bits, lowest first, so one
+``format`` of them, reversed; the joined columns are packed into one int,
+encoded by ``b2a_base64`` and translated back to graph6 bytes.  McLaughlin
+encodes in 0.3 ms instead of 5.6 ms with the loop, Higman-Sims in 0.09 ms
+instead of 0.6 ms; a 7-vertex graph takes about 1.5 us longer.
 """
 
 from __future__ import annotations
 
-from binascii import a2b_base64
+from binascii import a2b_base64, b2a_base64
 
 from .graphs import Graph
 
@@ -27,8 +34,9 @@ HEADER = b">>graph6<<"
 _MAX_N = 258048
 _GRAPH6_BYTES = bytes(range(63, 127))
 # graph6 byte 63 + x is the base64 digit of value x
-_TO_BASE64 = bytes.maketrans(_GRAPH6_BYTES, b"ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-                                            b"abcdefghijklmnopqrstuvwxyz0123456789+/")
+_BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_BASE64 = bytes.maketrans(_GRAPH6_BYTES, _BASE64_DIGITS)
+_FROM_BASE64 = bytes.maketrans(_BASE64_DIGITS, _GRAPH6_BYTES)
 
 
 class Graph6Error(ValueError):
@@ -122,24 +130,15 @@ def read_graph6_lines(lines, errors: list[tuple[int, str]]):
 
 
 def write_graph6(g: Graph) -> bytes:
-    if g.n >= _MAX_N:
-        raise Graph6Error(f"n = {g.n} too large for the supported graph6 forms")
-    if g.n < 63:
-        out = bytearray([g.n + 63])
-    else:
-        out = bytearray([126, 63 + (g.n >> 12), 63 + ((g.n >> 6) & 63), 63 + (g.n & 63)])
-    acc = 0
-    have = 0
-    for b in range(1, g.n):
-        for a in range(b):
-            acc = (acc << 1) | ((g.adj[a] >> b) & 1)
-            have += 1
-            if have == 6:
-                out.append(acc + 63)
-                acc = 0
-                have = 0
-    if have:
-        out.append((acc << (6 - have)) + 63)
-    return bytes(out)
-
-
+    n = g.n
+    if n >= _MAX_N:
+        raise Graph6Error(f"n = {n} too large for the supported graph6 forms")
+    header = bytes([n + 63] if n < 63 else
+                   [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
+    # column b of the triangle, x(0,b) .. x(b-1,b), is row b's low b bits, lowest first
+    bits = "".join([format(row & ((1 << b) - 1), f"0{b}b")[::-1]
+                    for b, row in enumerate(g.adj) if b])
+    digits = (len(bits) + 5) // 6               # six bits to a graph6 byte
+    bits += "0" * (-len(bits) % 24)             # whole base64 quads of 3 bytes
+    packed = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    return header + b2a_base64(packed, newline=False)[:digits].translate(_FROM_BASE64)

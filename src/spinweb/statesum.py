@@ -39,24 +39,29 @@ int64 words, 3-way intersections by AND plus ``np.bitwise_count``, and each
 profile packed in mixed radix into one int64 key while the I^3 (n + 1)
 keys of I pair ids fit, else into two.  The pair ids come from the pair
 table (``_pair_table``), keyed by the same kind of numpy in bands of
-rows.  Slabs are runs of consecutive cells in (a, b, c) order: whole
-first vertices while n^2 <= 4096 (every n <= 16 is one slab), bands of b
-rows within one first vertex beyond.  A
-slab is tested for a profile not seen before by an ``np.bincount``
-histogram of its keys when the key space is at most two slabs' cells, as
-on the large strongly regular graphs; tiny graphs and wide key spaces keep
-a Python set, since a histogram there costs more to build and clear than
-the slab it tests.  Either way a slab's new profiles are counted first, so
-its cell-by-cell scan stops at the last of them.  Where a first vertex
-spans several slabs (n^2 > 4096) and vertex 0's row holds every pair id,
-as on every vertex-transitive graph, the kernel works in two exact
-phases.  Phase 1 counts the profiles: it keys only the cells whose first
-vertex is their smallest, about n^3 / 3 of them, and closes the keys found
-under the six orders of a triple.  Every cell is a reordering of such a
-cell, and a reordering maps a profile to a profile through the pair-id
-swap id(u, v) -> id(v, u), so the closure is every profile there is.
-Phase 2 is the slab walk, which stops as soon as it has met that many
-profiles: on a vertex-transitive graph, within vertex 0's slabs.
+rows.  The kernel keys every cell through one generator of rectangles:
+the first vertices a0 .. a0 + k - 1 over the cells whose b and c are
+>= lo, a fixed number of b rows per first vertex at a time.  Its slab
+walk calls it with lo = 0, so each rectangle is a slab, a run of
+consecutive cells in (a, b, c) order: whole first vertices while
+n^2 <= 4096 (every n <= 16 is one slab), bands of b rows within one
+first vertex beyond.  A slab is tested for a profile not seen before by
+an ``np.bincount`` histogram of its keys when the key space is at most
+two slabs' cells, as on the large strongly regular graphs; tiny graphs
+and wide key spaces keep a Python set, since a histogram there costs
+more to build and clear than the slab it tests.  Either way a slab's new
+profiles are counted first, so its cell-by-cell scan stops at the last
+of them.  Where a first vertex spans several slabs (n^2 > 4096) and
+vertex 0's row holds every pair id, as on every vertex-transitive graph,
+the kernel works in two exact phases.  Phase 1 counts the profiles: it
+calls the same generator with k = 1 and lo = a for each first vertex a,
+so it keys only the cells whose first vertex is their smallest, about
+n^3 / 3 of them, and closes the keys found under the six orders of a
+triple.  Every cell is a reordering of such a cell, and a reordering maps
+a profile to a profile through the pair-id swap id(u, v) -> id(v, u), so
+the closure is every profile there is.  Phase 2 is the slab walk, which
+stops as soon as it has met that many profiles: on a vertex-transitive
+graph, within vertex 0's slabs.
 
 The row of a representative triple is built in one step over the bit
 rows of the alphabet (``_d_row``, ``_s_row``): a D row is the product of
@@ -470,15 +475,24 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
     with each id's first pair (u, v).
 
     The kernel is exact integer numpy.  Rows are packed into int64 words of
-    WORD_BITS bits (``graphs.pack_rows``).  The n^3 cells are walked in
-    slabs, runs of consecutive cells in (a, b, c) order of at most _SLAB
-    cells each: while n^2 <= _SLAB a slab holds all cells of
-    min(n, _SLAB // n^2) whole first vertices a (every n <= 16 is one
-    slab), beyond that a band of max(1, _SLAB // n) b rows within one a.
-    Per group of first vertices, P_a & P_b and the (a, b) and (a, c) pair
-    ids are laid out once; per slab, T comes from word-wise AND with P_c
-    plus popcount.  With I pair ids, the fields are packed in mixed radix
-    into one nonnegative int64 key ((ab * I + ac) * (n + 1) + T) * I + bc,
+    WORD_BITS bits (``graphs.pack_rows``).  Every cell the kernel keys, in
+    either phase below, comes from one generator of rectangles
+    (``rectangles(a0, k, lo, tall)``): the first vertices a0 .. a0 + k - 1
+    over the cells whose b and c are >= lo, ``tall`` b rows per first
+    vertex at a time, each rectangle its (a, b) rows by the n - lo columns
+    c >= lo.  Per call, P_a & P_b and the (a, b) and (a, c) pair-id terms
+    of the k first vertices are laid out once; per rectangle, T comes from
+    word-wise AND with a tile of the rows P_c plus popcount, and the bc ids
+    are a window of the pair-id table with a pitch of n (``slab_keys``).
+    The tile of c rows is laid out again only when (lo, tall) changes, and
+    the views of the rectangles only when k does too.  The walk calls it
+    with lo = 0, so its rectangles are slabs, runs of consecutive cells in
+    (a, b, c) order of at most _SLAB cells each: while n^2 <= _SLAB a slab
+    holds all cells of k = min(n, _SLAB // n^2) whole first vertices a
+    (every n <= 16 is one slab), beyond that a band of max(1, _SLAB // n)
+    b rows within one a (k = 1).  With I pair ids, the fields are packed in
+    mixed radix into one nonnegative int64 key
+    ((ab * I + ac) * (n + 1) + T) * I + bc,
     below bins = I^3 (n + 1), while bins <= 2^_KEY_BITS; beyond that (only
     for n >= 512 with more than 2^17 distinct pair profiles) a key is the
     two words ab * I + ac and T * I + bc, exact while I^2 < 2^63, that is
@@ -507,13 +521,12 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
     Where a first vertex spans several slabs (band < n), the walk would
     still key all n^3 cells to learn that none holds a new profile, so
     the profiles are counted first and the walk returns at the last one.
-    Phase 1 keys the cells (a, b, c) with b, c >= a, one rectangle of
-    the n - a columns c >= a per first vertex a, cut into bands of b rows
-    where it exceeds a slab: the c and (a, c) tiles are refilled with the
-    columns from a, and the bc ids are a window of the pair-id table with
-    a pitch of n.  Its keys are collected in the histogram (counted down
-    from -1 in the mask, which is then reset) or in the set of the
-    presence path chosen once per call.  Their closure under the six
+    Phase 1 keys the cells (a, b, c) with b, c >= a: it calls the same
+    generator once per first vertex a, with k = 1, lo = a and as many b
+    rows per rectangle as keep it within a slab, so the c rows are laid
+    out once per first vertex.  Its keys are collected in the histogram
+    (counted down from -1 in the mask, which is then reset) or in the set
+    of the presence path chosen once per call.  Their closure under the six
     orders of a triple (``_closed_profile_count``) is exact: every cell is
     a reordering of one whose first vertex is its smallest, and reordering
     (a, b, c) permutes the pairs ab, ac, bc and reverses some, whose ids
@@ -529,12 +542,11 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
 
     Every array operation is elementwise on equal shapes, broadcasts a
     column or is ``np.bincount``; rows are laid out by memoryview copies
-    and windows (``graphs.window``; phase 1's bc ids with a pitch).
-    Indexing an array, ``len()`` of one
-    and row broadcasts each run numpy code that nothing else on the
-    oracle's path runs, and faulting that code in raised the process's peak
-    resident memory by 64 KB per code region, more than the buffers
-    themselves.
+    and windows (``graphs.window``; the bc ids with a pitch).  Indexing an
+    array, ``len()`` of one and row broadcasts each run numpy code that
+    nothing else on the oracle's path runs, and faulting that code in
+    raised the process's peak resident memory by 64 KB per code region,
+    more than the buffers themselves.
     """
     n = len(rows)
     pid, profiles = _pair_table(rows) if pairs is None else pairs
@@ -551,7 +563,7 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
     histogram = _histogram_presence(one_word, bins, size)
     words = pack_rows(rows, n)
     b_tiles = [np.empty(group * n, dtype=np.int64) for _ in words]   # `group` copies of a word
-    c_tiles = [np.empty(size, dtype=np.int64) for _ in words]        # `height` copies of a word
+    c_tiles = [np.empty(size, dtype=np.int64) for _ in words]        # copies of a word from lo
     for b_tile, word in zip(b_tiles, words):
         fill_rows(b_tile, word, n, group)
     if group == 1:
@@ -570,21 +582,6 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
         unseen = np.frombuffer(bytearray(b"\xff") * (8 * bins), dtype=np.int64)  # all -1
         unseen_cells = memoryview(unseen)
 
-    def group_views(k):
-        """Views of the per-group buffers for k first vertices."""
-        return ([window(b_tile, 0, (k, n)) for b_tile in b_tiles],
-                [window(meet, 0, (k, n)) for meet in meets],
-                window(ab_rows, 0, k * n), window(ac_rows, 0, k * n))
-
-    def pair_terms(a0, k, views):
-        """P_a & P_b and the (a, b) and (a, c) key terms of the k first vertices from a0."""
-        b_parts, meet_parts, ab_out, ac_out = views
-        for word, b_part, meet_part in zip(words, b_parts, meet_parts):
-            np.bitwise_and(window(word, a0, (k, 1)), b_part, out=meet_part)
-        pid_a = window(pid, a0 * n, k * n)
-        np.multiply(pid_a, scale_ab, out=ab_out, dtype=np.int64)
-        np.multiply(pid_a, scale_ac, out=ac_out, dtype=np.int64)
-
     def slab_keys(meet_cols, bits_c, bc, ab, ac, lo, hi, tmp):
         """The profile keys of a slab's cells, packed into ``lo`` (and ``hi``)."""
         for w, (meet_col, bits) in enumerate(zip(meet_cols, bits_c)):
@@ -602,27 +599,56 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
         np.add(ac, ab, out=hi)
         return hi, lo
 
-    def profile_count(reversed_ids):
-        """Phase 1: the number of profiles among all n^3 cells."""
-        lead = group_views(1)
-        for a in range(n):
-            width = n - a                          # the cells with b, c >= a
-            tall = min(width, size // width)       # b rows of a rectangle
-            pair_terms(a, 1, lead)
-            fill_rows(ac_tile, window(ac_rows, a, width), width, tall)
-            for c_tile, word in zip(c_tiles, words):
-                fill_rows(c_tile, window(word, a, width), width, tall)
-            for b0 in range(a, n, tall):
-                m = min(tall, n - b0)
-                if b0 == a or m < tall:            # views of a new rectangle shape
+    group_views = {k: ([window(b_tile, 0, (k, n)) for b_tile in b_tiles],
+                       [window(meet, 0, (k, n)) for meet in meets],
+                       window(ab_rows, 0, k * n), window(ac_rows, 0, k * n))
+                   for k in {group, n % group or group}}      # views of a group's buffers
+    rect_views = {}         # the rectangles' views of the last (lo, tall), by k
+
+    def rectangles(a0, k, lo, tall):
+        """The keys of the cells (a, b, c) with a0 <= a < a0 + k and b, c >= lo.
+
+        Yields, per rectangle of ``tall`` b rows of each first vertex, the
+        index of its first cell (a0, b, lo), its keys (``slab_keys``) and
+        the one-word keys as a flat view.  A rectangle's rows are its (a, b)
+        pairs in order, so k > 1 needs whole b ranges (lo = 0, tall = n).
+        The c rows are laid out again only when (lo, tall) changes, and the
+        views of the rectangles when k does too: per first vertex in phase
+        1; in the walk once, and the views once more for a smaller last group.
+        """
+        width = n - lo
+        if (lo, tall) not in rect_views:
+            rect_views.clear()
+            for c_tile, word in zip(c_tiles, words):    # group * tall copies of P_c from lo
+                fill_rows(c_tile, memoryview(word)[lo:], width, group * tall)
+        by_k = rect_views.setdefault((lo, tall), {})
+        if k not in by_k:
+            by_k[k] = rects = []
+            for b0 in range(lo, n, tall):
+                m = k * min(tall, n - b0)          # (a, b) rows of the rectangle
+                if b0 == lo or m < k * tall:       # views of a new rectangle shape
                     shape = (m, width)
                     bits_c = [window(c_tile, 0, shape) for c_tile in c_tiles]
-                    ac, lo, hi, tmp = (window(buffer, 0, shape)
-                                       for buffer in (ac_tile, low, high, spare))
+                    ac, keys = window(ac_tile, 0, shape), window(low, 0, shape)
+                    hi, tmp = (keys if x is low else window(x, 0, shape) for x in (high, spare))
                     flat = window(low, 0, m * width)
-                key = slab_keys([window(meet, b0, (m, 1)) for meet in meets], bits_c,
-                                window(pid, b0 * n + a, shape, n), window(ab_rows, b0, (m, 1)),
-                                ac, lo, hi, tmp)
+                rects.append((b0, [window(meet, b0, (m, 1)) for meet in meets], bits_c,
+                              window(bc_cells, b0 * n + lo, shape, n),
+                              window(ab_rows, b0, (m, 1)), ac, keys, hi, tmp, flat))
+        b_parts, meet_parts, ab_out, ac_out = group_views[k]
+        for word, b_part, meet_part in zip(words, b_parts, meet_parts):
+            np.bitwise_and(window(word, a0, (k, 1)), b_part, out=meet_part)   # P_a & P_b
+        pid_a = window(pid, a0 * n, k * n)
+        np.multiply(pid_a, scale_ab, out=ab_out, dtype=np.int64)
+        np.multiply(pid_a, scale_ac, out=ac_out, dtype=np.int64)
+        fill_rows(ac_tile, memoryview(ac_rows)[lo:lo + k * width], width, tall)
+        for b0, *slab, flat in by_k[k]:
+            yield (a0 * n + b0) * n + lo, slab_keys(*slab), flat
+
+    def profile_count(reversed_ids):
+        """Phase 1: the number of profiles among all n^3 cells."""
+        for a in range(n):                         # the cells with b, c >= a
+            for _, key, flat in rectangles(a, 1, a, min(n - a, size // (n - a))):
                 if histogram:          # unseen counts down from -1 at each key met
                     np.subtract(unseen, np.bincount(flat, minlength=bins), out=unseen)
                 else:
@@ -637,33 +663,9 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
 
     reversed_ids = _reversed_ids(pid, n, profiles) if band < n else None
     total = None if reversed_ids is None else profile_count(reversed_ids)   # None: no stop
-    for c_tile, word in zip(c_tiles, words):
-        fill_rows(c_tile, word, n, height)
-
-    def layout(k):
-        """Views of the buffers for a group of k first vertices and for its slabs."""
-        slab_views = []
-        for b0 in range(0, n, band):
-            m = k * min(band, n - b0)              # (a, b) rows of the slab
-            slab_views.append((b0 * n, [window(meet, b0, (m, 1)) for meet in meets],
-                               [window(c_tile, 0, (m, n)) for c_tile in c_tiles],
-                               window(bc_cells, b0 * n, (m, n)), window(ab_rows, b0, (m, 1)),
-                               window(ac_tile, 0, (m, n)), window(low, 0, (m, n)),
-                               window(high, 0, (m, n)), window(spare, 0, (m, n)),
-                               window(low, 0, m * n)))
-        return group_views(k), slab_views
-
-    layouts = {k: layout(k) for k in {group, n % group or group}}
     reps: list[tuple[int, int, int]] = []
     for a0 in range(0, n, group):
-        k = min(group, n - a0)
-        group_view, slabs = layouts[k]
-        pair_terms(a0, k, group_view)
-        fill_rows(ac_tile, group_view[-1], n, band)     # `band` copies of the (a, c) terms
-        first = a0 * n * n
-        for offset, *slab, flat in slabs:
-            key = slab_keys(*slab)
-            start = first + offset
+        for start, key, flat in rectangles(a0, min(group, n - a0), 0, band):
             if histogram:
                 hits = np.bincount(flat, minlength=bins)
                 np.bitwise_and(hits, unseen, out=hits)

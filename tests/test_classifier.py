@@ -202,6 +202,16 @@ class TestRelabelingInvariance:
         assert three_point_params(h) == three_point_params(g)
 
 
+class TestComplementInvariance:
+    """The classifier's verdict on g and on its complement, route against itself."""
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(regular_graphs())
+    def test_random_regular_graph_and_complement(self, g):
+        v, w = classify_symmetric(g), classify_symmetric(complement(g))
+        assert (w.is_spin_model, w.case, w.family) == (v.is_spin_model, v.case, v.family)
+
+
 class TestFamilyOf:
     def test_2k2(self):
         fam = classify_symmetric(union_complete(2, 2)).family

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from spinweb.graph6 import (Graph6Error, InvalidChar, TrailingGarbage, Truncated,
                             parse_graph6, write_graph6)
 from spinweb.graphs import Graph, complete, cycle, paley, petersen
-from tests.conftest import has_edge
+from tests.conftest import has_edge, load_fixture
 
 
 def reference_graph6(g: Graph) -> bytes:
@@ -63,8 +63,11 @@ def test_roundtrip_random_graphs_matches_reference():
 
 
 def test_roundtrip_generated_graphs():
-    for g in (complete(1), complete(7), cycle(5), paley(13), petersen()):
+    fixtures = [load_fixture(name) for name in ("schlafli", "higman_sims", "mclaughlin")]
+    for g in (complete(1), complete(7), cycle(5), paley(13), petersen(), *fixtures):
         assert parse_graph6(write_graph6(g)) == g
+    # n = 27, 100 and 275, beyond the hypothesis test's 140 vertices
+    assert [write_graph6(g) for g in fixtures] == [reference_graph6(g) for g in fixtures]
 
 
 @pytest.mark.parametrize("n", [62, 63, 64, 70])

@@ -891,6 +891,14 @@ class TestComplementInvariance:
         assert full_report(h).is_spin_model == full_report(g).is_spin_model
         assert dim_v3(h) == dim_v3(g)
 
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(regular_graphs())
+    def test_random_regular_graph_and_complement(self, g):
+        h = complement(g)
+        assert full_report(h).is_spin_model == full_report(g).is_spin_model
+        if any(g.adj) and any(h.adj):       # an edgeless side raises ZeroGenerator
+            assert dim_v3(h) == dim_v3(g)
+
 
 def oracle_invariants(g):
     """full_report's four truth values, its 1b and 2b coefficients, and dim V3."""
