@@ -40,28 +40,30 @@ profile packed in mixed radix into one int64 key while the I^3 (n + 1)
 keys of I pair ids fit, else into two.  The pair ids come from the pair
 table (``_pair_table``), keyed by the same kind of numpy in bands of
 rows.  The kernel keys every cell through one generator of rectangles:
-the first vertices a0 .. a0 + k - 1 over the cells whose b and c are
->= lo, a fixed number of b rows per first vertex at a time.  Its slab
-walk calls it with lo = 0, so each rectangle is a slab, a run of
-consecutive cells in (a, b, c) order: whole first vertices while
-n^2 <= 4096 (every n <= 16 is one slab), bands of b rows within one
-first vertex beyond.  A slab is tested for a profile not seen before by
-an ``np.bincount`` histogram of its keys when the key space is at most
-two slabs' cells, as on the large strongly regular graphs; tiny graphs
-and wide key spaces keep a Python set, since a histogram there costs
-more to build and clear than the slab it tests.  Either way a slab's new
-profiles are counted first, so its cell-by-cell scan stops at the last
-of them.  Where a first vertex spans several slabs (n^2 > 4096) and
-vertex 0's row holds every pair id, as on every vertex-transitive graph,
-the kernel works in two exact phases.  Phase 1 counts the profiles: it
-calls the same generator with k = 1 and lo = a for each first vertex a,
-so it keys only the cells whose first vertex is their smallest, about
-n^3 / 3 of them, and closes the keys found under the six orders of a
-triple.  Every cell is a reordering of such a cell, and a reordering maps
-a profile to a profile through the pair-id swap id(u, v) -> id(v, u), so
-the closure is every profile there is.  Phase 2 is the slab walk, which
-stops as soon as it has met that many profiles: on a vertex-transitive
-graph, within vertex 0's slabs.
+the first vertices a0 .. a0 + k - 1 over the cells whose b is below a
+bound and whose c is >= lo, a fixed number of b rows per first vertex at
+a time.  Its slab walk calls it with every b and lo = 0, so each
+rectangle is a slab, a run of consecutive cells in (a, b, c) order:
+whole first vertices while n^2 <= 4096 (every n <= 16 is one slab),
+bands of b rows within one first vertex beyond.  A slab is tested for a
+profile not seen before by an ``np.bincount`` histogram of its keys when
+the key space is at most two slabs' cells, as on the large strongly
+regular graphs; tiny graphs and wide key spaces keep a Python set, since
+a histogram there costs more to build and clear than the slab it tests.
+Either way a slab's new profiles are counted first, so its cell-by-cell
+scan stops at the last of them.  Where a first vertex spans several
+slabs (n^2 > 4096) and vertex 0's row holds every pair id, as on every
+vertex-transitive graph, the kernel works in two exact phases.  Phase 1
+counts the profiles, keying each unordered triple once by its middle
+vertex: for each m it calls the same generator with first vertex m, the
+b rows 0 .. m and lo = m, so it keys the cells (m, b, c) with
+b <= m <= c, one (m + 1) x (n - m) rectangle per m and
+n (n + 1) (n + 2) / 6 cells in all, and closes the keys found under the
+six orders of a triple.  Every cell is a reordering of such a cell, and
+a reordering maps a profile to a profile through the pair-id swap
+id(u, v) -> id(v, u), so the closure is every profile there is.  Phase 2
+is the slab walk, which stops as soon as it has met that many profiles:
+on a vertex-transitive graph, within vertex 0's slabs.
 
 The row of a representative triple is built in one step over the bit
 rows of the alphabet (``_d_row``, ``_s_row``): a D row is the product of
@@ -477,16 +479,17 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
     The kernel is exact integer numpy.  Rows are packed into int64 words of
     WORD_BITS bits (``graphs.pack_rows``).  Every cell the kernel keys, in
     either phase below, comes from one generator of rectangles
-    (``rectangles(a0, k, lo, tall)``): the first vertices a0 .. a0 + k - 1
-    over the cells whose b and c are >= lo, ``tall`` b rows per first
-    vertex at a time, each rectangle its (a, b) rows by the n - lo columns
-    c >= lo.  Per call, P_a & P_b and the (a, b) and (a, c) pair-id terms
-    of the k first vertices are laid out once; per rectangle, T comes from
-    word-wise AND with a tile of the rows P_c plus popcount, and the bc ids
-    are a window of the pair-id table with a pitch of n (``slab_keys``).
-    The tile of c rows is laid out again only when (lo, tall) changes, and
-    the views of the rectangles only when k does too.  The walk calls it
-    with lo = 0, so its rectangles are slabs, runs of consecutive cells in
+    (``rectangles(a0, k, rows, lo, tall)``): the first vertices a0 .. a0 +
+    k - 1 over the cells with b < rows and c >= lo, ``tall`` b rows per
+    first vertex at a time, each rectangle its (a, b) rows by the n - lo
+    columns c >= lo.  Per call, P_a & P_b and the (a, b) and (a, c)
+    pair-id terms of the k first vertices are laid out once; per
+    rectangle, T comes from word-wise AND with a tile of the rows P_c plus
+    popcount, and the bc ids are a window of the pair-id table with a
+    pitch of n (``slab_keys``).  The tile of c rows is laid out again only
+    when (rows, lo, tall) changes, and the views of the rectangles only
+    when k does too.  The walk calls it with rows = n and lo = 0, so its
+    rectangles are slabs, runs of consecutive cells in
     (a, b, c) order of at most _SLAB cells each: while n^2 <= _SLAB a slab
     holds all cells of k = min(n, _SLAB // n^2) whole first vertices a
     (every n <= 16 is one slab), beyond that a band of max(1, _SLAB // n)
@@ -521,17 +524,23 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
     Where a first vertex spans several slabs (band < n), the walk would
     still key all n^3 cells to learn that none holds a new profile, so
     the profiles are counted first and the walk returns at the last one.
-    Phase 1 keys the cells (a, b, c) with b, c >= a: it calls the same
-    generator once per first vertex a, with k = 1, lo = a and as many b
-    rows per rectangle as keep it within a slab, so the c rows are laid
-    out once per first vertex.  Its keys are collected in the histogram
+    Phase 1 keys each unordered triple once, at the cell (m, b, c) with
+    b <= m <= c whose first vertex m is its middle one: for each m it calls
+    the same generator with first vertex m (k = 1), rows = m + 1 and lo = m,
+    one (m + 1) x (n - m) rectangle without a wasted cell, in chunks of as
+    many b rows as keep a chunk within a slab.  That is n (n + 1) (n + 2) / 6
+    cells (171 700 on Higman-Sims, 3.50 M on McLaughlin), where keying the
+    cells with b, c >= a met each unordered triple twice.  The generator's
+    terms are then the column id(m, b), the tile of id(m, c) laid out once
+    per m and the pitched window of id(b, c), so the keys are those the
+    walk gives the cell (m, b, c).  They are collected in the histogram
     (counted down from -1 in the mask, which is then reset) or in the set
     of the presence path chosen once per call.  Their closure under the six
     orders of a triple (``_closed_profile_count``) is exact: every cell is
-    a reordering of one whose first vertex is its smallest, and reordering
-    (a, b, c) permutes the pairs ab, ac, bc and reverses some, whose ids
-    map through ``_reversed_ids``; T does not change.  Phase 2 is the slab
-    walk above, which returns as soon as it holds that many
+    a reordering of one whose first vertex is its middle one, and
+    reordering (a, b, c) permutes the pairs ab, ac, bc and reverses some,
+    whose ids map through ``_reversed_ids``; T does not change.  Phase 2 is
+    the slab walk above, which returns as soon as it holds that many
     representatives, so its triples and their order are those of the
     whole walk.  Phase 1 runs only where it can pay: a pair id first met
     in a row u > 0 puts the walk's last profile (the one of the cell
@@ -603,30 +612,31 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
                        [window(meet, 0, (k, n)) for meet in meets],
                        window(ab_rows, 0, k * n), window(ac_rows, 0, k * n))
                    for k in {group, n % group or group}}      # views of a group's buffers
-    rect_views = {}         # the rectangles' views of the last (lo, tall), by k
+    rect_views = {}         # the rectangles' views of the last (rows, lo, tall), by k
 
-    def rectangles(a0, k, lo, tall):
-        """The keys of the cells (a, b, c) with a0 <= a < a0 + k and b, c >= lo.
+    def rectangles(a0, k, rows, lo, tall):
+        """The keys of the cells (a, b, c) with a0 <= a < a0 + k, b < rows and c >= lo.
 
         Yields, per rectangle of ``tall`` b rows of each first vertex, the
         index of its first cell (a0, b, lo), its keys (``slab_keys``) and
         the one-word keys as a flat view.  A rectangle's rows are its (a, b)
-        pairs in order, so k > 1 needs whole b ranges (lo = 0, tall = n).
-        The c rows are laid out again only when (lo, tall) changes, and the
-        views of the rectangles when k does too: per first vertex in phase
-        1; in the walk once, and the views once more for a smaller last group.
+        pairs in order, so k > 1 needs whole b ranges (rows = n, tall = n).
+        The c rows are laid out again only when (rows, lo, tall) changes,
+        and the views of the rectangles when k does too: per middle vertex
+        in phase 1; in the walk once, and the views once more for a smaller
+        last group.
         """
         width = n - lo
-        if (lo, tall) not in rect_views:
+        if (rows, lo, tall) not in rect_views:
             rect_views.clear()
             for c_tile, word in zip(c_tiles, words):    # group * tall copies of P_c from lo
                 fill_rows(c_tile, memoryview(word)[lo:], width, group * tall)
-        by_k = rect_views.setdefault((lo, tall), {})
+        by_k = rect_views.setdefault((rows, lo, tall), {})
         if k not in by_k:
             by_k[k] = rects = []
-            for b0 in range(lo, n, tall):
-                m = k * min(tall, n - b0)          # (a, b) rows of the rectangle
-                if b0 == lo or m < k * tall:       # views of a new rectangle shape
+            for b0 in range(0, rows, tall):
+                m = k * min(tall, rows - b0)       # (a, b) rows of the rectangle
+                if b0 == 0 or m < k * tall:        # views of a new rectangle shape
                     shape = (m, width)
                     bits_c = [window(c_tile, 0, shape) for c_tile in c_tiles]
                     ac, keys = window(ac_tile, 0, shape), window(low, 0, shape)
@@ -647,8 +657,8 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
 
     def profile_count(reversed_ids):
         """Phase 1: the number of profiles among all n^3 cells."""
-        for a in range(n):                         # the cells with b, c >= a
-            for _, key, flat in rectangles(a, 1, a, min(n - a, size // (n - a))):
+        for m in range(n):                         # the cells (m, b, c) with b <= m <= c
+            for _, key, flat in rectangles(m, 1, m + 1, m, min(m + 1, size // (n - m))):
                 if histogram:          # unseen counts down from -1 at each key met
                     np.subtract(unseen, np.bincount(flat, minlength=bins), out=unseen)
                 else:
@@ -665,7 +675,7 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
     total = None if reversed_ids is None else profile_count(reversed_ids)   # None: no stop
     reps: list[tuple[int, int, int]] = []
     for a0 in range(0, n, group):
-        for start, key, flat in rectangles(a0, min(group, n - a0), 0, band):
+        for start, key, flat in rectangles(a0, min(group, n - a0), n, 0, band):
             if histogram:
                 hits = np.bincount(flat, minlength=bins)
                 np.bitwise_and(hits, unseen, out=hits)

@@ -858,6 +858,37 @@ class TestRepresentativeTriples:
         assert len(counts) == 112
         assert sum(hist for _, hist in taken) == (906 if keys == "histogram" else 0)
 
+    def test_phase_one_count_is_the_brute_force_profile_count(self, monkeypatch):
+        # an overcount would only make the walk run to its end, with the same
+        # triples, so the count is compared with all n^3 cells' profiles
+        assert statesum._SLAB == 4096
+        counts = record_counts(monkeypatch)
+        residues = {x * x % 67 for x in range(1, 67)}
+        for subject in (cycle(65), paley(73), circulant_tournament(67, residues)):
+            rows, n = p_rows(subject), subject.n
+            matrix = np.array([[(row >> v) & 1 for v in range(n)] for row in rows],
+                              dtype=np.int64)
+            meets = np.einsum("ai,bi,ci->abc", matrix, matrix, matrix)
+            pid = np.array(reference_pair_table(rows)[0], dtype=np.int64).reshape(n, n)
+            ids = int(pid.max()) + 1
+            keys = ((pid[:, :, None] * ids + pid[:, None, :]) * ids + pid[None, :, :]) \
+                * (n + 1) + meets
+            expected = len(np.unique(keys))
+            called = len(counts)
+            got = _representative_triples(rows)
+            assert len(counts) == called + 1
+            assert counts[-1] == len(got) == expected
+
+    def test_phase_one_gate(self, monkeypatch):
+        # at most 64 vertices a slab holds whole first vertices, so the walk
+        # runs alone: the census and stream inputs never count first
+        assert statesum._SLAB == 4096
+        counts = record_counts(monkeypatch)
+        for g in (cycle(5), petersen(), clebsch(), paley(17), load_fixture("schlafli"),
+                  cycle(64), union_complete(8, 8)):
+            _representative_triples(p_rows(g))
+        assert counts == []
+
     def test_slabs_smaller_than_a_row(self, monkeypatch):
         # n > _SLAB: one b row per slab
         monkeypatch.setattr("spinweb.statesum._SLAB", 4)
