@@ -19,8 +19,12 @@ belongs to, with, per workload and end-to-end metric of the
 change's ``BENCHMARK.json``: each side's per-run values, median and
 quartiles (``statistics.quantiles``, n = 4), the number of pairs the change
 won, the median delta (change - parent), the parent's interquartile range
-and the metric's bound; plus the seeds, the attempted and failed operation
-counts and the machine, Python and numpy versions.
+and the metric's bound; the same for each run's raw set-up probe median
+(``setup_raw_s``, with no bound), read from the run's full record
+``.bench_out/result-<workload>-seed<seed>-trace0.json`` in its checkout, so
+that a set-up claim can be checked before normalisation as well as after;
+plus the seeds, the attempted and failed operation counts and the machine,
+Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+RAW_SETUP = {"name": "setup_raw_s", "better": "lower"}     # no bound: not an end-to-end metric
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -57,6 +62,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     record = json.loads(lines[-1])
     if not record["correct"]:
         raise SystemExit(f"{checkout}: incorrect outputs on {workload} seed {seed}")
+    full = checkout / ".bench_out" / f"result-{workload}-seed{seed}-trace0.json"
+    record["metrics"]["setup_raw_s"] = {
+        "value": json.loads(full.read_text())["detail"]["setup_raw_s"], "unit": "s"}
     return record
 
 
@@ -135,7 +143,8 @@ def main(argv=None) -> int:
             "seeds": seeds,
             "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
             "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
-            **{metric["name"]: compare(runs, metric) for metric in benchmark["end_to_end"]},
+            **{metric["name"]: compare(runs, metric)
+               for metric in [*benchmark["end_to_end"], RAW_SETUP]},
         }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")

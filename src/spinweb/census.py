@@ -3,14 +3,16 @@
 Every census source (the built-in graph enumeration, a graph6 stream and
 the tournament census) only builds a list of tasks; one driver
 (``_run_tasks``) runs them, in this process or in a pool of worker
-processes, and merges their results in task order.  Each task hands its
-objects to one compare step, which runs the closed-form classifier and
-the state-sum oracle on each, compares their answers and records the
-outcome.  The sources differ only in how they produce objects, what they
-pre-filter and which objects they list.  A listed object (a ``Hit``) gets
-the oracle's full report, whose verdict is the oracle's answer; every
-other object, a stream line that is not listed included, gets only the
-oracle's yes/no verdict.
+processes, and merges their results in task order.  The pool (and with
+it ``multiprocessing``) is imported only where the driver starts one, so
+a run in one process, and every command that runs no census, never loads
+it.  Each task hands its objects to one compare step, which runs the
+closed-form classifier and the state-sum oracle on each, compares their
+answers and records the outcome.  The sources differ only in how they
+produce objects, what they pre-filter and which objects they list.  A
+listed object (a ``Hit``) gets the oracle's full report, whose verdict is
+the oracle's answer; every other object, a stream line that is not listed
+included, gets only the oracle's yes/no verdict.
 
 Every source stops at its first disagreement, in every mode: the compare
 step returns there, the driver merges no later task and cancels the pool
@@ -50,7 +52,6 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, count, product, repeat
 
@@ -329,6 +330,8 @@ def _run_tasks(tasks, run_task, mode, workers: int = 1) -> CensusResult:
     result = CensusResult()
     with contextlib.ExitStack() as stack:
         if workers > 1:
+            # imported here, so that a run in one process never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             pool = ProcessPoolExecutor(max_workers=workers)
             stack.callback(pool.shutdown, cancel_futures=True)
             parts = pool.map(run_task, tasks)

@@ -145,18 +145,21 @@ def _common_counts_by_type(g: Graph, k: int) -> list[int | None] | None:
     column N_a & N_b AND-ed with a tile of the rows N_c.  The edge count
     e = AB + AC + BC comes from the 0/1 adjacency matrix as bytes: a tile
     of row b's entries past b (BC), a strided view of rows a < b (AC) and a
-    column of row b's first b entries (AB; the matrix is symmetric).  Each
-    cell's key T << 2 | e goes into a histogram by ``np.bincount``, whose
-    bins of e = 0..3 are read off ``.tolist()``, and the scan stops after
-    the first rectangle in which one e shows two values of T.
+    column of row b's first b entries (AB; the matrix is symmetric), summed
+    in a byte tile (e <= 3) that is added into the keys once.  Each cell's
+    key T << 2 | e goes into a histogram by ``np.bincount``, whose bins of
+    e = 0..3 are read off ``.tolist()``, and the scan stops after the first
+    rectangle in which one e shows two values of T; the bins are checked
+    only after a rectangle that fills a bin empty until then.
 
     As in the oracle's triple kernel, arrays are views of buffers sized to
     the largest rectangle (``graphs.window``, filled by
     ``graphs.fill_rows``).  Every operation is elementwise on equal shapes,
-    broadcasts a column or one word, adds bytes into int64 keys, or is
-    ``np.bincount`` or ``.tolist()``: indexing, reductions, row broadcasts
-    and byte arithmetic run numpy code that nothing else on a large graph's
-    path runs, and faulting it in raises the peak resident memory.
+    broadcasts a column or one word, adds bytes into bytes and then into
+    int64 keys, or is ``np.bincount`` or ``.tolist()``: indexing,
+    reductions, row broadcasts and other byte arithmetic run numpy code
+    that nothing else on a large graph's path runs, and faulting it in
+    raises the peak resident memory.
     """
     n, rows = g.n, g.adj
     if n <= _LOOP_MAX_N:
@@ -177,7 +180,7 @@ def _common_counts_by_type(g: Graph, k: int) -> list[int | None] | None:
     key, tile = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
     bc, meet = np.empty(size, dtype=np.uint8), np.empty(n, dtype=np.int64)
     bins = (k + 1) << 2
-    hist, tally = np.zeros(bins, dtype=np.int64), [0] * bins
+    hist, tally, empty = np.zeros(bins, dtype=np.int64), [0] * bins, bins
     for b in range(1, n - 1):
         width = n - 1 - b
         key_2d, tile_2d, bc_2d = (window(array, 0, (b, width)) for array in (key, tile, bc))
@@ -191,14 +194,16 @@ def _common_counts_by_type(g: Graph, k: int) -> list[int | None] | None:
             if w:
                 key_2d += part
         key_2d <<= 2
-        fill_rows(bc, window(adj, b * n + b + 1, width), width, b)
-        key_2d += bc_2d                                                 # BC
-        key_2d += np.ndarray((b, width), np.uint8, adj, b + 1, (n, 1))  # AC
-        key_2d += window(adj, b * n, (b, 1))                            # AB
+        fill_rows(bc, window(adj, b * n + b + 1, width), width, b)      # BC
+        bc_2d += np.ndarray((b, width), np.uint8, adj, b + 1, (n, 1))   # AC
+        bc_2d += window(adj, b * n, (b, 1))                             # AB
+        key_2d += bc_2d
         hist += np.bincount(window(key, 0, b * width), minlength=bins)
         tally = hist.tolist()
-        if any(sum(map(bool, tally[e::4])) > 1 for e in range(4)):
-            return None
+        if tally.count(0) != empty:     # only a newly filled bin can show a second T
+            empty = tally.count(0)
+            if any(sum(map(bool, tally[e::4])) > 1 for e in range(4)):
+                return None
     return [next((t for t, hits in enumerate(tally[e::4]) if hits), None) for e in range(4)]
 
 

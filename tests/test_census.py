@@ -1,8 +1,13 @@
 import dataclasses
+import json
 import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +131,36 @@ class TestRunCensus:
         assert res.disagreement is None
         assert res.graphs_seen == 33867
         assert res.guarded > 0
+
+    def test_pool_is_imported_only_when_started(self):
+        # a fresh interpreter: this one has the pool loaded by tests/conftest.py
+        code = textwrap.dedent("""
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            import argparse, dataclasses, fractions, json, numpy
+            before = set(sys.modules)
+            import spinweb, spinweb.cli
+            from spinweb.census import CensusConfig, run_census
+            pool = {"multiprocessing", "concurrent.futures.process"}
+            loaded_by_import = sorted(pool & (set(sys.modules) - before))
+            results = [run_census(CensusConfig(max_n=4, mode="list_spin_models",
+                                               workers=workers))
+                       for workers in (1, 2)]
+            print(json.dumps({
+                "loaded_by_import": loaded_by_import,
+                "loaded_by_pool": "concurrent.futures.process" in sys.modules,
+                "results": [[r.graphs_seen, r.counts, [h.graph6 for h in r.hits]]
+                            for r in results],
+            }))
+        """)
+        src = Path(census.__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                              capture_output=True, text=True, timeout=60, check=True)
+        out = json.loads(done.stdout)
+        assert out["loaded_by_import"] == []
+        assert out["loaded_by_pool"]
+        one, two = out["results"]
+        assert one == two and one[2]
 
     def test_worker_count_does_not_change_results(self):
         one = run_census(CensusConfig(max_n=5, mode=CensusMode.LIST_SPIN_MODELS,
