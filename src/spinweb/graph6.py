@@ -1,8 +1,10 @@
 """graph6 encoding and decoding (McKay's format).
 
-Supports the one-byte size field for n < 63 and the 4-byte form for
-63 <= n < 258048.  Payload bits are the upper triangle column by column,
-x(0,1), x(0,2), x(1,2), x(0,3), ..., packed six per byte, each byte + 63.
+Supports the one-byte size field for n <= 62 and the 4-byte form for
+63 <= n <= 511 (``graphs.MAX_ORDER``); a larger size field, the 8-byte
+form included, is refused as soon as it is read.  Payload bits are the
+upper triangle column by column, x(0,1), x(0,2), x(1,2), x(0,3), ...,
+packed six per byte, each byte + 63.
 
 ``parse_graph6`` decodes with C-level string operations, not a loop per
 bit.  One ``bytes.translate`` checks the bytes.  A payload byte 63 + x
@@ -28,10 +30,9 @@ from __future__ import annotations
 
 from binascii import a2b_base64, b2a_base64
 
-from .graphs import Graph
+from .graphs import MAX_ORDER, Graph
 
 HEADER = b">>graph6<<"
-_MAX_N = 258048
 _GRAPH6_BYTES = bytes(range(63, 127))
 # graph6 byte 63 + x is the base64 digit of value x
 _BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -74,13 +75,14 @@ def parse_graph6(text) -> Graph:
     if not data:
         raise Truncated("empty graph6 string")
     if data[0] == 126:
-        if len(data) >= 2 and data[1] == 126:
-            raise Graph6Error("8-byte size form (n >= 258048) not supported")
         if len(data) < 4:
             raise Truncated("4-byte size field cut short")
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         if n < 63:
             raise Graph6Error(f"non-canonical 4-byte size field for n={n}")
+        if n > MAX_ORDER:       # an 8-byte form's first bytes read as n >= 258048
+            raise Graph6Error("size field declares an order above the largest "
+                              f"supported order {MAX_ORDER}")
         payload = data[4:]
     else:
         n = data[0] - 63
@@ -131,8 +133,6 @@ def read_graph6_lines(lines, errors: list[tuple[int, str]]):
 
 def write_graph6(g: Graph) -> bytes:
     n = g.n
-    if n >= _MAX_N:
-        raise Graph6Error(f"n = {n} too large for the supported graph6 forms")
     header = bytes([n + 63] if n < 63 else
                    [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
     # column b of the triangle, x(0,b) .. x(b-1,b), is row b's low b bits, lowest first

@@ -23,6 +23,13 @@ exactly one arc per pair) is one XOR with the transpose, masked to the cells
 above the diagonal.  The lowest set bit of a failing mask names the same
 first pair, with the same message, as a pair-by-pair scan.
 
+Every order is at most MAX_ORDER = 511, checked where a graph enters: by
+the ``Graph`` and ``Tournament`` constructors, at the top of each sized
+generator before any row is built, and by the graph6 size field.  It is
+the largest n for which every triple-profile key of the oracle's kernel
+fits one nonnegative int64: a key lies below I^3 (n + 1) for I <= n^2
+pair ids, and (511^2)^3 * 512 <= 2^63 < (512^2)^3 * 513.
+
 The two numpy triple kernels (the classifier's 3-point parameters on
 large graphs, and the oracle's triple profiles) share the bit-row
 plumbing at the end of this module: rows packed into int64 words,
@@ -39,6 +46,7 @@ import numpy as np
 
 WORD_BITS = 62       # bits per packed int64 word; np.bitwise_count counts |x|
 WORD_MASK = (1 << WORD_BITS) - 1
+MAX_ORDER = 511      # the largest supported n: I^3 (n + 1) <= 2^63 for I <= n^2
 
 
 class BadOrder(ValueError):
@@ -53,8 +61,8 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
+        if not 1 <= self.n <= MAX_ORDER:
+            raise ValueError(f"graph needs 1 to {MAX_ORDER} vertices, got {self.n}")
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count != n")
         packed, transposed, upper = _checked_square(self.adj, self.n)
@@ -85,8 +93,8 @@ class Tournament:
     arc: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("tournament needs at least one vertex")
+        if not 1 <= self.n <= MAX_ORDER:
+            raise ValueError(f"tournament needs 1 to {MAX_ORDER} vertices, got {self.n}")
         if len(self.arc) != self.n:
             raise ValueError("arc row count != n")
         packed, transposed, upper = _checked_square(self.arc, self.n)
@@ -113,9 +121,16 @@ def complement(g: Graph) -> Graph:
 # generators
 # ---------------------------------------------------------------------------
 
+def _check_order(n: int) -> None:
+    """Refuse an order above MAX_ORDER before anything of that size is built."""
+    if n > MAX_ORDER:
+        raise BadOrder(f"order {n} is above the largest supported order {MAX_ORDER}")
+
+
 def complete(n: int) -> Graph:
     if n < 1:
         raise BadOrder("complete graph needs n >= 1")
+    _check_order(n)
     mask = (1 << n) - 1
     return Graph(n, tuple(mask & ~(1 << a) for a in range(n)))
 
@@ -125,6 +140,7 @@ def union_complete(m: int, size: int) -> Graph:
     if m < 1 or size < 1:
         raise BadOrder("union_complete needs m >= 1 and size >= 1")
     n = m * size
+    _check_order(n)
     rows = []
     for a in range(n):
         block = a // size
@@ -136,6 +152,7 @@ def union_complete(m: int, size: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise BadOrder("cycle needs n >= 3")
+    _check_order(n)
     return Graph.from_edges(n, [(a, (a + 1) % n) for a in range(n)])
 
 
@@ -156,6 +173,7 @@ def paley(q: int) -> Graph:
     q must be a prime with q = 1 (mod 4).  q = 9 is also accepted and built
     as the 3x3 lattice (rook's) graph, which is isomorphic to Paley(9).
     """
+    _check_order(q)
     if q == 9:
         edges = []
         cells = [(i, j) for i in range(3) for j in range(3)]
@@ -190,6 +208,7 @@ def circulant_tournament(n: int, outset) -> Tournament:
     n must be odd and outset must contain exactly one of {d, n-d} for every
     d in 1..n-1, which makes the result a regular tournament.
     """
+    _check_order(n)
     outset = set(outset)
     if n < 1 or n % 2 == 0:
         raise BadOrder(f"circulant tournament needs odd n, got {n}")

@@ -36,34 +36,33 @@ graphs met in practice n^3 rows collapse to a few dozen.  The 3-box systems
 take one representative triple per evaluation profile, found by an exact
 numpy slab kernel (``_representative_triples``): rows packed into 62-bit
 int64 words, 3-way intersections by AND plus ``np.bitwise_count``, and each
-profile packed in mixed radix into one int64 key while the I^3 (n + 1)
-keys of I pair ids fit, else into two.  The pair ids come from the pair
-table (``_pair_table``), keyed by the same kind of numpy in bands of
-rows.  The kernel keys every cell through one generator of rectangles:
-the first vertices a0 .. a0 + k - 1 over the cells whose b is below a
-bound and whose c is >= lo, a fixed number of b rows per first vertex at
-a time.  Its slab walk calls it with every b and lo = 0, so each
-rectangle is a slab, a run of consecutive cells in (a, b, c) order:
-whole first vertices while n^2 <= 4096 (every n <= 16 is one slab),
-bands of b rows within one first vertex beyond.  A slab is tested for a
-profile not seen before by an ``np.bincount`` histogram of its keys when
-the key space is at most two slabs' cells, as on the large strongly
-regular graphs; tiny graphs and wide key spaces keep a Python set, since
-a histogram there costs more to build and clear than the slab it tests.
-Either way a slab's new profiles are counted first, so its cell-by-cell
-scan stops at the last of them.  Where a first vertex spans several
-slabs (n^2 > 4096) and vertex 0's row holds every pair id, as on every
-vertex-transitive graph, the kernel works in two exact phases.  Phase 1
-counts the profiles, keying each unordered triple once by its middle
-vertex: for each m it calls the same generator with first vertex m, the
-b rows 0 .. m and lo = m, so it keys the cells (m, b, c) with
-b <= m <= c, one (m + 1) x (n - m) rectangle per m and
-n (n + 1) (n + 2) / 6 cells in all, and closes the keys found under the
-six orders of a triple.  Every cell is a reordering of such a cell, and
-a reordering maps a profile to a profile through the pair-id swap
-id(u, v) -> id(v, u), so the closure is every profile there is.  Phase 2
-is the slab walk, which stops as soon as it has met that many profiles:
-on a vertex-transitive graph, within vertex 0's slabs.
+profile packed in mixed radix into one nonnegative int64 key below
+I^3 (n + 1) for I pair ids, at most 2^63 on n <= 511 vertices.  The pair
+ids come from the pair table (``_pair_table``), keyed by the same kind of
+numpy in bands of rows.  The kernel keys every cell through one generator
+of rectangles: the first vertices a0 .. a0 + k - 1 over the cells whose b
+is below a bound and whose c is >= lo, a fixed number of b rows per first
+vertex at a time.  Its slab walk calls it with every b and lo = 0, so each
+rectangle is a slab, a run of consecutive cells in (a, b, c) order: whole
+first vertices while n^2 <= 4096 (every n <= 16 is one slab), bands of b
+rows within one first vertex beyond.  A slab is tested for a profile not
+seen before by an ``np.bincount`` histogram of its keys when the key space
+is at most two slabs' cells, as on the large strongly regular graphs; tiny
+graphs and wide key spaces keep a Python set, since a histogram there costs
+more to build and clear than the slab it tests.  Either way a slab's new
+profiles are counted first, so its cell-by-cell scan stops at the last of
+them.  Where a first vertex spans several slabs (n^2 > 4096) and vertex 0's
+row holds every pair id, as on every vertex-transitive graph, the kernel
+works in two exact phases.  Phase 1 counts the profiles, keying each
+unordered triple once by its middle vertex: for each m it calls the same
+generator with first vertex m, the b rows 0 .. m and lo = m, so it keys the
+cells (m, b, c) with b <= m <= c, one (m + 1) x (n - m) rectangle per m and
+n (n + 1) (n + 2) / 6 cells in all, and closes the keys found under the six
+orders of a triple.  Every cell is a reordering of such a cell, and a
+reordering maps a profile to a profile through the pair-id swap
+id(u, v) -> id(v, u), so the closure is every profile there is.  Phase 2 is
+the slab walk, which stops as soon as it has met that many profiles: on a
+vertex-transitive graph, within vertex 0's slabs.
 
 The row of a representative triple is built in one step over the bit
 rows of the alphabet (``_d_row``, ``_s_row``): a D row is the product of
@@ -124,7 +123,6 @@ DELTA = "Delta"
 P = "P"
 Q = "Q"
 
-_KEY_BITS = 63       # a packed profile key is a nonnegative int64
 _SLAB = 1 << 12      # (b, c) cells per slab buffer of the triple kernel
 
 _TARGET_WORD = (P, P, P)     # the word each 3-box relation asks to be spanned
@@ -441,13 +439,7 @@ def _pair_table(rows: tuple[int, ...]) -> tuple[np.ndarray, list[tuple[int, int,
     return pid, [(2 - cell % 3, cell // 3 % n, site) for cell, site in zip(ids, sites)]
 
 
-def _cells(words: tuple[np.ndarray, ...]):
-    """The cells of a slab as hashable keys: ints for one word, else pairs."""
-    views = [memoryview(word.reshape(-1)) for word in words]
-    return views[0] if len(views) == 1 else zip(*views)
-
-
-def _histogram_presence(one_word: bool, bins: int, size: int) -> bool:
+def _histogram_presence(bins: int, size: int) -> bool:
     """Whether the triple kernel tests a slab for new profiles by histogram.
 
     ``np.bincount`` over a slab of ``size`` cells costs O(size + bins), so
@@ -455,7 +447,7 @@ def _histogram_presence(one_word: bool, bins: int, size: int) -> bool:
     stays within two slab buffers of memory.  Tiny graphs and wide key
     spaces (an irregular graph with a score of pair ids) keep the set.
     """
-    return one_word and bins <= 2 * size
+    return bins <= 2 * size
 
 
 def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int, int, int]]:
@@ -496,28 +488,26 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
     b rows within one a (k = 1).  With I pair ids, the fields are packed in
     mixed radix into one nonnegative int64 key
     ((ab * I + ac) * (n + 1) + T) * I + bc,
-    below bins = I^3 (n + 1), while bins <= 2^_KEY_BITS; beyond that (only
-    for n >= 512 with more than 2^17 distinct pair profiles) a key is the
-    two words ab * I + ac and T * I + bc, exact while I^2 < 2^63, that is
-    for every n whose n x n table of int32 pair ids fits in memory
-    (n <= 46340).
+    below bins = I^3 (n + 1) <= n^6 (n + 1), which is at most 2^63 for
+    every n <= graphs.MAX_ORDER = 511; every partial sum of a key is
+    below the key itself.
 
     Presence of a new key is tested per slab in one of two ways
-    (``_histogram_presence``).  When the one-word key space is at most two
-    slabs' cells (the strongly regular graphs, from C5 to McLaughlin),
+    (``_histogram_presence``).  When the key space is at most two slabs'
+    cells (the strongly regular graphs, from C5 to McLaughlin),
     ``np.bincount`` of the slab's keys is AND-ed with an int64 mask that
     is -1 at the keys not seen yet, and the slab's new keys are the
     nonzero bins of that masked histogram: bins minus the first bin of its
     own ``np.bincount``.  (Comparing its bytes with a zero buffer is a few
     microseconds faster per slab but holds two more histogram-sized
     buffers, which raised the heap peak of the oracle on Higman-Sims by a
-    further 21 KB.)  Otherwise (tiny graphs, wide key spaces, two-word
-    keys) a Python set over a memoryview of the slab finds the keys not
-    seen before.  Either way only a slab holding a new key is scanned,
-    cell by cell, for its first sites, and the scan stops at the last new
-    key the slab holds (counted as the masked histogram's nonzero bins, or
-    as the slab's keys missing from the set); the histogram path clears
-    the mask there through a memoryview.  With whole first vertices in a
+    further 21 KB.)  Otherwise (tiny graphs, wide key spaces) a Python set
+    over a memoryview of the slab finds the keys not seen before.  Either
+    way only a slab holding a new key is scanned, cell by cell, for its
+    first sites, and the scan stops at the last new key the slab holds
+    (counted as the masked histogram's nonzero bins, or as the slab's keys
+    missing from the set); the histogram path clears the mask there
+    through a memoryview.  With whole first vertices in a
     slab, the first one of a vertex-transitive graph already shows every
     profile, so the scan rarely passes it.
 
@@ -561,15 +551,15 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
     pid, profiles = _pair_table(rows) if pairs is None else pairs
     n_ids = len(profiles)
     bins = n_ids ** 3 * (n + 1)
-    one_word = bins <= 1 << _KEY_BITS
-    scale_ac = (n + 1) * n_ids if one_word else 1
+    assert bins <= 1 << 63, "profile keys overflow int64"     # n <= graphs.MAX_ORDER
+    scale_ac = (n + 1) * n_ids
     scale_ab = scale_ac * n_ids
 
     band = max(1, min(n, _SLAB // n))          # b rows of one first vertex in a slab
     group = max(1, min(n, _SLAB // (n * n)))   # first vertices in a slab; > 1 only if band = n
     height = group * band                      # (a, b) rows of a slab
     size = height * n
-    histogram = _histogram_presence(one_word, bins, size)
+    histogram = _histogram_presence(bins, size)
     words = pack_rows(rows, n)
     b_tiles = [np.empty(group * n, dtype=np.int64) for _ in words]   # `group` copies of a word
     c_tiles = [np.empty(size, dtype=np.int64) for _ in words]        # copies of a word from lo
@@ -584,29 +574,24 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
     ab_rows, ac_rows = np.empty(group * n, dtype=np.int64), np.empty(group * n, dtype=np.int64)
     ac_tile = np.empty(size, dtype=np.int64)
     low = np.empty(size, dtype=np.int64)
-    high = low if one_word else np.empty(size, dtype=np.int64)
     spare = low if len(words) == 1 else np.empty(size, dtype=np.int64)   # a later word's T
     seen: set = set()
     if histogram:
         unseen = np.frombuffer(bytearray(b"\xff") * (8 * bins), dtype=np.int64)  # all -1
         unseen_cells = memoryview(unseen)
 
-    def slab_keys(meet_cols, bits_c, bc, ab, ac, lo, hi, tmp):
-        """The profile keys of a slab's cells, packed into ``lo`` (and ``hi``)."""
+    def slab_keys(meet_cols, bits_c, bc, ab, ac, keys, tmp):
+        """Pack the profile keys of a slab's cells into ``keys``."""
         for w, (meet_col, bits) in enumerate(zip(meet_cols, bits_c)):
-            part = tmp if w else lo                 # T of word w, counted in place
+            part = tmp if w else keys               # T of word w, counted in place
             np.bitwise_and(meet_col, bits, out=part)
             np.bitwise_count(part, out=part)
             if w:
-                lo += tmp
-        lo *= n_ids
-        lo += bc
-        if one_word:
-            lo += ac
-            lo += ab
-            return (lo,)
-        np.add(ac, ab, out=hi)
-        return hi, lo
+                keys += tmp
+        keys *= n_ids
+        keys += bc
+        keys += ac
+        keys += ab
 
     group_views = {k: ([window(b_tile, 0, (k, n)) for b_tile in b_tiles],
                        [window(meet, 0, (k, n)) for meet in meets],
@@ -618,9 +603,9 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
         """The keys of the cells (a, b, c) with a0 <= a < a0 + k, b < rows and c >= lo.
 
         Yields, per rectangle of ``tall`` b rows of each first vertex, the
-        index of its first cell (a0, b, lo), its keys (``slab_keys``) and
-        the one-word keys as a flat view.  A rectangle's rows are its (a, b)
-        pairs in order, so k > 1 needs whole b ranges (rows = n, tall = n).
+        index of its first cell (a0, b, lo) and its keys (``slab_keys``)
+        as a flat view.  A rectangle's rows are its (a, b) pairs in order,
+        so k > 1 needs whole b ranges (rows = n, tall = n).
         The c rows are laid out again only when (rows, lo, tall) changes,
         and the views of the rectangles when k does too: per middle vertex
         in phase 1; in the walk once, and the views once more for a smaller
@@ -640,11 +625,11 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
                     shape = (m, width)
                     bits_c = [window(c_tile, 0, shape) for c_tile in c_tiles]
                     ac, keys = window(ac_tile, 0, shape), window(low, 0, shape)
-                    hi, tmp = (keys if x is low else window(x, 0, shape) for x in (high, spare))
+                    tmp = keys if spare is low else window(spare, 0, shape)
                     flat = window(low, 0, m * width)
                 rects.append((b0, [window(meet, b0, (m, 1)) for meet in meets], bits_c,
                               window(bc_cells, b0 * n + lo, shape, n),
-                              window(ab_rows, b0, (m, 1)), ac, keys, hi, tmp, flat))
+                              window(ab_rows, b0, (m, 1)), ac, keys, tmp, flat))
         b_parts, meet_parts, ab_out, ac_out = group_views[k]
         for word, b_part, meet_part in zip(words, b_parts, meet_parts):
             np.bitwise_and(window(word, a0, (k, 1)), b_part, out=meet_part)   # P_a & P_b
@@ -653,29 +638,30 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
         np.multiply(pid_a, scale_ac, out=ac_out, dtype=np.int64)
         fill_rows(ac_tile, memoryview(ac_rows)[lo:lo + k * width], width, tall)
         for b0, *slab, flat in by_k[k]:
-            yield (a0 * n + b0) * n + lo, slab_keys(*slab), flat
+            slab_keys(*slab)
+            yield (a0 * n + b0) * n + lo, flat
 
     def profile_count(reversed_ids):
         """Phase 1: the number of profiles among all n^3 cells."""
         for m in range(n):                         # the cells (m, b, c) with b <= m <= c
-            for _, key, flat in rectangles(m, 1, m + 1, m, min(m + 1, size // (n - m))):
+            for _, flat in rectangles(m, 1, m + 1, m, min(m + 1, size // (n - m))):
                 if histogram:          # unseen counts down from -1 at each key met
                     np.subtract(unseen, np.bincount(flat, minlength=bins), out=unseen)
                 else:
-                    seen.update(_cells(key))
+                    seen.update(memoryview(flat))
         if histogram:
             keys = [cell for cell, mark in enumerate(unseen_cells) if mark != -1]
             unseen_cells.cast("B")[:] = b"\xff" * (8 * bins)
         else:
             keys = list(seen)
             seen.clear()
-        return _closed_profile_count(keys, reversed_ids, n_ids, n + 1, one_word)
+        return _closed_profile_count(keys, reversed_ids, n_ids, n + 1)
 
     reversed_ids = _reversed_ids(pid, n, profiles) if band < n else None
     total = None if reversed_ids is None else profile_count(reversed_ids)   # None: no stop
     reps: list[tuple[int, int, int]] = []
     for a0 in range(0, n, group):
-        for start, key, flat in rectangles(a0, min(group, n - a0), n, 0, band):
+        for start, flat in rectangles(a0, min(group, n - a0), n, 0, band):
             if histogram:
                 hits = np.bincount(flat, minlength=bins)
                 np.bitwise_and(hits, unseen, out=hits)
@@ -688,9 +674,9 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
                             fresh -= 1
                             if not fresh:
                                 break
-            elif not seen.issuperset(_cells(key)):
-                new_keys = set(_cells(key)).difference(seen)
-                for i, cell in enumerate(_cells(key)):
+            elif not seen.issuperset(cells := memoryview(flat)):
+                new_keys = set(cells).difference(seen)
+                for i, cell in enumerate(cells):
                     if cell in new_keys:
                         new_keys.remove(cell)
                         seen.add(cell)
@@ -715,23 +701,19 @@ def _reversed_ids(pid: np.ndarray, n: int, profiles) -> list[int] | None:
     return [cells[v * n] for _, _, (_, v) in profiles]
 
 
-def _closed_profile_count(keys, reversed_ids: list[int], n_ids: int, t_radix: int,
-                          one_word: bool) -> int:
+def _closed_profile_count(keys, reversed_ids: list[int], n_ids: int, t_radix: int) -> int:
     """The number of profiles reached from ``keys`` by the six orders of a triple.
 
     A key packs the pair ids ab, ac, bc of (a, b, c) and T (below
-    ``t_radix``), as one word ((ab * I + ac) * t_radix + T) * I + bc or as
-    the two words (ab * I + ac, T * I + bc).  Reordering the triple
-    permutes its three pairs and reverses some (``reversed_ids``); T stays.
+    ``t_radix``) as ((ab * I + ac) * t_radix + T) * I + bc.  Reordering the
+    triple permutes its three pairs and reverses some (``reversed_ids``);
+    T stays.
     """
     closed = set()
     for key in keys:
-        if one_word:
-            rest, bc = divmod(key, n_ids)
-            rest, t = divmod(rest, t_radix)
-            ab, ac = divmod(rest, n_ids)
-        else:
-            (ab, ac), (t, bc) = divmod(key[0], n_ids), divmod(key[1], n_ids)
+        rest, bc = divmod(key, n_ids)
+        rest, t = divmod(rest, t_radix)
+        ab, ac = divmod(rest, n_ids)
         ba, ca, cb = reversed_ids[ab], reversed_ids[ac], reversed_ids[bc]
         # (a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)
         closed.update(((ab, ac, bc, t), (ac, ab, cb, t), (ba, bc, ac, t), (bc, ba, ca, t),

@@ -1,13 +1,20 @@
 import io
 import json
+import os
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinweb.census import CensusResult
 from spinweb.cli import main
-from spinweb.graph6 import write_graph6
+from spinweb.graph6 import Graph6Error, parse_graph6, write_graph6
 from spinweb.graphs import clebsch, cycle
+from tests.conftest import FIXTURE_DIR
 
 
 def run(capsys, *argv):
@@ -288,3 +295,127 @@ class TestCensusCommand:
         monkeypatch.setattr("spinweb.cli.census_mod.run_census", explode)
         code, _, err = run(capsys, "census", "--max-n", "4")
         assert code == 1 and "COUNTEREXAMPLE" in err
+
+
+# a stream whose second line declares 512 vertices, one above the largest order
+OVERSIZED_STREAM = b"DqK\n~?G?" + b"?" * ((512 * 511 // 2 + 5) // 6) + b"\nDJG\n"
+OVERSIZED_LINE = ("line 2: size field declares an order above the largest "
+                  "supported order 511")
+
+
+class TestOrderLimit:
+    """Every order above 511 exits 2 with one line, and no stream stops for it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--gen", "cycle:200000"],
+        ["classify", "--gen", "union_complete:1000,1000"],
+        ["classify", "--gen", "complete:20000"],
+        ["classify", "--gen", "paley:1000000000000000009"],
+        ["verify", "--gen", "circulant_tournament:513,1", "--tournament"],
+        ["classify", "--graph6", "~ot?"],              # a header declaring 200 000 vertices
+    ])
+    def test_oversized_input_exits_2_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "above the largest supported order 511" in err
+
+    def test_census_stream_skips_the_oversized_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(OVERSIZED_STREAM)))
+        code, out, err = run(capsys, "census", "--input", "-")
+        assert code == 0
+        assert [line.split("\t")[0] for line in out.splitlines()] == \
+            ["DqK", "DJG", "OK, 2 graphs, 0 disagreements"]
+        assert err.splitlines() == [OVERSIZED_LINE]
+
+    def test_classify_stream_reports_the_oversized_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(OVERSIZED_STREAM)))
+        code, out, err = run(capsys, "classify", "--graph6", "-", "--json")
+        assert code == 2
+        assert [json.loads(line)["input"] for line in out.splitlines()] == ["DqK", "DJG"]
+        assert err.splitlines() == [OVERSIZED_LINE]
+
+
+# generator names with the number of arguments each takes (the tournament's
+# n and two outset entries); an argument is an order 1..12, a bad order or no integer
+FUZZ_ARITY = {"cycle": 1, "complete": 1, "union_complete": 2, "paley": 1, "petersen": 0,
+              "clebsch": 0, "circulant_tournament": 3, "schlafli": 0, "dodecahedron": 0}
+FUZZ_BAD_ARGS = ("0", "-1", "512", str(10 ** 6), str(10 ** 18 + 9), "x", "1.5", "")
+FUZZ_VALID_SPECS = ("circulant_tournament:5,1,2", "circulant_tournament:7,1,2,4", "paley:9")
+FUZZ_VALID_LINES = (b"DqK", b"DJG", b"@", b"A_", b"", write_graph6(clebsch()))
+FUZZ_SIZE_FIELDS = (b"~?G?", b"~ot?", b"~~~~", b"~?F~")    # 512, 200 000, 8-byte, 511
+FUZZ_FLAGS = {"classify": ("--json", "--tournament", "--exact-dim"),
+              "verify": ("--json", "--tournament"), "dims": ("--json", "--tournament"),
+              "generate": ()}
+
+
+def fuzz_spec(rng) -> str:
+    """A generator spec name[:a,b,...], mostly with the right number of arguments."""
+    if rng.random() < 0.15:
+        return rng.choice(FUZZ_VALID_SPECS)
+    name = rng.choice(list(FUZZ_ARITY))
+    arity = FUZZ_ARITY[name] if rng.random() < 0.7 else rng.randrange(3)
+    args = [str(rng.randint(1, 12)) if rng.random() < 0.6 else rng.choice(FUZZ_BAD_ARGS)
+            for _ in range(arity)]
+    return f"{name}:{','.join(args)}" if args else name
+
+
+def fuzz_line(rng) -> bytes:
+    """A valid graph6 line, random bytes, random graph6 bytes or a size-field edge case."""
+    kind = rng.random()
+    if kind < 0.5:
+        return rng.choice(FUZZ_VALID_LINES)
+    if kind < 0.7:
+        return rng.randbytes(rng.randrange(11))
+    if kind < 0.9:
+        return bytes(rng.randrange(63, 127) for _ in range(rng.randrange(13)))
+    return rng.choice(FUZZ_SIZE_FIELDS)
+
+
+def fuzz_call(rng) -> tuple[list[str], bytes]:
+    """(argv, stdin bytes) of a random call of classify, verify, dims or generate.
+
+    The input is --gen, --graph6 - on stdin, both or neither (the last two
+    an error), and the flags are any subset of the command's own.
+    """
+    command = rng.choice(list(FUZZ_FLAGS))
+    argv = [command, *(flag for flag in FUZZ_FLAGS[command] if rng.random() < 0.3)]
+    source = "gen" if command == "generate" else rng.choice(("gen", "stdin") * 4 + ("both", ""))
+    if source in ("gen", "both"):
+        argv += ["--gen", fuzz_spec(rng)]
+    if source in ("stdin", "both"):
+        argv += ["--graph6", "-"]
+    return argv, b"\n".join(fuzz_line(rng) for _ in range(rng.randrange(5)))
+
+
+def stream_errors(stdin: bytes) -> list[int]:
+    """The numbers of the stdin lines that are neither blank nor valid graph6."""
+    bad = []
+    for lineno, line in enumerate(stdin.splitlines(), start=1):
+        try:
+            if line.strip():
+                parse_graph6(line.strip())
+        except Graph6Error:
+            bad.append(lineno)
+    return bad
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_fuzzed_calls_exit_0_1_or_2_with_one_line_per_error(rng):
+    argv, stdin = fuzz_call(rng)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"SPINWEB_FIXTURES": str(FIXTURE_DIR)}), \
+            mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin))), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code != 2:
+        assert lines == []
+    elif lines[0].startswith("error: "):
+        assert len(lines) == 1
+    else:                       # a malformed stdin line each, the others processed
+        assert [int(re.match(r"line (\d+): ", line)[1]) for line in lines] == \
+            stream_errors(stdin)

@@ -70,7 +70,7 @@ def test_roundtrip_generated_graphs():
     assert [write_graph6(g) for g in fixtures] == [reference_graph6(g) for g in fixtures]
 
 
-@pytest.mark.parametrize("n", [62, 63, 64, 70])
+@pytest.mark.parametrize("n", [62, 63, 64, 70, 511])
 def test_four_byte_size_form(n):
     # n <= 62 is one size byte n + 63; from 63 on, "~" and three 6-bit bytes
     rng = random.Random(7)
@@ -79,6 +79,20 @@ def test_four_byte_size_form(n):
     assert encoded[0] == (125 if n == 62 else 126)
     assert encoded == reference_graph6(g)
     assert parse_graph6(encoded) == g
+
+
+def test_size_field_above_the_largest_order():
+    # 511 is "~?F~" and 512 "~?G?"; a larger size field, 200 000 ("~ot?") or
+    # the 8-byte form, is refused as soon as it is read, payload or not
+    with pytest.raises(Truncated):
+        parse_graph6(b"~?F~")
+    assert parse_graph6(b"~?F~" + b"?" * ((511 * 510 // 2 + 5) // 6)) == Graph(511, (0,) * 511)
+    for header in (b"~?G?", b"~ot?", b"~~~~", b"~~??????"):
+        for payload in (b"", b"?" * ((512 * 511 // 2 + 5) // 6)):
+            with pytest.raises(Graph6Error) as error:
+                parse_graph6(header + payload)
+            assert str(error.value) == \
+                "size field declares an order above the largest supported order 511"
 
 
 def test_invalid_char():

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from spinweb.graphs import (BadOrder, Graph, Tournament, circulant_tournament,
+from spinweb.graphs import (MAX_ORDER, BadOrder, Graph, Tournament, circulant_tournament,
                             clebsch, complement, complete, cycle, matrix_stride,
                             paley, petersen, union_complete)
 from tests.conftest import (connected_components, edge_count, edges, has_arc, has_edge,
@@ -27,8 +27,8 @@ def random_graph(rng, n):
 
 def reference_validate_graph(n, rows):
     """The row-by-row, pair-by-pair check that packed validation replaced."""
-    if n < 1:
-        raise ValueError("graph needs at least one vertex")
+    if not 1 <= n <= 511:
+        raise ValueError(f"graph needs 1 to 511 vertices, got {n}")
     if len(rows) != n:
         raise ValueError("adjacency row count != n")
     mask = (1 << n) - 1
@@ -44,8 +44,8 @@ def reference_validate_graph(n, rows):
 
 
 def reference_validate_tournament(n, rows):
-    if n < 1:
-        raise ValueError("tournament needs at least one vertex")
+    if not 1 <= n <= 511:
+        raise ValueError(f"tournament needs 1 to 511 vertices, got {n}")
     if len(rows) != n:
         raise ValueError("arc row count != n")
     mask = (1 << n) - 1
@@ -179,6 +179,39 @@ class TestGraphType:
     def test_rejects_empty_vertex_set(self):
         with pytest.raises(ValueError):
             Graph(0, ())
+
+
+class TestOrderLimit:
+    """511 vertices is the largest order, refused at 512 before rows are built."""
+
+    def test_limit_is_the_largest_order_of_one_word_keys(self):
+        # a triple-profile key lies below I^3 (n + 1) for I <= n^2 pair ids
+        assert MAX_ORDER == 511
+        assert (511 ** 2) ** 3 * 512 <= 2 ** 63 < (512 ** 2) ** 3 * 513
+
+    def test_constructors(self):
+        assert Graph(511, (0,) * 511).n == 511
+        assert Tournament(511, circulant_tournament(511, range(1, 256)).arc).n == 511
+        for make, kind in ((Graph, "graph"), (Tournament, "tournament")):
+            for n in (0, 512, 10 ** 6):
+                # the order is refused before the rows are read
+                assert validation_message(make, n, ()) == \
+                    f"{kind} needs 1 to 511 vertices, got {n}"
+
+    def test_generators(self):
+        assert [g.n for g in (complete(511), union_complete(7, 73), union_complete(1, 511),
+                              cycle(511), circulant_tournament(511, range(1, 256)))] == [511] * 5
+        # 509 is the largest prime q = 1 (mod 4) below the limit
+        assert set(paley(509).degrees()) == {254}
+        too_large = [lambda: complete(512), lambda: union_complete(2, 256),
+                     lambda: union_complete(512, 1), lambda: union_complete(10 ** 6, 10 ** 6),
+                     lambda: cycle(512), lambda: cycle(200000), lambda: paley(512),
+                     lambda: paley(521), lambda: paley(10 ** 18 + 9),
+                     lambda: circulant_tournament(512, range(1, 256)),
+                     lambda: circulant_tournament(513, range(1, 257))]
+        for make in too_large:
+            with pytest.raises(BadOrder, match="above the largest supported order 511"):
+                make()
 
 
 class TestComplement:

@@ -640,8 +640,8 @@ def triple_kernel_corpus():
 # presence rules that force one path of the triple kernel; the forced
 # histogram stays at most 2^18 bins (2 MB), which covers 353 of the 461 inputs
 PRESENCE_PATHS = {
-    "histogram": lambda one_word, bins, size: one_word and bins <= 1 << 18,
-    "set": lambda one_word, bins, size: False,
+    "histogram": lambda bins, size: bins <= 1 << 18,
+    "set": lambda bins, size: False,
 }
 
 
@@ -649,8 +649,8 @@ def record_presence(monkeypatch, rule) -> list[tuple[int, bool]]:
     """Make the triple kernel decide by ``rule``; returns its (bins, decision) list."""
     taken = []
 
-    def decide(one_word, bins, size):
-        taken.append((bins, rule(one_word, bins, size)))
+    def decide(bins, size):
+        taken.append((bins, rule(bins, size)))
         return taken[-1][1]
 
     monkeypatch.setattr("spinweb.statesum._histogram_presence", decide)
@@ -815,11 +815,10 @@ class TestRepresentativeTriples:
         _representative_triples(p_rows(irregular))
         assert taken == [(2727, True), (22 ** 3 * 7, False)]
 
-    def test_two_word_keys_match_reference(self, monkeypatch):
-        # the (ab, ac) + (T, bc) key layout used once one int64 cannot hold a
-        # key; it takes the set path even where the histogram is forced
-        monkeypatch.setattr("spinweb.statesum._KEY_BITS", 0)
-        for rule in PRESENCE_PATHS.values():
+    def test_both_presence_paths_from_edgeless_to_complete(self, monkeypatch):
+        # random graphs of every density from edgeless to complete, and the
+        # circulant tournaments on 9 vertices, through each forced presence path
+        for path, rule in PRESENCE_PATHS.items():
             taken = record_presence(monkeypatch, rule)
             rng = random.Random(33)
             for n in (1, 2, 5, 9, 13):
@@ -831,17 +830,15 @@ class TestRepresentativeTriples:
             for t in iter_circulant_tournaments(9):
                 assert _representative_triples(p_rows(t)) == \
                     reference_representative_triples(t)
-            assert taken and not any(hist for _, hist in taken)
+            assert len(taken) == 5 * 4 + 16
+            assert any(hist for _, hist in taken) == (path == "histogram")
 
-    @pytest.mark.parametrize("keys", ["histogram", "set", "two-word"])
-    def test_two_phase_walk_matches_reference(self, monkeypatch, keys):
+    @pytest.mark.parametrize("path", sorted(PRESENCE_PATHS))
+    def test_two_phase_walk_matches_reference(self, monkeypatch, path):
         # 36-cell slabs split the first vertices of every n >= 7 into bands, so
         # each such input whose vertex 0 row holds every pair id counts its
         # profiles first and stops its walk at the last one
         monkeypatch.setattr("spinweb.statesum._SLAB", 36)
-        if keys == "two-word":
-            monkeypatch.setattr("spinweb.statesum._KEY_BITS", 0)
-        path = "set" if keys == "set" else "histogram"    # two-word keys take the set anyway
         taken = record_presence(monkeypatch, PRESENCE_PATHS[path])
         counts = record_counts(monkeypatch)
         rng = random.Random(32)         # the relabelings of the corpus tests
@@ -856,7 +853,7 @@ class TestRepresentativeTriples:
                 calls += 1
         assert calls == len(taken) == 2 * (320 + 75 + 40 + 24 + 2 + 100)
         assert len(counts) == 112
-        assert sum(hist for _, hist in taken) == (906 if keys == "histogram" else 0)
+        assert sum(hist for _, hist in taken) == (906 if path == "histogram" else 0)
 
     def test_phase_one_count_is_the_brute_force_profile_count(self, monkeypatch):
         # an overcount would only make the walk run to its end, with the same
