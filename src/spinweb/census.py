@@ -52,7 +52,6 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
-from dataclasses import dataclass, field
 from itertools import combinations, count, product, repeat
 
 import numpy as np
@@ -60,15 +59,17 @@ import numpy as np
 from .classifier import (Verdict, VerdictCase, classify_symmetric,
                          classify_tournament)
 from .graph6 import read_graph6_lines, write_graph6
-from .graphs import (Graph, Tournament, circulant_tournament, matrix_stride,
-                     unpack_rows)
+from .graphs import (Graph, Record, Tournament, circulant_tournament,
+                     matrix_stride, unpack_rows)
 from .regularity import three_point_params
 from .statesum import full_report, spin_model_verdict
 
 MAX_BUILTIN_N = 8
+MAX_WORKERS = 64               # a pool forks all its workers at its first task
 _BLOCK = 1 << 16
 _GUARD_STRIDE = 100            # a rejected index that is a multiple of it is still checked
 _EXHAUSTIVE_TOURNAMENTS = 5    # largest tournament size enumerated in full; circulants beyond
+MAX_TOURNAMENT_N = 31          # 2^15 circulant outsets: 4.2 s on a 2-vCPU Xeon; +2 costs 2.2x
 
 
 class CensusMode(enum.Enum):
@@ -86,24 +87,31 @@ class CounterexampleFound(RuntimeError):
             f"classifier={disagreement.classifier}, oracle={disagreement.oracle}")
 
 
-@dataclass(frozen=True)
-class CensusConfig:
-    max_n: int = 7
-    mode: CensusMode | str = CensusMode.ASSERT_EQUIVALENCE
-    workers: int = 1
+class CensusConfig(Record):
+    """The built-in census: its largest order, its mode and its worker processes."""
 
-    def __post_init__(self):
-        if not 1 <= self.max_n <= MAX_BUILTIN_N:
+    __slots__ = ("max_n", "mode", "workers")
+
+    def __init__(self, max_n: int = 7, mode: CensusMode | str = CensusMode.ASSERT_EQUIVALENCE,
+                 workers: int = 1):
+        if not 1 <= max_n <= MAX_BUILTIN_N:
             raise ValueError(f"built-in enumeration supports 1 <= max_n <= {MAX_BUILTIN_N}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if workers > MAX_WORKERS:
+            raise ValueError(f"workers must be <= {MAX_WORKERS}, got {workers}")
+        object.__setattr__(self, "max_n", max_n)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "workers", workers)
 
 
-@dataclass(frozen=True)
-class _CensusObject:
-    n: int
-    index: int
-    graph6: str
+class _CensusObject(Record):
+    __slots__ = ("n", "index", "graph6")
+
+    def __init__(self, n: int, index: int, graph6: str):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "graph6", graph6)
 
     @property
     def name(self) -> str:
@@ -111,26 +119,42 @@ class _CensusObject:
         return self.graph6 or f"n={self.n}#{self.index}"
 
 
-@dataclass(frozen=True)
 class Hit(_CensusObject):
-    verdict: Verdict
-    report: object
+    """A listed object, with the classifier's verdict and the oracle's full report."""
+
+    __slots__ = ("verdict", "report")
+
+    def __init__(self, n: int, index: int, graph6: str, verdict: Verdict, report):
+        super().__init__(n, index, graph6)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "report", report)
 
 
-@dataclass(frozen=True)
 class Disagreement(_CensusObject):
-    classifier: bool
-    oracle: bool
+    """An object on which the classifier and the oracle answer differently."""
+
+    __slots__ = ("classifier", "oracle")
+
+    def __init__(self, n: int, index: int, graph6: str, classifier: bool, oracle: bool):
+        super().__init__(n, index, graph6)
+        object.__setattr__(self, "classifier", classifier)
+        object.__setattr__(self, "oracle", oracle)
 
 
-@dataclass
 class CensusResult:
-    graphs_seen: int = 0
-    counts: dict[str, int] = field(default_factory=dict)
-    hits: list[Hit] = field(default_factory=list)
-    disagreement: Disagreement | None = None
-    guarded: int = 0
-    line_errors: list[tuple[int, str]] = field(default_factory=list)
+    """What a census task, or a whole census, saw; the driver merges them in task order."""
+
+    __slots__ = ("graphs_seen", "counts", "hits", "disagreement", "guarded", "line_errors")
+
+    def __init__(self, graphs_seen: int = 0, counts: dict[str, int] | None = None,
+                 hits: list[Hit] | None = None, disagreement: Disagreement | None = None,
+                 guarded: int = 0, line_errors: list[tuple[int, str]] | None = None):
+        self.graphs_seen = graphs_seen
+        self.counts = {} if counts is None else counts
+        self.hits = [] if hits is None else hits
+        self.disagreement = disagreement
+        self.guarded = guarded
+        self.line_errors = [] if line_errors is None else line_errors
 
     def bump(self, case: str, amount: int = 1):
         self.counts[case] = self.counts.get(case, 0) + amount
@@ -411,11 +435,14 @@ def run_tournament_census(ns=(3, 5), mode=CensusMode.ASSERT_EQUIVALENCE) -> Cens
     """Classifier-vs-oracle census over tournaments, one task per n.
 
     Exhaustive labeled enumeration up to _EXHAUSTIVE_TOURNAMENTS vertices;
-    the circulant family only for larger (odd) n.
+    the circulant family only for larger (odd) n, up to MAX_TOURNAMENT_N:
+    n has 2^((n - 1)/2) outsets, and every size is checked before any runs.
     """
     for n in ns:
         if n < 1:
             raise ValueError(f"tournament census needs n >= 1, got {n}")
+        if n > MAX_TOURNAMENT_N:
+            raise ValueError(f"tournament census needs n <= {MAX_TOURNAMENT_N}, got {n}")
     return _run_tasks([(n,) for n in ns], _tournament_task, mode)
 
 

@@ -30,7 +30,7 @@ A tournament gives a (non-symmetric) spin model iff it is the 3-cycle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, Tournament
 from .regularity import (complement_srg_params, complement_three_point_params,
@@ -56,8 +56,7 @@ class FamilyKind(enum.Enum):
     KAUFFMAN = "Kauffman"
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """Planar-algebra family plus the predicted dim V3.
 
     ``dims`` lists the possible values: one entry when the table pins it,
@@ -71,8 +70,7 @@ class Family:
     untabulated: bool = False
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     is_spin_model: bool
     case: VerdictCase
     applied_to: AppliedTo | None
@@ -82,7 +80,7 @@ class Verdict:
 
 
 # The two rejects that the census meets on nearly every object it checks.
-# A frozen Verdict can be shared, so each is built once.
+# An immutable Verdict can be shared, so each is built once.
 _NOT_SRG = Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None, "not strongly regular")
 _NOT_REGULAR_TOURNAMENT = Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None,
                                   "not a regular tournament")

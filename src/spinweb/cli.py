@@ -3,10 +3,11 @@
 Exit codes: classify returns 0 for a spin model, 1 for not, 2 on error;
 verify returns 0 iff all four relations hold; census returns 1 when an
 asserted equivalence finds a counterexample.  ``--graph6 -`` reads graph6
-lines from stdin, one result per line; a malformed line is reported as
-``line N: <message>`` on stderr, the other lines are still processed, and
-the exit code is then 2.  ``census --input`` reports malformed lines the
-same way but keeps its exit code.
+lines from stdin, one result per line; a malformed line, and for ``dims``
+and ``classify --exact-dim`` an edgeless one (its dim V3 is undefined), is
+reported as ``line N: <message>`` on stderr, the other lines are still
+processed, and the exit code is then 2.  ``census --input`` reports
+malformed lines the same way but keeps its exit code.
 """
 
 from __future__ import annotations
@@ -74,10 +75,12 @@ def build_generator(spec: str):
     raise CliError(f"unknown generator {name!r}")
 
 
-def _inputs(ns) -> tuple[list[tuple[str, Graph | Tournament]], list[tuple[int, str]]]:
-    """Resolve the (unique) input source to (label, graph) pairs.
+def _inputs(ns) -> tuple[list[tuple[int | None, str, Graph | Tournament]],
+                         list[tuple[int, str]]]:
+    """Resolve the (unique) input source to (line number, label, graph) triples.
 
-    Also returns the (line number, message) of each malformed stdin line.
+    The line number is None for a --gen or --graph6 TEXT input.  Also
+    returns the (line number, message) of each malformed stdin line.
     """
     if (ns.graph6 is None) == (ns.gen is None):
         raise CliError("provide exactly one of --graph6 and --gen")
@@ -87,17 +90,30 @@ def _inputs(ns) -> tuple[list[tuple[str, Graph | Tournament]], list[tuple[int, s
             raise CliError("--tournament given but the generator makes a graph")
         if isinstance(obj, Tournament) and not ns.tournament:
             raise CliError("tournament generators need the --tournament flag")
-        return [(ns.gen, obj)], []
+        return [(None, ns.gen, obj)], []
     if ns.tournament:
         raise CliError("graph6 encodes undirected graphs; --tournament needs --gen")
     if ns.graph6 == "-":
         errors: list[tuple[int, str]] = []
-        pairs = [(text, g) for _, text, g in
-                 read_graph6_lines(sys.stdin.buffer.read().splitlines(), errors)]
-        if not pairs and not errors:
+        items = list(read_graph6_lines(sys.stdin.buffer.read().splitlines(), errors))
+        if not items and not errors:
             raise CliError("no graph6 lines on stdin")
-        return pairs, errors
-    return [(ns.graph6, parse_graph6(ns.graph6))], []
+        return items, errors
+    return [(None, ns.graph6, parse_graph6(ns.graph6))], []
+
+
+def _dim(obj, lineno: int | None, line_errors: list[tuple[int, str]]) -> int | None:
+    """dim V3 of obj; None, with a line error, for an edgeless stdin line.
+
+    A single input's ``ZeroGenerator`` propagates: it is the command's error.
+    """
+    try:
+        return dim_v3(obj)
+    except ZeroGenerator as exc:
+        if lineno is None:
+            raise
+        line_errors.append((lineno, str(exc)))
+        return None
 
 
 def _report_line_errors(line_errors: list[tuple[int, str]]) -> None:
@@ -106,8 +122,8 @@ def _report_line_errors(line_errors: list[tuple[int, str]]) -> None:
 
 
 def _finish(status: int, line_errors: list[tuple[int, str]]) -> int:
-    """Report malformed input lines; any of them makes the exit code 2."""
-    _report_line_errors(line_errors)
+    """Report bad input lines in line order; any of them makes the exit code 2."""
+    _report_line_errors(sorted(line_errors))
     return 2 if line_errors else status
 
 
@@ -134,12 +150,14 @@ def _dim_text(verdict: Verdict, exact: int | None) -> str:
 def cmd_classify(ns) -> int:
     inputs, line_errors = _inputs(ns)
     worst = 0
-    for label, obj in inputs:
+    for lineno, label, obj in inputs:
         verdict = (classify_tournament(obj) if isinstance(obj, Tournament)
                    else classify_symmetric(obj))
         exact = None
         if ns.exact_dim and verdict.is_spin_model:
-            exact = dim_v3(obj)
+            exact = _dim(obj, lineno, line_errors)
+            if exact is None:
+                continue
         if ns.json:
             print(json.dumps({
                 "input": label, "n": obj.n,
@@ -167,7 +185,7 @@ def cmd_classify(ns) -> int:
 def cmd_verify(ns) -> int:
     inputs, line_errors = _inputs(ns)
     worst = 0
-    for label, obj in inputs:
+    for _, label, obj in inputs:
         report = full_report(obj)
         if ns.json:
             print(json.dumps({
@@ -204,8 +222,10 @@ def cmd_verify(ns) -> int:
 
 def cmd_dims(ns) -> int:
     inputs, line_errors = _inputs(ns)
-    for label, obj in inputs:
-        value = dim_v3(obj)
+    for lineno, label, obj in inputs:
+        value = _dim(obj, lineno, line_errors)
+        if value is None:
+            continue
         if ns.json:
             print(json.dumps({"input": label, "n": obj.n, "dim_v3": value}))
         else:

@@ -30,6 +30,11 @@ the largest n for which every triple-profile key of the oracle's kernel
 fits one nonnegative int64: a key lies below I^3 (n + 1) for I <= n^2
 pair ids, and (511^2)^3 * 512 <= 2^63 < (512^2)^3 * 513.
 
+Every record of the package, graphs and results alike, is a plain class
+with ``__slots__`` or a ``typing.NamedTuple``, not a ``dataclass``, whose
+class creation runs generated code through ``exec`` at import.  The
+frozen slotted ones derive from ``Record`` below.
+
 The two numpy triple kernels (the classifier's 3-point parameters on
 large graphs, and the oracle's triple profiles) share the bit-row
 plumbing at the end of this module: rows packed into int64 words,
@@ -39,7 +44,6 @@ flat-array windows and row tiles.  They share no decision logic.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -53,23 +57,64 @@ class BadOrder(ValueError):
     """A generator was asked for a size/parameter it cannot realize."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """An immutable record whose fields are the ``__slots__`` of its classes, base first.
+
+    Each subclass's ``__init__`` fills its slots with ``object.__setattr__``.
+    Two records are equal, and hash alike, when they are of the same class
+    and their fields are equal, so records of two classes never compare
+    equal, nor does a record and a tuple.  A record pickles by calling its
+    class with its fields, which runs any check of its ``__init__`` again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += cls.__slots__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Graph(Record):
     """Undirected simple graph on vertices 0..n-1, loop-free, n >= 1."""
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ("n", "adj")
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_ORDER:
-            raise ValueError(f"graph needs 1 to {MAX_ORDER} vertices, got {self.n}")
-        if len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        if not 1 <= n <= MAX_ORDER:
+            raise ValueError(f"graph needs 1 to {MAX_ORDER} vertices, got {n}")
+        if len(adj) != n:
             raise ValueError("adjacency row count != n")
-        packed, transposed, upper = _checked_square(self.adj, self.n)
+        packed, transposed, upper = _checked_square(adj, n)
         bad = (packed ^ transposed) & upper
         if bad:
-            a, b = _first_cell(bad, self.n)
+            a, b = _first_cell(bad, n)
             raise ValueError(f"asymmetric adjacency at ({a},{b})")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -85,23 +130,23 @@ class Graph:
         return [row.bit_count() for row in self.adj]
 
 
-@dataclass(frozen=True)
-class Tournament:
+class Tournament(Record):
     """Directed graph with exactly one arc between every pair of vertices."""
 
-    n: int
-    arc: tuple[int, ...]
+    __slots__ = ("n", "arc")
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_ORDER:
-            raise ValueError(f"tournament needs 1 to {MAX_ORDER} vertices, got {self.n}")
-        if len(self.arc) != self.n:
+    def __init__(self, n: int, arc: tuple[int, ...]):
+        if not 1 <= n <= MAX_ORDER:
+            raise ValueError(f"tournament needs 1 to {MAX_ORDER} vertices, got {n}")
+        if len(arc) != n:
             raise ValueError("arc row count != n")
-        packed, transposed, upper = _checked_square(self.arc, self.n)
+        packed, transposed, upper = _checked_square(arc, n)
         bad = (packed ^ transposed ^ upper) & upper
         if bad:
-            a, b = _first_cell(bad, self.n)
+            a, b = _first_cell(bad, n)
             raise ValueError(f"pair ({a},{b}) must carry exactly one arc")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arc", arc)
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> "Tournament":

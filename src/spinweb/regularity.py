@@ -16,12 +16,12 @@ derived from the graph's by inclusion-exclusion
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, fill_rows, pack_rows, window
+from .graphs import Graph, Record, fill_rows, pack_rows, window
 
 _LOOP_MAX_N = 24     # graphs up to this order take the plain triple scan
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -31,21 +31,25 @@ class VacuousParameter(ValueError):
     """A formula was asked to use a parameter whose class is empty."""
 
 
-@dataclass(frozen=True)
-class SrgParams:
-    n: int
-    k: int
-    lam: int
-    mu: int
-    lam_vacuous: bool = False
-    mu_vacuous: bool = False
+class SrgParams(Record):
+    """Strong-regularity parameters (n, k, lambda, mu) with the two vacuity flags."""
+
+    __slots__ = ("n", "k", "lam", "mu", "lam_vacuous", "mu_vacuous")
+
+    def __init__(self, n: int, k: int, lam: int, mu: int,
+                 lam_vacuous: bool = False, mu_vacuous: bool = False):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "lam_vacuous", lam_vacuous)
+        object.__setattr__(self, "mu_vacuous", mu_vacuous)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.n, self.k, self.lam, self.mu)
 
 
-@dataclass(frozen=True)
-class ThreePointParams:
+class ThreePointParams(NamedTuple):
     """Common-neighbor counts q3..q0 for triangle, lambda, anti-lambda,
     anti-triangle triples, with per-type vacuity flags."""
 

@@ -108,10 +108,10 @@ hold.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,8 +206,7 @@ def word_label(family: str, word) -> str:
     return f"{family}[{','.join(word)}]"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A concrete violation: the two sides of a relation at one site."""
 
     site: tuple[int, ...]
@@ -216,15 +215,13 @@ class Witness:
     detail: str
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     holds: bool
     coefficients: dict[str, Fraction] | None = None
     witness: Witness | None = None
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     n: int
     directed: bool
     r1b: RelationCheck

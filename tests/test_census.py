@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -116,6 +115,11 @@ class TestRunCensus:
         with pytest.raises(ValueError, match="workers"):
             CensusConfig(max_n=5, workers=workers)
 
+    @pytest.mark.parametrize("workers", [65, 10 ** 6])
+    def test_config_rejects_workers_above_the_bound(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be <= 64, got {workers}"):
+            CensusConfig(max_n=5, workers=workers)
+
     def test_spin_model_hits_up_to_5(self):
         res = run_census(CensusConfig(max_n=5, mode=CensusMode.LIST_SPIN_MODELS))
         by_case = Counter((h.n, h.verdict.case.value) for h in res.hits)
@@ -216,7 +220,7 @@ class TestRunCensus:
         def flipped(g):
             verdict = real(g)
             if g.adj in targets and g.n == 5:
-                return dataclasses.replace(verdict, is_spin_model=not verdict.is_spin_model)
+                return verdict._replace(is_spin_model=not verdict.is_spin_model)
             return verdict
 
         monkeypatch.setattr(census, "_BLOCK", block)
@@ -234,7 +238,7 @@ class TestRunCensus:
         def flipped(g):
             verdict = real(g)
             if g.n == 5 and g.adj == target:
-                return dataclasses.replace(verdict, is_spin_model=not verdict.is_spin_model)
+                return verdict._replace(is_spin_model=not verdict.is_spin_model)
             return verdict
 
         monkeypatch.setattr(census, "classify_symmetric", flipped)
@@ -296,7 +300,7 @@ class TestScanStream:
         def flipped(g):
             verdict = real(g)
             if g.adj == target:
-                return dataclasses.replace(verdict, is_spin_model=not verdict.is_spin_model)
+                return verdict._replace(is_spin_model=not verdict.is_spin_model)
             return verdict
 
         monkeypatch.setattr(census, "classify_symmetric", flipped)
@@ -419,7 +423,7 @@ class TestTournamentCensus:
         def flipped(t):
             verdict = real(t)
             if t.arc == target:
-                return dataclasses.replace(verdict, is_spin_model=not verdict.is_spin_model)
+                return verdict._replace(is_spin_model=not verdict.is_spin_model)
             return verdict
 
         monkeypatch.setattr(census, "classify_tournament", flipped)
@@ -450,6 +454,11 @@ class TestTournamentCensus:
     def test_rejects_sizes_below_1(self, n):
         with pytest.raises(ValueError, match=f"tournament census needs n >= 1, got {n}"):
             run_tournament_census(ns=(3, n))
+
+    def test_rejects_sizes_above_the_bound_before_any_runs(self, monkeypatch):
+        monkeypatch.setattr(census, "_tournament_task", None)    # running a task fails
+        with pytest.raises(ValueError, match="tournament census needs n <= 31, got 33"):
+            run_tournament_census(ns=(3, 33))
 
 
 class TestDualityScan:

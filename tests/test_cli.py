@@ -74,6 +74,20 @@ class TestClassify:
         assert [json.loads(line)["input"] for line in out.splitlines()] == ["DqK", "DJG"]
         assert err.splitlines() == ["line 2: byte 32 outside graph6 range 63..126"]
 
+    @pytest.mark.parametrize("argv", [["dims"], ["classify", "--exact-dim"]])
+    def test_stdin_edgeless_line_reported_and_skipped(self, capsys, monkeypatch, argv):
+        # dim V3 of the edgeless graph on line 3 is undefined: that line is
+        # reported like the malformed line 2, and DJG on line 4 still runs
+        data = b"DqK\nnot graph6!!\n@\nDJG\n"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, err = run(capsys, *argv, "--graph6", "-", "--json")
+        assert code == 2
+        assert [(line["input"], line["dim_v3"]) for line in map(json.loads, out.splitlines())] == \
+            ([("DqK", 13), ("DJG", 22)] if argv == ["dims"] else [("DqK", 13), ("DJG", None)])
+        assert err.splitlines() == [
+            "line 2: byte 32 outside graph6 range 63..126",
+            "line 3: edgeless input: C_P = 0 and the rank is not dim V3"]
+
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "classify", "--graph6", "A_trailing")
         assert code == 2 and "error:" in err
@@ -228,6 +242,23 @@ class TestCensusCommand:
         code, out, err = run(capsys, "census", "--tournament", "--ns", sizes)
         assert code == 2 and out == ""
         assert err == f"error: --ns entries must be integers >= 1, got {entry!r}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--max-n", "0"], "built-in enumeration supports 1 <= max_n <= 8"),
+        (["--max-n", "9"], "built-in enumeration supports 1 <= max_n <= 8"),
+        (["--tournament", "--ns", "33"], "tournament census needs n <= 31, got 33"),
+        (["--tournament", "--ns", "3,61"], "tournament census needs n <= 31, got 61"),
+        (["--max-n", "4", "--workers", "65"], "workers must be <= 64, got 65"),
+        (["--max-n", "4", "--workers", "1000000"], "workers must be <= 64, got 1000000"),
+    ])
+    def test_census_size_out_of_range_exits_2(self, capsys, monkeypatch, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a census past its bounds started a pool")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+        code, out, err = run(capsys, "census", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["--tournament", "--input", "/nonexistent"],
@@ -388,14 +419,21 @@ def fuzz_call(rng) -> tuple[list[str], bytes]:
     return argv, b"\n".join(fuzz_line(rng) for _ in range(rng.randrange(5)))
 
 
-def stream_errors(stdin: bytes) -> list[int]:
-    """The numbers of the stdin lines that are neither blank nor valid graph6."""
+def stream_errors(argv: list[str], stdin: bytes) -> list[int]:
+    """The numbers of the stdin lines that are neither blank nor valid graph6,
+    and, for dims and classify --exact-dim, of the edgeless ones (every
+    edgeless graph is a spin model whose dim V3 is undefined)."""
+    needs_dim = argv[0] == "dims" or "--exact-dim" in argv
     bad = []
     for lineno, line in enumerate(stdin.splitlines(), start=1):
+        if not line.strip():
+            continue
         try:
-            if line.strip():
-                parse_graph6(line.strip())
+            g = parse_graph6(line.strip())
         except Graph6Error:
+            bad.append(lineno)
+            continue
+        if needs_dim and not any(g.adj):
             bad.append(lineno)
     return bad
 
@@ -416,6 +454,6 @@ def test_fuzzed_calls_exit_0_1_or_2_with_one_line_per_error(rng):
         assert lines == []
     elif lines[0].startswith("error: "):
         assert len(lines) == 1
-    else:                       # a malformed stdin line each, the others processed
+    else:                       # a bad stdin line each, the others processed
         assert [int(re.match(r"line (\d+): ", line)[1]) for line in lines] == \
-            stream_errors(stdin)
+            stream_errors(argv, stdin)
