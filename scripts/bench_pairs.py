@@ -24,7 +24,8 @@ and the metric's bound; the same for each run's raw set-up probe median
 ``.bench_out/result-<workload>-seed<seed>-trace0.json`` in its checkout, so
 that a set-up claim can be checked before normalisation as well as after;
 plus the seeds, the attempted and failed operation counts and the machine,
-Python and numpy versions.
+Python and numpy versions.  The file is written again after each workload,
+so a run that stops in a later workload keeps the pairs already measured.
 """
 
 from __future__ import annotations
@@ -130,6 +131,7 @@ def main(argv=None) -> int:
     for checkout in checkouts.values():     # so that no measured run compiles the sources
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "benchmark"],
                        cwd=checkout, check=True)
+    path = ROOT / f"BENCH_{args.label}.json"
     for workload in args.workload:
         runs: dict[str, list[dict]] = {side: [] for side in SIDES}
         for pair, seed in enumerate(seeds):
@@ -146,8 +148,7 @@ def main(argv=None) -> int:
             **{metric["name"]: compare(runs, metric)
                for metric in [*benchmark["end_to_end"], RAW_SETUP]},
         }
-    path = ROOT / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(out, indent=1) + "\n")
+        path.write_text(json.dumps(out, indent=1) + "\n")     # keep what is measured so far
     print(path)
     return 0
 

@@ -95,7 +95,8 @@ class CensusConfig(Record):
     def __init__(self, max_n: int = 7, mode: CensusMode | str = CensusMode.ASSERT_EQUIVALENCE,
                  workers: int = 1):
         if not 1 <= max_n <= MAX_BUILTIN_N:
-            raise ValueError(f"built-in enumeration supports 1 <= max_n <= {MAX_BUILTIN_N}")
+            raise ValueError(f"built-in enumeration supports 1 <= max_n <= {MAX_BUILTIN_N}, "
+                             f"got {max_n}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if workers > MAX_WORKERS:
@@ -443,6 +444,8 @@ def run_tournament_census(ns=(3, 5), mode=CensusMode.ASSERT_EQUIVALENCE) -> Cens
             raise ValueError(f"tournament census needs n >= 1, got {n}")
         if n > MAX_TOURNAMENT_N:
             raise ValueError(f"tournament census needs n <= {MAX_TOURNAMENT_N}, got {n}")
+        if n > _EXHAUSTIVE_TOURNAMENTS and n % 2 == 0:
+            raise ValueError(f"circulant tournament needs odd n, got {n}")
     return _run_tasks([(n,) for n in ns], _tournament_task, mode)
 
 

@@ -20,8 +20,7 @@ import sys
 
 from . import census as census_mod
 from .classifier import (Verdict, classify_symmetric, classify_tournament)
-from .graph6 import (Graph6Error, parse_graph6, read_graph6_lines,
-                     write_graph6)
+from .graph6 import parse_graph6, read_graph6_lines, write_graph6
 from .graphs import (BadOrder, Graph, Tournament, circulant_tournament,
                      clebsch, complete, cycle, paley, petersen, union_complete)
 from .statesum import ZeroGenerator, dim_v3, full_report
@@ -356,8 +355,7 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{ns.command}"](ns)
-    except (CliError, Graph6Error, BadOrder, ZeroGenerator, ValueError,
-            OSError) as exc:
+    except (ValueError, OSError) as exc:    # CliError, Graph6Error, BadOrder, ZeroGenerator too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -475,9 +475,8 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
     pair-id terms of the k first vertices are laid out once; per
     rectangle, T comes from word-wise AND with a tile of the rows P_c plus
     popcount, and the bc ids are a window of the pair-id table with a
-    pitch of n (``slab_keys``).  The tile of c rows is laid out again only
-    when (rows, lo, tall) changes, and the views of the rectangles only
-    when k does too.  The walk calls it with rows = n and lo = 0, so its
+    pitch of n.  The tile of c rows is laid out again only when (rows, lo,
+    tall) changes.  The walk calls it with rows = n and lo = 0, so its
     rectangles are slabs, runs of consecutive cells in
     (a, b, c) order of at most _SLAB cells each: while n^2 <= _SLAB a slab
     holds all cells of k = min(n, _SLAB // n^2) whole first vertices a
@@ -577,56 +576,28 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
         unseen = np.frombuffer(bytearray(b"\xff") * (8 * bins), dtype=np.int64)  # all -1
         unseen_cells = memoryview(unseen)
 
-    def slab_keys(meet_cols, bits_c, bc, ab, ac, keys, tmp):
-        """Pack the profile keys of a slab's cells into ``keys``."""
-        for w, (meet_col, bits) in enumerate(zip(meet_cols, bits_c)):
-            part = tmp if w else keys               # T of word w, counted in place
-            np.bitwise_and(meet_col, bits, out=part)
-            np.bitwise_count(part, out=part)
-            if w:
-                keys += tmp
-        keys *= n_ids
-        keys += bc
-        keys += ac
-        keys += ab
-
     group_views = {k: ([window(b_tile, 0, (k, n)) for b_tile in b_tiles],
                        [window(meet, 0, (k, n)) for meet in meets],
                        window(ab_rows, 0, k * n), window(ac_rows, 0, k * n))
                    for k in {group, n % group or group}}      # views of a group's buffers
-    rect_views = {}         # the rectangles' views of the last (rows, lo, tall), by k
+    laid_out = None         # the (rows, lo, tall) the c tiles hold
 
     def rectangles(a0, k, rows, lo, tall):
         """The keys of the cells (a, b, c) with a0 <= a < a0 + k, b < rows and c >= lo.
 
         Yields, per rectangle of ``tall`` b rows of each first vertex, the
-        index of its first cell (a0, b, lo) and its keys (``slab_keys``)
-        as a flat view.  A rectangle's rows are its (a, b) pairs in order,
-        so k > 1 needs whole b ranges (rows = n, tall = n).
-        The c rows are laid out again only when (rows, lo, tall) changes,
-        and the views of the rectangles when k does too: per middle vertex
-        in phase 1; in the walk once, and the views once more for a smaller
-        last group.
+        index of its first cell (a0, b, lo) and its keys as a flat view.  A
+        rectangle's rows are its (a, b) pairs in order, so k > 1 needs whole
+        b ranges (rows = n, tall = n).  The c rows are laid out again only
+        when (rows, lo, tall) changes: per middle vertex in phase 1, once in
+        the walk.
         """
+        nonlocal laid_out
         width = n - lo
-        if (rows, lo, tall) not in rect_views:
-            rect_views.clear()
+        if laid_out != (rows, lo, tall):
+            laid_out = (rows, lo, tall)
             for c_tile, word in zip(c_tiles, words):    # group * tall copies of P_c from lo
                 fill_rows(c_tile, memoryview(word)[lo:], width, group * tall)
-        by_k = rect_views.setdefault((rows, lo, tall), {})
-        if k not in by_k:
-            by_k[k] = rects = []
-            for b0 in range(0, rows, tall):
-                m = k * min(tall, rows - b0)       # (a, b) rows of the rectangle
-                if b0 == 0 or m < k * tall:        # views of a new rectangle shape
-                    shape = (m, width)
-                    bits_c = [window(c_tile, 0, shape) for c_tile in c_tiles]
-                    ac, keys = window(ac_tile, 0, shape), window(low, 0, shape)
-                    tmp = keys if spare is low else window(spare, 0, shape)
-                    flat = window(low, 0, m * width)
-                rects.append((b0, [window(meet, b0, (m, 1)) for meet in meets], bits_c,
-                              window(bc_cells, b0 * n + lo, shape, n),
-                              window(ab_rows, b0, (m, 1)), ac, keys, tmp, flat))
         b_parts, meet_parts, ab_out, ac_out = group_views[k]
         for word, b_part, meet_part in zip(words, b_parts, meet_parts):
             np.bitwise_and(window(word, a0, (k, 1)), b_part, out=meet_part)   # P_a & P_b
@@ -634,9 +605,22 @@ def _representative_triples(rows: tuple[int, ...], pairs=None) -> list[tuple[int
         np.multiply(pid_a, scale_ab, out=ab_out, dtype=np.int64)
         np.multiply(pid_a, scale_ac, out=ac_out, dtype=np.int64)
         fill_rows(ac_tile, memoryview(ac_rows)[lo:lo + k * width], width, tall)
-        for b0, *slab, flat in by_k[k]:
-            slab_keys(*slab)
-            yield (a0 * n + b0) * n + lo, flat
+        for b0 in range(0, rows, tall):
+            m = k * min(tall, rows - b0)           # (a, b) rows of the rectangle
+            shape = (m, width)
+            keys = window(low, 0, shape)
+            tmp = keys if spare is low else window(spare, 0, shape)
+            for w, (meet, c_tile) in enumerate(zip(meets, c_tiles)):
+                part = tmp if w else keys           # T of word w, counted in place
+                np.bitwise_and(window(meet, b0, (m, 1)), window(c_tile, 0, shape), out=part)
+                np.bitwise_count(part, out=part)
+                if w:
+                    keys += tmp
+            keys *= n_ids
+            keys += window(bc_cells, b0 * n + lo, shape, n)
+            keys += window(ac_tile, 0, shape)
+            keys += window(ab_rows, b0, (m, 1))
+            yield (a0 * n + b0) * n + lo, window(low, 0, m * width)
 
     def profile_count(reversed_ids):
         """Phase 1: the number of profiles among all n^3 cells."""

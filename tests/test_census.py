@@ -459,6 +459,8 @@ class TestTournamentCensus:
         monkeypatch.setattr(census, "_tournament_task", None)    # running a task fails
         with pytest.raises(ValueError, match="tournament census needs n <= 31, got 33"):
             run_tournament_census(ns=(3, 33))
+        with pytest.raises(ValueError, match="circulant tournament needs odd n, got 6"):
+            run_tournament_census(ns=(3, 6))
 
 
 class TestDualityScan:

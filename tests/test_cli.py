@@ -237,6 +237,12 @@ class TestCensusCommand:
         assert code == 2 and out == ""
         assert err == f"error: circulant tournament needs odd n, got {n}\n"
 
+    def test_even_tournament_size_exits_2_before_any_size_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr("spinweb.census._tournament_task", None)    # running a task fails
+        code, out, err = run(capsys, "census", "--tournament", "--ns", "31,6")
+        assert code == 2 and out == ""
+        assert err == "error: circulant tournament needs odd n, got 6\n"
+
     @pytest.mark.parametrize("sizes, entry", [("0", "0"), ("-1", "-1"), ("3,x", "x"), ("", "")])
     def test_bad_tournament_size_exits_2(self, capsys, sizes, entry):
         code, out, err = run(capsys, "census", "--tournament", "--ns", sizes)
@@ -244,8 +250,8 @@ class TestCensusCommand:
         assert err == f"error: --ns entries must be integers >= 1, got {entry!r}\n"
 
     @pytest.mark.parametrize("argv, message", [
-        (["--max-n", "0"], "built-in enumeration supports 1 <= max_n <= 8"),
-        (["--max-n", "9"], "built-in enumeration supports 1 <= max_n <= 8"),
+        (["--max-n", "0"], "built-in enumeration supports 1 <= max_n <= 8, got 0"),
+        (["--max-n", "9"], "built-in enumeration supports 1 <= max_n <= 8, got 9"),
         (["--tournament", "--ns", "33"], "tournament census needs n <= 31, got 33"),
         (["--tournament", "--ns", "3,61"], "tournament census needs n <= 31, got 61"),
         (["--max-n", "4", "--workers", "65"], "workers must be <= 64, got 65"),

@@ -886,6 +886,26 @@ class TestRepresentativeTriples:
             _representative_triples(p_rows(g))
         assert counts == []
 
+    def test_walk_lays_out_the_c_rows_once(self, monkeypatch):
+        # Schlafli (n = 27, one word per row) walks 6 groups of at most 5 whole
+        # first vertices, each with rows = tall = n and lo = 0: the tile of c
+        # rows (5 * 27 copies of P_c) is laid out once, the ac rows per group
+        assert statesum._SLAB == 4096
+        schlafli = load_fixture("schlafli")
+        rows = p_rows(schlafli)
+        pairs = _pair_table(rows)
+        heights = []
+        fill_rows = statesum.fill_rows
+
+        def spy(tile, source, n, height):
+            heights.append(height)
+            fill_rows(tile, source, n, height)
+
+        monkeypatch.setattr("spinweb.statesum.fill_rows", spy)
+        assert _representative_triples(rows, pairs) == cached_reference_triples(schlafli)
+        assert heights.count(5 * 27) == 1
+        assert heights.count(27) == 6
+
     def test_slabs_smaller_than_a_row(self, monkeypatch):
         # n > _SLAB: one b row per slab
         monkeypatch.setattr("spinweb.statesum._SLAB", 4)
