@@ -4,9 +4,9 @@ A graph gives a symmetric spin model iff, up to complementation, it is
 (i) the pentagon, (ii) a disjoint union of equal-size complete graphs, or
 (iii) 3-point regular with q3 - 3*q2 + 3*q1 - q0 != 0.  All three need a
 strongly regular graph, so a graph that is not one is rejected first.
-Cases are then tested in that order, on the graph and then on its
-complement, and the first match is recorded; ties (K3 is both complete
-and a triangle) therefore resolve to the union case.
+Cases are then tested in that order and the first match is recorded; the
+union case is tried on the graph and then on its complement, and ties (K3
+is both complete and a triangle) resolve to it.
 
 Cases (i) and (ii) are facts about the srg parameters, so no second graph
 is built.  The pentagon is srg(5, 2, 0, 1), the only 2-regular graph on 5
@@ -17,12 +17,17 @@ union of K_(k+1); the complement's parameters, and its 3-point
 parameters, come from the graph's by inclusion-exclusion, so the triple
 scan runs once.
 
-Case (iii) splits on freeness.  When all four triple types occur the
-q-condition decides directly.  A 3-point regular graph that is
-triangle-free but not lambda-free forces q2 = q1 = 0 with q3 vacuous; its
-degree k is at least 3 once the pentagon and the unions are excluded, and
-then q0 > 0, so the condition holds with value -q0.  The anti-triangle-free
-side is the complement of that branch.
+Case (iii) is decided in one pass.  Once the unions are excluded, one- and
+two-edge triples both occur: a graph without two-edge triples is a union
+of completes, and so is the complement of one without one-edge triples.
+When all four triple types occur, the graph's own q-condition decides (a
+graph where it is 0 is a Smith graph).  Otherwise only triangles or only
+anti-triangles are missing, and the triangle-free side decides: the graph,
+or else its complement, whose 3-point parameters are then derived from the
+graph's.  A 3-point regular graph that is triangle-free but not
+lambda-free forces q2 = q1 = 0 with q3 vacuous; its degree k is at least 3
+once the pentagon and the unions are excluded, and then q0 > 0, so the
+condition holds with value -q0.
 
 A tournament gives a (non-symmetric) spin model iff it is the 3-cycle.
 """
@@ -97,7 +102,12 @@ def _family_for_union(m: int, size: int) -> Family:
 
 
 def classify_symmetric(g: Graph) -> Verdict:
-    """Decide the symmetric spin-model question for a graph."""
+    """Decide the symmetric spin-model question for a graph.
+
+    Strongly regular first, then the pentagon, the union case on the graph
+    and then on its complement, 3-point regularity, and last case (iii) in
+    one pass, on the graph or on its triangle-free complement.
+    """
     # every case needs a strongly regular graph: the pentagon, unions of
     # equal completes and their complements, and 3-point regular graphs
     srg = srg_params(g)
@@ -124,33 +134,30 @@ def classify_symmetric(g: Graph) -> Verdict:
         return Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None,
                        "strongly regular but not 3-point regular")
 
-    params_c = complement_three_point_params(params)
-    # a vacuity flag is set exactly when no triple of that type occurs
-    for tag, p in ((AppliedTo.GRAPH, params), (AppliedTo.COMPLEMENT, params_c)):
-        if not p.any_vacuous():
-            value = q_condition(p)
-            if value != 0:
-                return Verdict(True, VerdictCase.Q_CONDITION_HOLDS, tag,
-                               Family(FamilyKind.KAUFFMAN, (14, 15)),
-                               f"3-point regular with q-condition {value} != 0 "
-                               f"on the {tag.value}", q_value=value)
+    # A vacuity flag is set exactly when no triple of that type occurs.  One-
+    # and two-edge triples both occur here (without either, the graph or its
+    # complement is a union of completes, returned above), so only q3 or q0
+    # can be vacuous, and then the triangle-free side decides.
+    tag, p = AppliedTo.GRAPH, params
+    if not params.any_vacuous():
+        value = q_condition(params)
+        if value == 0:
             return Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None,
                            "Smith graph: 3-point regular with q-condition 0",
                            q_value=0)
-        if p.q3_vacuous and not p.q2_vacuous:
-            # pentagon (k = 2) was already caught; k <= 1 would be lambda-free
-            k = p.srg.k
-            assert k >= 3, "triangle-free non-lambda-free srg with k <= 2 escaped"
-            assert not p.q0_vacuous, "triangle-free with k >= 3 forces anti-triangles"
-            value = -p.q0
-            return Verdict(True, VerdictCase.Q_CONDITION_HOLDS, tag,
-                           Family(FamilyKind.KAUFFMAN, (14, 15)),
-                           f"{tag.value} is triangle-free, not lambda-free, "
-                           f"k = {k} >= 3, so the q-condition holds with value {value}",
-                           q_value=value)
-
-    return Verdict(False, VerdictCase.NOT_SPIN_MODEL, None, None,
-                   "3-point regular but no classification case applies")
+        reason = f"3-point regular with q-condition {value} != 0 on the graph"
+    else:
+        if not params.q3_vacuous:
+            tag, p = AppliedTo.COMPLEMENT, complement_three_point_params(params)
+        # pentagon (k = 2) was already caught; k <= 1 would be lambda-free
+        k = p.srg.k
+        assert k >= 3, "triangle-free non-lambda-free srg with k <= 2 escaped"
+        assert not p.q0_vacuous, "triangle-free with k >= 3 forces anti-triangles"
+        value = -p.q0
+        reason = (f"{tag.value} is triangle-free, not lambda-free, "
+                  f"k = {k} >= 3, so the q-condition holds with value {value}")
+    return Verdict(True, VerdictCase.Q_CONDITION_HOLDS, tag,
+                   Family(FamilyKind.KAUFFMAN, (14, 15)), reason, q_value=value)
 
 
 def is_regular_tournament(t: Tournament) -> int | None:

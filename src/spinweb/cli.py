@@ -137,8 +137,6 @@ def _family_json(verdict: Verdict):
 def _dim_text(verdict: Verdict, exact: int | None) -> str:
     if exact is not None:
         return f"dim V3 = {exact}"
-    if verdict.family is None:
-        return ""
     if len(verdict.family.dims) == 1:
         return f"dim V3 = {verdict.family.dims[0]}"
     if verdict.family.dims:
@@ -169,12 +167,8 @@ def cmd_classify(ns) -> int:
                 "reason": verdict.reason,
             }))
         elif verdict.is_spin_model:
-            parts = [f"spin model: {verdict.case.value} case",
-                     f"family {verdict.family.kind.value}"]
-            dim_text = _dim_text(verdict, exact)
-            if dim_text:
-                parts.append(dim_text)
-            print("; ".join(parts))
+            print(f"spin model: {verdict.case.value} case; "
+                  f"family {verdict.family.kind.value}; {_dim_text(verdict, exact)}")
         else:
             print(f"not a spin model: {verdict.reason}")
         worst = max(worst, 0 if verdict.is_spin_model else 1)

@@ -373,8 +373,9 @@ def _pair_table(rows: tuple[int, ...]) -> tuple[np.ndarray, list[tuple[int, int,
 
     Keys are exact int64, ((|P_v| * n + |P_u|) * n + |P_u & P_v|) * 3 +
     2 - class < 3n^3, built in bands of whole rows u of at most
-    max(_SLAB, n) cells: popcounts of the tiled words of P_v and of their
-    AND with the column of P_u, and the class from the AND of that column
+    max(_SLAB, n) cells: the column of |P_u| added to a tile of n |P_v|
+    laid out once, popcounts of the AND of the tiled words of P_v with the
+    column of P_u, and the class from the AND of that column
     with tiled Delta bits 1 << (v mod WORD_BITS), one word's columns at a
     time, with the diagonal set through a window of pitch n + 1.  The ids
     are the only n x n array.  One C-level ``map`` of a ``_FirstSeen``
@@ -395,6 +396,8 @@ def _pair_table(rows: tuple[int, ...]) -> tuple[np.ndarray, list[tuple[int, int,
     fill_rows(delta, np.fromiter((1 << (v % WORD_BITS) for v in range(n)),
                                  dtype=np.int64, count=n), n, height)
     degrees = np.fromiter((row.bit_count() for row in rows), dtype=np.int64, count=n)
+    scaled = np.empty(size, dtype=np.int64)                    # `height` copies of n |P_v|
+    fill_rows(scaled, degrees * n, n, height)
     keys, part = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
     cells = memoryview(pid)
     ids = _FirstSeen()
@@ -404,12 +407,7 @@ def _pair_table(rows: tuple[int, ...]) -> tuple[np.ndarray, list[tuple[int, int,
         key, tmp = window(keys, 0, (m, n)), window(part, 0, (m, n))
         bits_v = [window(tile, 0, (m, n)) for tile in tiles]
         cols_u = [window(word, u0, (m, 1)) for word in words]
-        for w, bits in enumerate(bits_v):           # |P_v|
-            np.bitwise_count(bits, out=tmp if w else key)
-            if w:
-                key += tmp
-        key *= n
-        key += window(degrees, u0, (m, 1))          # |P_u|
+        np.add(window(scaled, 0, (m, n)), window(degrees, u0, (m, 1)), out=key)   # + |P_u|
         key *= n
         for col, bits in zip(cols_u, bits_v):       # |P_u & P_v|
             np.bitwise_and(col, bits, out=tmp)

@@ -68,8 +68,11 @@ class TestClassifySymmetric:
         assert v.q_value == -1
 
     def test_clebsch_complement_matches_on_other_side(self):
-        v = classify_symmetric(complement(clebsch()))
-        assert v.is_spin_model and v.applied_to is AppliedTo.COMPLEMENT
+        for g in (clebsch(), load_fixture("higman_sims")):
+            own, v = classify_symmetric(g), classify_symmetric(complement(g))
+            assert v.is_spin_model and v.applied_to is AppliedTo.COMPLEMENT
+            assert v.reason.startswith("complement is triangle-free")
+            assert (v.q_value, v.family) == (own.q_value, own.family)
 
     def test_k3_tie_resolves_to_union(self):
         assert classify_symmetric(complete(3)).case is VerdictCase.UNION_OF_COMPLETES
