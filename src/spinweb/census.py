@@ -32,26 +32,29 @@ Enumeration order is fixed (n ascending, edge-bit index ascending, bits
 in graph6 pair order), and the guard sample is a deterministic function
 of the index, so results do not depend on the worker count or the block
 size.  A task is one block of at most 2^16 indices of one n: n <= 7
-makes 38 tasks, 32 of them the n = 7 blocks of a few hundredths of a
-second each, so a pool's workers finish within one small block of each
+makes 38 tasks, 32 of them the n = 7 blocks of about 3.5 ms each (shared
+2-vCPU Xeon), so a pool's workers finish within one small block of each
 other and each worker's numpy pre-filter arrays stay small.
 
 A graph6 stream is one task, its lines.  The tournament census is one
 task per n: every labeled tournament on up to _EXHAUSTIVE_TOURNAMENTS (5)
 vertices and only the circulant ones on more.
 
-A graph is built from its index one byte at a time: each byte of the
-index selects a precomputed n x n bit matrix of its pairs, packed with one
-row per byte (stride 8, the layout ``graphs`` validates in), and the rows
-are the bytes of the OR of one matrix per index byte.  The ``Graph`` or
-``Tournament`` made from them is validated like any other, by one packed
-transpose.
+A block builds the rows of all its chosen graphs in one numpy pass: each
+byte of the indices gathers, from a precomputed table per index byte, the
+n x n bit matrix of that byte's pairs, packed with one row per byte
+(stride 8, the layout ``graphs`` validates in), and the bytes of the OR
+of one matrix per index byte are the rows of each graph.  Every ``Graph``
+or ``Tournament`` is then made from its rows by its constructor and
+validated like any other, by one packed transpose.  ``graph_from_index``
+and ``tournament_from_index`` take the same steps for one index.
 """
 from __future__ import annotations
 
 import contextlib
 import enum
 import functools
+from collections.abc import Iterator
 from itertools import combinations, count, product, repeat
 
 import numpy as np
@@ -59,8 +62,7 @@ import numpy as np
 from .classifier import (Verdict, VerdictCase, classify_symmetric,
                          classify_tournament)
 from .graph6 import read_graph6_lines, write_graph6
-from .graphs import (Graph, Record, Tournament, circulant_tournament,
-                     matrix_stride, unpack_rows)
+from .graphs import Graph, Record, Tournament, circulant_tournament, matrix_stride
 from .regularity import three_point_params
 from .statesum import full_report, spin_model_verdict
 
@@ -237,61 +239,74 @@ def pair_positions(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @functools.cache
-def _byte_tables(n: int, directed: bool) -> tuple[tuple[int, ...], ...]:
+def _byte_tables(n: int, directed: bool) -> np.ndarray:
     """Per index byte, the packed n x n bit matrix of each of its 256 values.
 
     The layout is that of ``graphs``' packed matrices: row i at bits
     i * stride .. of the entry, with stride = ``matrix_stride(n)``, which is
     8 for every n <= MAX_BUILTIN_N, so that the OR of one entry per byte,
-    read as n little-endian bytes, is the tuple of rows.  Bit
-    ``i * stride + j`` of an entry is set iff the byte's pairs put j in row
-    i: both (i, j) and (j, i) for a set bit of a graph index; i -> j for a
-    set bit of a tournament index and j -> i for a clear one.  Bits of the
-    last byte past the n(n-1)/2 pairs select nothing, as in the per-bit
-    reading of an index.  The tables of one n hold 256 entries of up to
-    n * stride bits per index byte: about 40 KB at n = 8.
+    read as bytes, is the tuple of rows.  Entry v of table k is
+    ``tables[k, v]``, its little-endian '<u8' words.  Bit ``i * stride + j``
+    of an entry is set iff the byte's pairs put j in row i: both (i, j) and
+    (j, i) for a set bit of a graph index; i -> j for a set bit of a
+    tournament index and j -> i for a clear one.  Bits of the last byte
+    past the n(n-1)/2 pairs select nothing, as in the per-bit reading of an
+    index.  A row must fit one word, so n <= 64; the tables of one n hold
+    256 entries of n * stride bits per index byte: 8 KB at n = 8.
     """
-    pairs = pair_positions(n)
+    if not 1 <= n <= 64:
+        raise ValueError(f"a graph built from its index needs 1 <= n <= 64, got {n}")
     stride = matrix_stride(n)
-    tables = []
-    for first in range(0, len(pairs), 8):
-        cells = [(1 << (i * stride + j), 1 << (j * stride + i))
-                 for i, j in pairs[first:first + 8]]
-        table = []
-        for value in range(256):
-            packed = 0
-            for b, (forward, backward) in enumerate(cells):
-                if (value >> b) & 1:
-                    packed |= forward | (0 if directed else backward)
-                elif directed:
-                    packed |= backward
-            table.append(packed)
-        tables.append(tuple(table))
-    return tuple(tables)
+    width = -(-n * stride // 64) * 8                # bytes of an entry, in whole words
+    cells = []                  # per pair: its cells with its index bit clear, and set
+    for i, j in pair_positions(n):
+        forward, backward = 1 << (i * stride + j), 1 << (j * stride + i)
+        cells += [backward, forward] if directed else [0, forward | backward]
+    cells += [0] * (-len(cells) % 16)               # pairs padded to whole bytes
+    cells = np.frombuffer(b"".join(cell.to_bytes(width, "little") for cell in cells),
+                          "<u8").reshape(-1, 8, 2, width // 8)
+    # an entry is the sum of one cell per pair; the cells are distinct bits, so it is their OR
+    tables = np.zeros((len(cells), 256, width // 8), "<u8")
+    for b in range(8):          # the cell of pair b that each value selects
+        tables += cells[:, b, (np.arange(256) >> b) & 1]
+    tables.setflags(write=False)
+    return tables
 
 
-def _rows_from_index(n: int, index: int, directed: bool) -> tuple[int, ...]:
-    packed = 0
-    for table in _byte_tables(n, directed):
-        packed |= table[index & 0xFF]
-        index >>= 8
-    return unpack_rows(packed, n)
+def _rows_from_indices(n: int, indices, directed: bool) -> Iterator[tuple[int, ...]]:
+    """The rows of the graph (or tournament) of each index, in order.
+
+    Each byte of the indices gathers its ``_byte_tables`` entries at once;
+    their OR, read with one row per ``matrix_stride(n)`` bits (a byte for
+    n <= 8), gives each index's rows.  ``indices`` is an int64 array or a
+    sequence of ints; an index past 63 bits makes it an object array, which
+    takes the same steps.  The tuples are zipped from the row columns as
+    they are taken, so a block never holds all of them at once.
+    """
+    tables = _byte_tables(n, directed)
+    indices = np.asarray(indices)
+    packed = np.zeros((len(indices), tables.shape[2]), "<u8")
+    for table in tables:        # each byte's pairs have cells of their own: a sum is an OR
+        packed += table[(indices & 0xFF).astype(np.intp, copy=False)]
+        indices = indices >> 8
+    return zip(*packed.view(f"<u{matrix_stride(n) // 8}")[:, :n].T.tolist())
 
 
 def graph_from_index(n: int, index: int) -> Graph:
-    return Graph(n, _rows_from_index(n, index, False))
+    return Graph(n, next(_rows_from_indices(n, [index], False)))
 
 
 def tournament_from_index(n: int, index: int) -> Tournament:
-    return Tournament(n, _rows_from_index(n, index, True))
+    return Tournament(n, next(_rows_from_indices(n, [index], True)))
 
 
-def _degree_bit_masks(n: int) -> list[int]:
+@functools.cache
+def _degree_bit_masks(n: int) -> tuple[int, ...]:
     masks = [0] * n
     for b, (i, j) in enumerate(pair_positions(n)):
         masks[i] |= 1 << b
         masks[j] |= 1 << b
-    return masks
+    return tuple(masks)
 
 
 def _regular_mask(n: int, indices: np.ndarray) -> np.ndarray:
@@ -318,10 +333,10 @@ def _census_block(args) -> CensusResult:
     indices = np.arange(start, stop, dtype=np.int64)
     regular = _regular_mask(n, indices)
     checked = regular | (indices % _GUARD_STRIDE == 0)
-    chosen = indices[checked].tolist()
-    graphs = map(functools.partial(graph_from_index, n), chosen)
+    chosen = indices[checked]
+    graphs = map(Graph, repeat(n), _rows_from_indices(n, chosen, False))
     rejected = (~regular[checked]).tolist()
-    checked_seen = _compare(out, zip(chosen, repeat(None), graphs, rejected),
+    checked_seen = _compare(out, zip(chosen.tolist(), repeat(None), graphs, rejected),
                             classify_symmetric, _LISTED.get(mode))
     last = stop if out.disagreement is None else out.disagreement.index + 1
     out.graphs_seen = last - start
@@ -422,8 +437,8 @@ def _tournament_task(args) -> CensusResult:
     """Census of the tournaments on n vertices; it lists the spin models in every mode."""
     n, _ = args
     if n <= _EXHAUSTIVE_TOURNAMENTS:
-        tournaments = map(functools.partial(tournament_from_index, n),
-                          range(1 << (n * (n - 1) // 2)))
+        tournaments = map(Tournament, repeat(n), _rows_from_indices(
+            n, np.arange(1 << (n * (n - 1) // 2)), True))
     else:
         tournaments = iter_circulant_tournaments(n)
     out = CensusResult()

@@ -5,14 +5,15 @@ per vertex, bit b of ``adj[a]`` set iff a is adjacent to b, so that
 common-neighbor counts are word-parallel ``(adj[a] & adj[b]).bit_count()``
 calls.  That popcount trick is the performance foundation of the census.
 
-Every ``Graph`` and ``Tournament`` is validated when it is made, by
-word-parallel operations on its rows packed into one int: row a occupies
-bits a*stride .. a*stride + stride - 1, with stride = max(8, the next power
-of two >= n), so that for n <= 8 the packed matrix is just ``bytes(rows)``
-read little-endian.  The packed matrix is transposed by log2(stride)
-masked delta-swaps (step s exchanges the cells (i, j) and (i + s, j - s)
-for i with bit s clear and j with bit s set), with the swap masks cached per
-stride; a stride-128 matrix (Higman-Sims) needs seven masks of 2 KB.
+Every ``Graph`` and ``Tournament`` is validated when it is made, by one
+call (``_checked_square``) of word-parallel operations on its rows packed
+into one int: row a occupies bits a*stride .. a*stride + stride - 1, with
+stride = max(8, the next power of two >= n), so that for n <= 8 the packed
+matrix is just ``bytes(rows)`` read little-endian.  The packed matrix is
+transposed, in the same call, by log2(stride) masked delta-swaps (step s
+exchanges the cells (i, j) and (i + s, j - s) for i with bit s clear and j
+with bit s set); the masks of each n are kept in a dict after its first
+graph, and a stride-128 matrix (Higman-Sims) needs seven swap masks of 2 KB.
 Bits outside 0..n-1 and loops are one AND with a cached mask of the
 forbidden cells (the diagonal and columns n .. stride - 1 of each row); a
 row that does not fit in stride bits, or is negative, fails the packing.
@@ -278,23 +279,6 @@ def matrix_stride(n: int) -> int:
     return max(8, 1 << (n - 1).bit_length())
 
 
-def _pack(rows, n: int, stride: int) -> int:
-    """Rows below 2^n as one int, row a at bits a*stride.. of it."""
-    if stride == 8:
-        return int.from_bytes(bytes(rows), "little")
-    width = stride // 8
-    return int.from_bytes(b"".join(row.to_bytes(width, "little") for row in rows), "little")
-
-
-def unpack_rows(packed: int, n: int) -> tuple[int, ...]:
-    """The n rows of a packed matrix whose cells all lie in rows and columns < n."""
-    if n <= 8:                  # stride 8: one byte per row
-        return tuple(packed.to_bytes(n, "little"))
-    mask = (1 << n) - 1
-    stride = matrix_stride(n)
-    return tuple((packed >> shift) & mask for shift in range(0, n * stride, stride))
-
-
 @functools.cache
 def _swap_masks(stride: int) -> tuple[tuple[int, int], ...]:
     """(shift, mask) of each delta-swap of a stride x stride transpose.
@@ -317,14 +301,6 @@ def _swap_masks(stride: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
-def _transpose(packed: int, swaps: tuple[tuple[int, int], ...]) -> int:
-    for shift, mask in swaps:
-        swap = (packed ^ (packed >> shift)) & mask
-        packed ^= swap ^ (swap << shift)
-    return packed
-
-
-@functools.cache
 def _square_masks(n: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
     """(stride, forbidden cells, cells a < b < n, swap masks) of an n x n matrix.
 
@@ -333,8 +309,11 @@ def _square_masks(n: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
     stride = matrix_stride(n)
     outside = (1 << stride) - (1 << n)
     full = (1 << n) - 1
-    return (stride, _pack([outside | (1 << a) for a in range(n)], n, stride),
-            _pack([full ^ ((2 << a) - 1) for a in range(n)], n, stride), _swap_masks(stride))
+    return (stride, sum((outside | (1 << a)) << (a * stride) for a in range(n)),
+            sum((full ^ ((2 << a) - 1)) << (a * stride) for a in range(n)), _swap_masks(stride))
+
+
+_SQUARES: dict[int, tuple] = {}     # n -> _square_masks(n), filled by its first graph
 
 
 def _checked_square(rows, n: int) -> tuple[int, int, int]:
@@ -342,9 +321,14 @@ def _checked_square(rows, n: int) -> tuple[int, int, int]:
 
     Raises the error of the first bad row: bits outside 0..n-1, else a loop.
     """
-    stride, forbidden, upper, swaps = _square_masks(n)
+    stride, forbidden, upper, swaps = _SQUARES.get(n) or _SQUARES.setdefault(n, _square_masks(n))
     try:
-        packed = _pack(rows, n, stride)
+        if stride == 8:
+            packed = int.from_bytes(bytes(rows), "little")
+        else:
+            width = stride // 8
+            packed = int.from_bytes(b"".join([row.to_bytes(width, "little") for row in rows]),
+                                    "little")
     except (ValueError, OverflowError):     # a row is negative or wider than stride
         packed = forbidden
     if packed & forbidden:
@@ -354,7 +338,11 @@ def _checked_square(rows, n: int) -> tuple[int, int, int]:
                 raise ValueError(f"row {a} has bits outside 0..n-1")
             if (row >> a) & 1:
                 raise ValueError(f"loop at vertex {a}")
-    return packed, _transpose(packed, swaps), upper
+    transposed = packed
+    for shift, mask in swaps:
+        swap = (transposed ^ (transposed >> shift)) & mask
+        transposed ^= swap ^ (swap << shift)
+    return packed, transposed, upper
 
 
 def _first_cell(bits: int, n: int) -> tuple[int, int]:

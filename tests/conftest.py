@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from spinweb.census import _BLOCK, pair_positions
 from spinweb.graph6 import parse_graph6
-from spinweb.graphs import (Graph, Tournament, _pack, _swap_masks, _transpose, complement,
-                            matrix_stride, unpack_rows)
+from spinweb.graphs import Graph, Tournament, _checked_square, complement, matrix_stride
 from spinweb.linalg import is_consistent
 from spinweb.statesum import (DIRECTED_ALPHABET, UNDIRECTED_ALPHABET, RelationCheck,
                               _generator, _letter_rows, _representative_triples,
@@ -55,9 +54,12 @@ def in_degree(t: Tournament, a: int) -> int:
 
 def transpose_rows(rows, n: int) -> tuple[int, ...]:
     """Rows of the transpose of the n x n bit matrix with rows ``rows`` (< 2^n),
-    by the packed delta-swap transpose that validation uses."""
-    stride = matrix_stride(n)
-    return unpack_rows(_transpose(_pack(rows, n, stride), _swap_masks(stride)), n)
+    by the packed delta-swap transpose that validation uses.  The diagonal,
+    which a transpose keeps and validation refuses, is set aside around it."""
+    diagonal = [row & (1 << a) for a, row in enumerate(rows)]
+    _, transposed, _ = _checked_square([row ^ d for row, d in zip(rows, diagonal)], n)
+    stride, mask = matrix_stride(n), (1 << n) - 1
+    return tuple((transposed >> (a * stride)) & mask | d for a, d in enumerate(diagonal))
 
 
 def connected_components(g: Graph) -> list[list[int]]:

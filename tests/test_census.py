@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -8,10 +9,11 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spinweb import census
-from spinweb.census import (CensusConfig, CensusMode, CensusResult,
+from spinweb.census import (_BLOCK, CensusConfig, CensusMode, CensusResult,
                             CounterexampleFound, Disagreement, graph_from_index,
                             iter_all_regular_labeled_graphs,
                             iter_circulant_tournaments,
@@ -42,6 +44,15 @@ def reference_tournament_rows(n, index):
         else:
             rows[j] |= 1 << i
     return tuple(rows)
+
+
+def patch_table_entry(monkeypatch, n, directed, value, bit):
+    """Make entry ``value`` of the first index byte's table of n also set ``bit``."""
+    tables = census._byte_tables(n, directed).copy()
+    tables[0, value, 0] |= np.uint64(1 << bit)
+    real = census._byte_tables
+    monkeypatch.setattr(census, "_byte_tables",
+                        lambda m, d: tables if (m, d) == (n, directed) else real(m, d))
 
 
 _real_census_block = census._census_block
@@ -103,6 +114,26 @@ class TestEnumeration:
             assert graph_from_index(n, index).adj == reference_graph_rows(n, index)
             assert tournament_from_index(n, index).arc == \
                 reference_tournament_rows(n, index)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_block_builder_matches_per_bit_loops(self, directed):
+        reference = reference_tournament_rows if directed else reference_graph_rows
+        rng = random.Random(20261020)
+        cases = [(n, np.arange(1 << (n * (n - 1) // 2))) for n in range(1, 6)]
+        for n in (6, 7, 8):      # n = 8 sets the high byte of the packed word
+            top = (1 << (n * (n - 1) // 2)) - 1
+            first = rng.randrange(top - 2000)
+            cases.append((n, np.concatenate([[0, top], np.arange(_BLOCK - 3, _BLOCK + 3),
+                                             np.arange(first, first + 2000)])))
+        for n, indices in cases:
+            assert list(census._rows_from_indices(n, indices, directed)) == \
+                [reference(n, index) for index in indices.tolist()]
+
+    def test_index_tables_need_rows_of_one_word(self):
+        assert tournament_from_index(64, 1).arc[:3] == (2, 0, 3)    # 0 -> 1, else j -> i
+        for n in (0, 65):
+            with pytest.raises(ValueError, match=f"needs 1 <= n <= 64, got {n}"):
+                graph_from_index(n, 1)
 
 
 class TestRunCensus:
@@ -247,6 +278,14 @@ class TestRunCensus:
         assert (res.disagreement.n, res.disagreement.index) == (5, 236)
         assert res.graphs_seen == 1 + 2 + 8 + 64 + 237
         assert sum(res.counts.values()) == res.graphs_seen
+
+    @pytest.mark.parametrize("index, bit, message", [
+        (0, 0 * 8 + 1, "asymmetric adjacency at (0,1)"),    # row 0 gains 1, row 1 not 0
+        (100, 2 * 8 + 2, "loop at vertex 2")])              # a guard sample
+    def test_every_block_graph_is_validated(self, monkeypatch, index, bit, message):
+        patch_table_entry(monkeypatch, 5, False, index, bit)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            census._census_block((5, 0, 1 << 10, CensusMode.ASSERT_EQUIVALENCE))
 
     def test_three_point_mode(self):
         res = run_census(CensusConfig(max_n=4, mode=CensusMode.LIST_3PT_REGULAR))
@@ -439,6 +478,14 @@ class TestTournamentCensus:
         monkeypatch.setattr(census, "classify_tournament", lambda t: always)
         with pytest.raises(CounterexampleFound, match=r"disagreement on 'n=3#0' \(n=3, index=0\)"):
             run_tournament_census(ns=(3,))
+
+    @pytest.mark.parametrize("index, bit, message", [
+        (0, 0 * 8 + 1, "pair (0,1) must carry exactly one arc"),   # 0 -> 1 beside 1 -> 0
+        (5, 1 * 8 + 1, "loop at vertex 1")])
+    def test_every_task_tournament_is_validated(self, monkeypatch, index, bit, message):
+        patch_table_entry(monkeypatch, 3, True, index, bit)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            census._tournament_task((3, CensusMode.ASSERT_EQUIVALENCE))
 
     def test_equivalence_on_every_tournament_up_to_5(self):
         res = run_tournament_census(ns=(1, 2, 3, 4, 5))
