@@ -47,7 +47,9 @@ n x n bit matrix of that byte's pairs, packed with one row per byte
 of one matrix per index byte are the rows of each graph.  Every ``Graph``
 or ``Tournament`` is then made from its rows by its constructor and
 validated like any other, by one packed transpose.  ``graph_from_index``
-and ``tournament_from_index`` take the same steps for one index.
+and ``tournament_from_index`` take the same steps for one index.  The
+tables serve only the census's own sizes, 1 <= n <= MAX_BUILTIN_N, so an
+index is one int64 and a matrix one 64-bit word.
 """
 from __future__ import annotations
 
@@ -62,7 +64,7 @@ import numpy as np
 from .classifier import (Verdict, VerdictCase, classify_symmetric,
                          classify_tournament)
 from .graph6 import read_graph6_lines, write_graph6
-from .graphs import Graph, Record, Tournament, circulant_tournament, matrix_stride
+from .graphs import Graph, Record, Tournament, circulant_tournament
 from .regularity import three_point_params
 from .statesum import full_report, spin_model_verdict
 
@@ -242,31 +244,26 @@ def pair_positions(n: int) -> tuple[tuple[int, int], ...]:
 def _byte_tables(n: int, directed: bool) -> np.ndarray:
     """Per index byte, the packed n x n bit matrix of each of its 256 values.
 
-    The layout is that of ``graphs``' packed matrices: row i at bits
-    i * stride .. of the entry, with stride = ``matrix_stride(n)``, which is
-    8 for every n <= MAX_BUILTIN_N, so that the OR of one entry per byte,
-    read as bytes, is the tuple of rows.  Entry v of table k is
-    ``tables[k, v]``, its little-endian '<u8' words.  Bit ``i * stride + j``
-    of an entry is set iff the byte's pairs put j in row i: both (i, j) and
-    (j, i) for a set bit of a graph index; i -> j for a set bit of a
-    tournament index and j -> i for a clear one.  Bits of the last byte
-    past the n(n-1)/2 pairs select nothing, as in the per-bit reading of an
-    index.  A row must fit one word, so n <= 64; the tables of one n hold
-    256 entries of n * stride bits per index byte: 8 KB at n = 8.
+    Entry v of table k is ``tables[k, v]``, one little-endian '<u8' word
+    whose byte i is row i (stride 8, the layout ``graphs`` validates in for
+    n <= 8), so that the bytes of the OR of one entry per index byte are the
+    rows.  Bit ``8 * i + j`` of an entry is set iff the byte's pairs put j
+    in row i: both (i, j) and (j, i) for a set bit of a graph index; i -> j
+    for a set bit of a tournament index and j -> i for a clear one.  Bits of
+    the last byte past the n(n-1)/2 pairs select nothing, as in the per-bit
+    reading of an index.  Only the census's own sizes, 1 <= n <=
+    MAX_BUILTIN_N, have tables: 8 KB at n = 8.
     """
-    if not 1 <= n <= 64:
-        raise ValueError(f"a graph built from its index needs 1 <= n <= 64, got {n}")
-    stride = matrix_stride(n)
-    width = -(-n * stride // 64) * 8                # bytes of an entry, in whole words
+    if not 1 <= n <= MAX_BUILTIN_N:
+        raise ValueError(f"a graph built from its index needs 1 <= n <= {MAX_BUILTIN_N}, got {n}")
     cells = []                  # per pair: its cells with its index bit clear, and set
     for i, j in pair_positions(n):
-        forward, backward = 1 << (i * stride + j), 1 << (j * stride + i)
+        forward, backward = 1 << (8 * i + j), 1 << (8 * j + i)
         cells += [backward, forward] if directed else [0, forward | backward]
     cells += [0] * (-len(cells) % 16)               # pairs padded to whole bytes
-    cells = np.frombuffer(b"".join(cell.to_bytes(width, "little") for cell in cells),
-                          "<u8").reshape(-1, 8, 2, width // 8)
+    cells = np.array(cells, "<u8").reshape(-1, 8, 2)
     # an entry is the sum of one cell per pair; the cells are distinct bits, so it is their OR
-    tables = np.zeros((len(cells), 256, width // 8), "<u8")
+    tables = np.zeros((len(cells), 256), "<u8")
     for b in range(8):          # the cell of pair b that each value selects
         tables += cells[:, b, (np.arange(256) >> b) & 1]
     tables.setflags(write=False)
@@ -276,20 +273,18 @@ def _byte_tables(n: int, directed: bool) -> np.ndarray:
 def _rows_from_indices(n: int, indices, directed: bool) -> Iterator[tuple[int, ...]]:
     """The rows of the graph (or tournament) of each index, in order.
 
-    Each byte of the indices gathers its ``_byte_tables`` entries at once;
-    their OR, read with one row per ``matrix_stride(n)`` bits (a byte for
-    n <= 8), gives each index's rows.  ``indices`` is an int64 array or a
-    sequence of ints; an index past 63 bits makes it an object array, which
-    takes the same steps.  The tuples are zipped from the row columns as
-    they are taken, so a block never holds all of them at once.
+    ``indices`` is an int64 array or a sequence of ints.  Each byte of the
+    indices gathers its ``_byte_tables`` entries at once; the bytes of
+    their OR are each index's rows.  The tuples are zipped from the row
+    columns as they are taken, so a block never holds all of them at once.
     """
     tables = _byte_tables(n, directed)
-    indices = np.asarray(indices)
-    packed = np.zeros((len(indices), tables.shape[2]), "<u8")
+    indices = np.asarray(indices, np.int64)
+    packed = np.zeros(len(indices), "<u8")
     for table in tables:        # each byte's pairs have cells of their own: a sum is an OR
-        packed += table[(indices & 0xFF).astype(np.intp, copy=False)]
+        packed += table[indices & 0xFF]
         indices = indices >> 8
-    return zip(*packed.view(f"<u{matrix_stride(n) // 8}")[:, :n].T.tolist())
+    return zip(*packed.view("<u1").reshape(-1, 8)[:, :n].T.tolist())
 
 
 def graph_from_index(n: int, index: int) -> Graph:

@@ -234,8 +234,10 @@ def cmd_generate(ns) -> int:
     return 0
 
 
-def _tournament_sizes(text: str) -> tuple[int, ...]:
-    """The sizes of ``--ns``: comma-separated integers >= 1."""
+def _tournament_sizes(text: str | None) -> tuple[int, ...] | None:
+    """The sizes of ``--ns``: comma-separated integers >= 1; None if it was not given."""
+    if text is None:
+        return None
     sizes = []
     for entry in text.split(","):
         try:
@@ -248,37 +250,48 @@ def _tournament_sizes(text: str) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+def _given(**options) -> dict:
+    """The options that were given; the census layer owns the defaults of the rest."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
+# the census's source-specific flags, in the order they are checked, and what each is for
+_CENSUS_FLAGS = {"--input": "reads graph6 graphs",
+                 "--max-n": "sets the size of the built-in census",
+                 "--workers": "sets the processes of the built-in census",
+                 "--ns": "sets tournament sizes",
+                 "--mode list_3pt_regular": "lists graphs"}
+
+# per census source, keyed by the flag that selects it (None: the built-in
+# enumeration): the source-specific flags it takes, and how it runs
+_CENSUS_SOURCES = {
+    "--tournament": (("--ns",), lambda ns: census_mod.run_tournament_census(
+        mode=ns.mode, **_given(ns=_tournament_sizes(ns.ns)))),
+    "--input": (("--input", "--mode list_3pt_regular"), lambda ns: census_mod.scan_stream(
+        sys.stdin.buffer if ns.input == "-" else ns.input, ns.mode)),
+    None: (("--max-n", "--workers", "--mode list_3pt_regular"), lambda ns: census_mod.run_census(
+        census_mod.CensusConfig(mode=ns.mode, **_given(max_n=ns.max_n, workers=ns.workers)))),
+}
+
+
 def cmd_census(ns) -> int:
+    """Run the census source that the flags select, after refusing every flag it
+    does not take: "it needs S" when exactly one flagged source S takes the flag
+    and S was not given, else "it cannot be combined with" the selected source."""
     if ns.workers is not None and ns.workers < 1:
         raise CliError(f"workers must be >= 1, got {ns.workers}")
-    if ns.tournament and ns.input is not None:
-        raise CliError("--input reads graph6 graphs; it cannot be combined with --tournament")
-    if ns.tournament or ns.input is not None:
-        source = "--tournament" if ns.tournament else "--input"
-        if ns.max_n is not None:
-            raise CliError("--max-n sets the size of the built-in census; "
-                           f"it cannot be combined with {source}")
-        if ns.workers is not None:
-            raise CliError("--workers sets the processes of the built-in census; "
-                           f"it cannot be combined with {source}")
-    if ns.ns is not None and not ns.tournament:
-        raise CliError("--ns sets tournament sizes; it needs --tournament")
-    if ns.tournament and ns.mode == census_mod.CensusMode.LIST_3PT_REGULAR.value:
-        raise CliError("--mode list_3pt_regular lists graphs; "
-                       "it cannot be combined with --tournament")
+    given = {f"--{name.replace('_', '-')}" for name, value in vars(ns).items()
+             if value is not None and value is not False} | {f"--mode {ns.mode}"}
+    source = next((key for key in _CENSUS_SOURCES if key in given), None)
+    takes, run = _CENSUS_SOURCES[source]
+    for flag, phrase in _CENSUS_FLAGS.items():
+        if flag in given and flag not in takes:
+            takers = [key for key, (flags, _) in _CENSUS_SOURCES.items() if flag in flags]
+            if len(takers) == 1 and takers[0] is not None and takers[0] not in given:
+                raise CliError(f"{flag} {phrase}; it needs {takers[0]}")
+            raise CliError(f"{flag} {phrase}; it cannot be combined with {source}")
     try:
-        if ns.tournament:
-            result = census_mod.run_tournament_census(
-                ns=(3, 5) if ns.ns is None else _tournament_sizes(ns.ns),
-                mode=ns.mode)
-        elif ns.input is not None:
-            result = census_mod.scan_stream(
-                sys.stdin.buffer if ns.input == "-" else ns.input, ns.mode)
-        else:
-            cfg = census_mod.CensusConfig(
-                max_n=7 if ns.max_n is None else ns.max_n, mode=ns.mode,
-                workers=1 if ns.workers is None else ns.workers)
-            result = census_mod.run_census(cfg)
+        result = run(ns)
     except census_mod.CounterexampleFound as exc:
         print(f"COUNTEREXAMPLE: {exc}", file=sys.stderr)
         return 1

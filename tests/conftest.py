@@ -52,6 +52,27 @@ def in_degree(t: Tournament, a: int) -> int:
     return sum((t.arc[b] >> a) & 1 for b in range(t.n))
 
 
+def reference_graph_rows(n, index):
+    """The per-bit reading of a graph index, kept as the reference."""
+    rows = [0] * n
+    for b, (i, j) in enumerate(pair_positions(n)):
+        if (index >> b) & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def reference_tournament_rows(n, index):
+    """The per-bit reading of a tournament index, kept as the reference."""
+    rows = [0] * n
+    for b, (i, j) in enumerate(pair_positions(n)):
+        if (index >> b) & 1:
+            rows[i] |= 1 << j
+        else:
+            rows[j] |= 1 << i
+    return tuple(rows)
+
+
 def transpose_rows(rows, n: int) -> tuple[int, ...]:
     """Rows of the transpose of the n x n bit matrix with rows ``rows`` (< 2^n),
     by the packed delta-swap transpose that validation uses.  The diagonal,

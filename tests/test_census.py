@@ -17,39 +17,18 @@ from spinweb.census import (_BLOCK, CensusConfig, CensusMode, CensusResult,
                             CounterexampleFound, Disagreement, graph_from_index,
                             iter_all_regular_labeled_graphs,
                             iter_circulant_tournaments,
-                            iter_regular_labeled_graphs, pair_positions,
-                            run_census, run_tournament_census, scan_stream,
-                            tournament_from_index)
+                            iter_regular_labeled_graphs, run_census,
+                            run_tournament_census, scan_stream, tournament_from_index)
 from spinweb.graph6 import parse_graph6, write_graph6
 from spinweb.graphs import clebsch, cycle, paley, petersen
-from tests.conftest import FIXTURE_DIR, freeness_duality_violations, out_degree
-
-
-def reference_graph_rows(n, index):
-    """The per-bit reading of a graph index, kept as the reference."""
-    rows = [0] * n
-    for b, (i, j) in enumerate(pair_positions(n)):
-        if (index >> b) & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return tuple(rows)
-
-
-def reference_tournament_rows(n, index):
-    """The per-bit reading of a tournament index, kept as the reference."""
-    rows = [0] * n
-    for b, (i, j) in enumerate(pair_positions(n)):
-        if (index >> b) & 1:
-            rows[i] |= 1 << j
-        else:
-            rows[j] |= 1 << i
-    return tuple(rows)
+from tests.conftest import (FIXTURE_DIR, freeness_duality_violations, out_degree,
+                            reference_graph_rows, reference_tournament_rows)
 
 
 def patch_table_entry(monkeypatch, n, directed, value, bit):
     """Make entry ``value`` of the first index byte's table of n also set ``bit``."""
     tables = census._byte_tables(n, directed).copy()
-    tables[0, value, 0] |= np.uint64(1 << bit)
+    tables[0, value] |= np.uint64(1 << bit)
     real = census._byte_tables
     monkeypatch.setattr(census, "_byte_tables",
                         lambda m, d: tables if (m, d) == (n, directed) else real(m, d))
@@ -129,11 +108,13 @@ class TestEnumeration:
             assert list(census._rows_from_indices(n, indices, directed)) == \
                 [reference(n, index) for index in indices.tolist()]
 
-    def test_index_tables_need_rows_of_one_word(self):
-        assert tournament_from_index(64, 1).arc[:3] == (2, 0, 3)    # 0 -> 1, else j -> i
-        for n in (0, 65):
-            with pytest.raises(ValueError, match=f"needs 1 <= n <= 64, got {n}"):
-                graph_from_index(n, 1)
+    def test_index_tables_stop_at_the_census_bound(self):
+        for n in (0, 9):
+            for build in (graph_from_index, tournament_from_index):
+                with pytest.raises(ValueError, match=f"needs 1 <= n <= 8, got {n}"):
+                    build(n, 0)
+            with pytest.raises(ValueError, match=f"needs 1 <= n <= 8, got {n}"):
+                census._byte_tables(n, False)
 
 
 class TestRunCensus:

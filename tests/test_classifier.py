@@ -12,7 +12,7 @@ from spinweb.graphs import (Graph, circulant_tournament, clebsch, complement,
 from spinweb.statesum import spin_model_verdict
 from spinweb.regularity import three_point_params
 from tests.conftest import (edges, freeness, in_degree, load_fixture, out_degree,
-                            regular_graphs)
+                            reference_graph_rows, regular_graphs)
 
 # fixed up front, so that every run draws the same examples and writes nothing
 RELABELING = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -141,7 +141,7 @@ class TestClassifySymmetric:
         rng = random.Random(9)
         for _ in range(200):
             n = rng.randint(1, 9)
-            g = graph_from_index(n, rng.getrandbits(n * (n - 1) // 2))
+            g = Graph(n, reference_graph_rows(n, rng.getrandbits(n * (n - 1) // 2)))
             classify_symmetric(g)  # must not raise
 
     def test_pentagon_only_triangle_free_k2_spin_model_up_to_10(self):

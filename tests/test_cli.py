@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinweb import cli
 from spinweb.census import CensusResult
 from spinweb.cli import main
 from spinweb.graph6 import Graph6Error, parse_graph6, write_graph6
@@ -309,6 +311,76 @@ class TestCensusCommand:
         assert run(capsys, "census")[0] == 0
         assert run(capsys, "census", "--max-n", "3", "--workers", "2")[0] == 0
         assert seen == [(7, 1), (3, 2)]
+
+    _NEEDS_TOURNAMENT = "--ns sets tournament sizes; it needs --tournament"
+    _MAX_N = "--max-n sets the size of the built-in census; it cannot be combined with "
+    _WORKERS = "--workers sets the processes of the built-in census; it cannot be combined with "
+
+    @pytest.mark.parametrize("argv, message", [
+        # every source, with each source-specific flag or mode it does not take
+        pytest.param(["--ns", "3"], _NEEDS_TOURNAMENT, id="built-in-ns"),
+        pytest.param(["--input", "F", "--max-n", "2"], _MAX_N + "--input", id="input-max-n"),
+        pytest.param(["--input", "F", "--workers", "2"], _WORKERS + "--input", id="input-workers"),
+        pytest.param(["--input", "F", "--ns", "3"], _NEEDS_TOURNAMENT, id="input-ns"),
+        pytest.param(["--tournament", "--input", "F"],
+                     "--input reads graph6 graphs; it cannot be combined with --tournament",
+                     id="tournament-input"),
+        pytest.param(["--tournament", "--max-n", "2"], _MAX_N + "--tournament",
+                     id="tournament-max-n"),
+        pytest.param(["--tournament", "--workers", "2"], _WORKERS + "--tournament",
+                     id="tournament-workers"),
+        pytest.param(["--tournament", "--mode", "list_3pt_regular"],
+                     "--mode list_3pt_regular lists graphs; "
+                     "it cannot be combined with --tournament",
+                     id="tournament-list-3pt-regular"),
+        # several conflicts: the first flag in the order of the flag table is refused
+        pytest.param(["--tournament", "--input", "F", "--max-n", "2"],
+                     "--input reads graph6 graphs; it cannot be combined with --tournament",
+                     id="tournament-input-max-n"),
+        pytest.param(["--input", "F", "--ns", "3", "--max-n", "2"], _MAX_N + "--input",
+                     id="input-ns-max-n"),
+        pytest.param(["--tournament", "--ns", "3", "--mode", "list_3pt_regular",
+                      "--workers", "2"], _WORKERS + "--tournament",
+                     id="tournament-list-3pt-regular-workers"),
+        pytest.param(["--max-n", "3", "--ns", ""], _NEEDS_TOURNAMENT, id="built-in-empty-ns"),
+        pytest.param(["--tournament", "--max-n", "0"], _MAX_N + "--tournament",
+                     id="tournament-max-n-0"),
+    ])
+    def test_every_refused_combination_exits_2_before_any_census(
+            self, capsys, monkeypatch, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused census started")
+
+        for name in ("run_census", "scan_stream", "run_tournament_census"):
+            monkeypatch.setattr(f"spinweb.census.{name}", refuse)
+        code, out, err = run(capsys, "census", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_every_census_option_is_in_the_flag_table(self):
+        subparsers = next(action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        options = {option for action in subparsers.choices["census"]._actions
+                   for option in action.option_strings if option.startswith("--")}
+        sources = set(cli._CENSUS_SOURCES) - {None}
+        assert sources <= options
+        assert options - {"--mode", "--help"} - sources <= set(cli._CENSUS_FLAGS)
+        taken = {flag for flags, _ in cli._CENSUS_SOURCES.values() for flag in flags}
+        assert taken == set(cli._CENSUS_FLAGS)
+        assert {flag.split()[0] for flag in cli._CENSUS_FLAGS} <= options
+
+    def test_tournament_census_defaults(self, capsys, monkeypatch):
+        seen = []
+
+        def record(**kwargs):
+            seen.append(kwargs)
+            return CensusResult(graphs_seen=1)
+
+        monkeypatch.setattr("spinweb.census.run_tournament_census", record)
+        assert run(capsys, "census", "--tournament")[0] == 0
+        assert run(capsys, "census", "--tournament", "--ns", "3,7")[0] == 0
+        assert seen == [{"mode": "assert_equivalence"},
+                        {"mode": "assert_equivalence", "ns": (3, 7)}]
 
     def test_tournament_counterexample_exits_1(self, capsys, monkeypatch):
         from spinweb.classifier import Verdict, VerdictCase

@@ -19,8 +19,8 @@ from spinweb.statesum import (RelationCheck, Witness, ZeroGenerator, _d_row, _pa
                               full_report, spin_model_verdict, triple_words)
 from tests.conftest import (check_3a, check_3b, d_value, has_edge, letter_rows,
                             load_fixture, partition_identity_holds,
-                            reference_consistent, regular_graphs, s_value,
-                            transpose_rows)
+                            reference_consistent, reference_tournament_rows,
+                            regular_graphs, s_value, transpose_rows)
 
 
 def path3():
@@ -673,8 +673,8 @@ def slab_boundary_corpus():
         yield g
         yield Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                                    if rng.random() < 0.5])
-        yield (circulant_tournament(n, range(1, n // 2 + 1)) if n % 2
-               else tournament_from_index(n, rng.getrandbits(n * (n - 1) // 2)))
+        yield (circulant_tournament(n, range(1, n // 2 + 1)) if n % 2 else Tournament(
+            n, reference_tournament_rows(n, rng.getrandbits(n * (n - 1) // 2))))
 
 
 def two_phase_corpus():
