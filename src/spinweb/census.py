@@ -6,7 +6,9 @@ the tournament census) only builds a list of tasks; one driver
 processes, and merges their results in task order.  The pool (and with
 it ``multiprocessing``) is imported only where the driver starts one, so
 a run in one process, and every command that runs no census, never loads
-it.  Each task hands its objects to one compare step, which runs the
+it.  numpy, which ``graphs`` loads at its first use, is loaded before the
+pool forks, so that the workers inherit it instead of each importing it.
+Each task hands its objects to one compare step, which runs the
 closed-form classifier and the state-sum oracle on each, compares their
 answers and records the outcome.  The sources differ only in how they
 produce objects, what they pre-filter and which objects they list.  A
@@ -59,12 +61,10 @@ import functools
 from collections.abc import Iterator
 from itertools import combinations, count, product, repeat
 
-import numpy as np
-
 from .classifier import (Verdict, VerdictCase, classify_symmetric,
                          classify_tournament)
 from .graph6 import read_graph6_lines, write_graph6
-from .graphs import Graph, Record, Tournament, circulant_tournament
+from .graphs import Graph, Record, Tournament, circulant_tournament, np
 from .regularity import three_point_params
 from .statesum import full_report, spin_model_verdict
 
@@ -367,6 +367,7 @@ def _run_tasks(tasks, run_task, mode, workers: int = 1) -> CensusResult:
         if workers > 1:
             # imported here, so that a run in one process never loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
+            np.ndarray      # loads numpy now, if nothing has, so that the workers fork with it
             pool = ProcessPoolExecutor(max_workers=workers)
             stack.callback(pool.shutdown, cancel_futures=True)
             parts = pool.map(run_task, tasks)

@@ -40,14 +40,42 @@ The two numpy triple kernels (the classifier's 3-point parameters on
 large graphs, and the oracle's triple profiles) share the bit-row
 plumbing at the end of this module: rows packed into int64 words,
 flat-array windows and row tiles.  They share no decision logic.
+
+numpy loads at its first use, not at import: ``np`` below is bound by the
+stdlib lazy-import recipe (``importlib.util.LazyLoader``), or to numpy as
+it is when it is already imported.  This module binds it because it holds
+the triple kernels' bit-row plumbing and every module that runs numpy
+already imports it; those modules take ``np`` from here, so one place
+decides how numpy loads.  numpy's import is most of a fresh command's
+start-up, and the closed-form classifier on up to 24 vertices,
+``generate`` and every refusal of bad input run no numpy kernel;
+``verify``, ``dims``, every census and the classifier on larger graphs
+load it at their first numpy call.  The lazy module sits in the
+process-wide ``sys.modules["numpy"]``, so a program that imports spinweb
+as a library gets it from its own ``import numpy`` too.  A missing numpy
+still fails ``import spinweb`` with ``ModuleNotFoundError``; a numpy that
+is found but fails to import fails at the first numpy call instead.
+Before Python 3.12 the first attribute access of a lazy module is not
+thread-safe: two threads that first touch numpy at once can see it half
+initialised, so such a program should import numpy before it starts them.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
+import sys
 from itertools import combinations
 
-import numpy as np
+if "numpy" in sys.modules:
+    np = sys.modules["numpy"]
+else:
+    _spec = importlib.util.find_spec("numpy")
+    if _spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(np)
 
 WORD_BITS = 62       # bits per packed int64 word; np.bitwise_count counts |x|
 WORD_MASK = (1 << WORD_BITS) - 1

@@ -19,9 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-import numpy as np
-
-from .graphs import Graph, Record, fill_rows, pack_rows, window
+from .graphs import Graph, Record, fill_rows, np, pack_rows, window
 
 _LOOP_MAX_N = 24     # graphs up to this order take the plain triple scan
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")

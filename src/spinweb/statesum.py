@@ -113,9 +113,7 @@ from itertools import product
 from math import lcm
 from typing import NamedTuple
 
-import numpy as np
-
-from .graphs import WORD_BITS, Tournament, fill_rows, pack_rows, window
+from .graphs import WORD_BITS, Tournament, fill_rows, np, pack_rows, window
 from .linalg import is_consistent, matrix_rank, solve_membership
 
 ONE = "One"

@@ -178,6 +178,31 @@ class TestRunCensus:
         one, two = out["results"]
         assert one == two and one[2]
 
+    def test_numpy_loads_before_the_pool_forks(self):
+        # a fresh interpreter that has not imported numpy: the forked workers
+        # inherit numpy only if it loads before the pool is made
+        code = textwrap.dedent("""
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            import json
+            from concurrent.futures import ProcessPoolExecutor
+            from spinweb import census
+            seen = []
+            made = ProcessPoolExecutor.__init__
+            def record(self, *args, **kwargs):
+                seen.append(any(name.startswith("numpy.") for name in sys.modules))
+                made(self, *args, **kwargs)
+            ProcessPoolExecutor.__init__ = record
+            result = census.run_census(census.CensusConfig(max_n=5, workers=2))
+            print(json.dumps({"seen": seen, "graphs_seen": result.graphs_seen}))
+        """)
+        src = Path(census.__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                              capture_output=True, text=True, timeout=60, check=True)
+        out = json.loads(done.stdout)
+        assert out["seen"] == [True]
+        assert out["graphs_seen"] == 1 + 2 + 8 + 64 + 1024
+
     def test_worker_count_does_not_change_results(self):
         one = run_census(CensusConfig(max_n=5, mode=CensusMode.LIST_SPIN_MODELS,
                                       workers=1))

@@ -3,6 +3,9 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
+import textwrap
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -180,6 +183,66 @@ class TestDimsGenerate:
     def test_unknown_generator(self, capsys):
         code, _, err = run(capsys, "generate", "--gen", "dodecahedron")
         assert code == 2 and "unknown generator" in err
+
+
+# Runs each command in one fresh interpreter, in order, and prints per command
+# its exit code, its output and whether any numpy submodule was loaded after it;
+# numpy is imported before spinweb when the second argument is "1".
+COMMANDS_SCRIPT = textwrap.dedent("""
+    import io, json, sys
+    from contextlib import redirect_stderr, redirect_stdout
+    sys.path.insert(0, sys.argv[1])
+    if sys.argv[2] == "1":
+        import numpy
+    import spinweb, spinweb.cli
+    runs = []
+    for argv in json.loads(sys.argv[3]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = spinweb.cli.main(argv)
+            except SystemExit as stop:
+                code = stop.code
+        runs.append([code, out.getvalue(), err.getvalue(),
+                     any(name.startswith("numpy.") for name in sys.modules)])
+    import numpy
+    print(json.dumps({"runs": runs, "same": spinweb.graphs.np is sys.modules["numpy"] is numpy}))
+""")
+
+
+class TestStartUp:
+    """numpy loads at the first numpy kernel a command runs, never at import."""
+
+    def test_commands_without_a_kernel_load_no_numpy(self):
+        commands = [
+            ["classify", "--graph6", "I?LRCecq?"],      # Petersen, n <= 24: the Python loop
+            ["classify", "--gen", "complete:2"],
+            ["generate", "--gen", "paley:13"],
+            ["classify", "--graph6", "!!!"],            # refused, exit 2
+            ["verify", "--graph6", "I?LRCecq?", "--json"],
+        ]
+        src = Path(cli.__file__).resolve().parent.parent
+        lazy, eager = (json.loads(subprocess.run(
+            [sys.executable, "-I", "-c", COMMANDS_SCRIPT, str(src), numpy_first,
+             json.dumps(commands)],
+            capture_output=True, text=True, timeout=60, check=True).stdout)
+            for numpy_first in ("0", "1"))
+        assert [run[3] for run in lazy["runs"]] == [False, False, False, False, True]
+        assert lazy["same"] and eager["same"]
+        assert [run[:3] for run in lazy["runs"]] == [run[:3] for run in eager["runs"]]
+        assert [run[0] for run in lazy["runs"]] == [1, 0, 0, 2, 1]
+
+    def test_missing_numpy_fails_the_import(self):
+        # -S leaves site-packages, and with it numpy, off sys.path
+        src = Path(cli.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c",
+             "import sys; sys.path.insert(0, sys.argv[1])\n"
+             "try:\n    import spinweb\n"
+             "except ModuleNotFoundError as e:\n    print(e.name)",
+             str(src)],
+            capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout == "numpy\n"
 
 
 class TestCensusCommand:
