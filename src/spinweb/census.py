@@ -34,7 +34,7 @@ Enumeration order is fixed (n ascending, edge-bit index ascending, bits
 in graph6 pair order), and the guard sample is a deterministic function
 of the index, so results do not depend on the worker count or the block
 size.  A task is one block of at most 2^16 indices of one n: n <= 7
-makes 38 tasks, 32 of them the n = 7 blocks of about 3.5 ms each (shared
+makes 38 tasks, 32 of them the n = 7 blocks of about 2.6 ms each (shared
 2-vCPU Xeon), so a pool's workers finish within one small block of each
 other and each worker's numpy pre-filter arrays stay small.
 
@@ -42,16 +42,20 @@ A graph6 stream is one task, its lines.  The tournament census is one
 task per n: every labeled tournament on up to _EXHAUSTIVE_TOURNAMENTS (5)
 vertices and only the circulant ones on more.
 
-A block builds the rows of all its chosen graphs in one numpy pass: each
-byte of the indices gathers, from a precomputed table per index byte, the
-n x n bit matrix of that byte's pairs, packed with one row per byte
-(stride 8, the layout ``graphs`` validates in), and the bytes of the OR
-of one matrix per index byte are the rows of each graph.  Every ``Graph``
-or ``Tournament`` is then made from its rows by its constructor and
-validated like any other, by one packed transpose.  ``graph_from_index``
-and ``tournament_from_index`` take the same steps for one index.  The
-tables serve only the census's own sizes, 1 <= n <= MAX_BUILTIN_N, so an
-index is one int64 and a matrix one 64-bit word.
+A block marks its guard samples with a strided slice of its mask, and
+builds the matrices of all its chosen graphs in one numpy pass
+(``_packed_words``): each byte of the indices gathers, from a precomputed
+table per index byte, the n x n bit matrix of that byte's pairs, packed
+with one row per byte (stride 8, the layout ``graphs`` validates in), and
+the OR of one matrix per index byte is each graph's matrix.
+``graphs_from_words`` then checks the whole array in one numpy pass and
+makes each ``Graph`` from the bytes of its matrix, its rows; if any
+matrix fails, every graph is made by its constructor, which raises at the
+first bad one.  ``graph_from_index``, ``tournament_from_index`` and the
+tournament task read their rows from the same matrices, and make each
+object by its constructor.  The tables serve only the census's own sizes,
+1 <= n <= MAX_BUILTIN_N, so an index is one int64 and a matrix one 64-bit
+word.
 """
 from __future__ import annotations
 
@@ -64,7 +68,8 @@ from itertools import combinations, count, product, repeat
 from .classifier import (Verdict, VerdictCase, classify_symmetric,
                          classify_tournament)
 from .graph6 import read_graph6_lines, write_graph6
-from .graphs import Graph, Record, Tournament, circulant_tournament, np
+from .graphs import (Graph, Record, Tournament, circulant_tournament, graphs_from_words, np,
+                     rows_of_words)
 from .regularity import three_point_params
 from .statesum import full_report, spin_model_verdict
 
@@ -270,13 +275,13 @@ def _byte_tables(n: int, directed: bool) -> np.ndarray:
     return tables
 
 
-def _rows_from_indices(n: int, indices, directed: bool) -> Iterator[tuple[int, ...]]:
-    """The rows of the graph (or tournament) of each index, in order.
+def _packed_words(n: int, indices, directed: bool) -> np.ndarray:
+    """The packed n x n matrix of the graph (or tournament) of each index, in order.
 
-    ``indices`` is an int64 array or a sequence of ints.  Each byte of the
-    indices gathers its ``_byte_tables`` entries at once; the bytes of
-    their OR are each index's rows.  The tuples are zipped from the row
-    columns as they are taken, so a block never holds all of them at once.
+    ``indices`` is an int64 array or a sequence of ints; the result is a
+    '<u8' array in the stride-8 layout, byte i row i.  Each byte of the
+    indices gathers its ``_byte_tables`` entries at once, and their OR is
+    each index's matrix.
     """
     tables = _byte_tables(n, directed)
     indices = np.asarray(indices, np.int64)
@@ -284,7 +289,12 @@ def _rows_from_indices(n: int, indices, directed: bool) -> Iterator[tuple[int, .
     for table in tables:        # each byte's pairs have cells of their own: a sum is an OR
         packed += table[indices & 0xFF]
         indices = indices >> 8
-    return zip(*packed.view("<u1").reshape(-1, 8)[:, :n].T.tolist())
+    return packed
+
+
+def _rows_from_indices(n: int, indices, directed: bool) -> Iterator[tuple[int, ...]]:
+    """The rows of the graph (or tournament) of each index, in order."""
+    return rows_of_words(n, _packed_words(n, indices, directed))
 
 
 def graph_from_index(n: int, index: int) -> Graph:
@@ -327,9 +337,10 @@ def _census_block(args) -> CensusResult:
     out = CensusResult(counts={VerdictCase.NOT_SPIN_MODEL.value: 0})   # the pre-filter's, first
     indices = np.arange(start, stop, dtype=np.int64)
     regular = _regular_mask(n, indices)
-    checked = regular | (indices % _GUARD_STRIDE == 0)
+    checked = regular.copy()
+    checked[-start % _GUARD_STRIDE::_GUARD_STRIDE] = True     # the multiples of the stride
     chosen = indices[checked]
-    graphs = map(Graph, repeat(n), _rows_from_indices(n, chosen, False))
+    graphs = graphs_from_words(n, _packed_words(n, chosen, False))
     rejected = (~regular[checked]).tolist()
     checked_seen = _compare(out, zip(chosen.tolist(), repeat(None), graphs, rejected),
                             classify_symmetric, _LISTED.get(mode))

@@ -5,11 +5,12 @@ per vertex, bit b of ``adj[a]`` set iff a is adjacent to b, so that
 common-neighbor counts are word-parallel ``(adj[a] & adj[b]).bit_count()``
 calls.  That popcount trick is the performance foundation of the census.
 
-Every ``Graph`` and ``Tournament`` is validated when it is made, by one
-call (``_checked_square``) of word-parallel operations on its rows packed
-into one int: row a occupies bits a*stride .. a*stride + stride - 1, with
-stride = max(8, the next power of two >= n), so that for n <= 8 the packed
-matrix is just ``bytes(rows)`` read little-endian.  The packed matrix is
+Every ``Graph`` and ``Tournament`` is validated when it is made.  Its
+constructor makes one call (``_checked_square``) of word-parallel
+operations on its rows packed into one int: row a occupies bits
+a*stride .. a*stride + stride - 1, with stride = max(8, the next power of
+two >= n), so that for n <= 8 the packed matrix is just ``bytes(rows)``
+read little-endian.  The packed matrix is
 transposed, in the same call, by log2(stride) masked delta-swaps (step s
 exchanges the cells (i, j) and (i + s, j - s) for i with bit s clear and j
 with bit s set); the masks of each n are kept in a dict after its first
@@ -23,6 +24,14 @@ row's errors before any later row's.  Symmetry (or, for a tournament,
 exactly one arc per pair) is one XOR with the transpose, masked to the cells
 above the diagonal.  The lowest set bit of a failing mask names the same
 first pair, with the same message, as a pair-by-pair scan.
+
+A census block checks its graphs a whole array at a time instead:
+``graphs_from_words`` takes their stride-8 matrices (n <= 8, one uint64
+word each) and runs the same forbidden-cell mask, delta-swaps and XOR over
+the array in one numpy pass (``_bad_words``).  When every word passes, its
+graphs are made without a second check; when any fails, every one is made
+by the constructor, so the first bad word raises the constructor's own
+message, after the graphs before it.
 
 Every order is at most MAX_ORDER = 511, checked where a graph enters: by
 the ``Graph`` and ``Tournament`` constructors, at the top of each sized
@@ -65,7 +74,8 @@ from __future__ import annotations
 import functools
 import importlib.util
 import sys
-from itertools import combinations
+from collections.abc import Iterator
+from itertools import combinations, repeat
 
 if "numpy" in sys.modules:
     np = sys.modules["numpy"]
@@ -376,6 +386,59 @@ def _checked_square(rows, n: int) -> tuple[int, int, int]:
 def _first_cell(bits: int, n: int) -> tuple[int, int]:
     """(row, column) of the lowest set bit of a packed n x n matrix."""
     return divmod((bits & -bits).bit_length() - 1, matrix_stride(n))
+
+
+def rows_of_words(n: int, words: np.ndarray) -> Iterator[tuple[int, ...]]:
+    """The rows of each stride-8 packed n x n matrix of a '<u8' array, in order.
+
+    Byte i of a word is row i; bytes n..7 are not read.  The tuples are
+    zipped from the row columns as they are taken, so a caller never holds
+    all of them at once.
+    """
+    return zip(*words.view("<u1").reshape(-1, 8)[:, :n].T.tolist())
+
+
+_set_n, _set_adj = Graph.n.__set__, Graph.adj.__set__    # the slots, past Record.__setattr__
+
+
+def _checked_graph(n: int, adj: tuple[int, ...]) -> Graph:
+    """The ``Graph`` of rows that ``graphs_from_words`` has already checked."""
+    graph = object.__new__(Graph)
+    _set_n(graph, n)
+    _set_adj(graph, adj)
+    return graph
+
+
+def _bad_words(n: int, words: np.ndarray) -> np.ndarray:
+    """Per stride-8 packed n x n matrix of a '<u8' array, whether it is no graph.
+
+    One numpy pass with the masks of ``_checked_square``: a matrix is bad
+    when a forbidden cell is set, or a cell a < b < n of its XOR with the
+    transpose, made by the same delta-swaps.  Bytes n..7 are not read.
+    """
+    _, forbidden, upper, swaps = _SQUARES.get(n) or _SQUARES.setdefault(n, _square_masks(n))
+    transposed = words
+    for shift, mask in swaps:
+        swap = (transposed ^ (transposed >> shift)) & mask
+        transposed = transposed ^ swap ^ (swap << shift)
+    return ((words & forbidden) | ((words ^ transposed) & upper)) != 0
+
+
+def graphs_from_words(n: int, words: np.ndarray) -> Iterator[Graph]:
+    """The ``Graph`` of each stride-8 packed n x n matrix of a '<u8' array, in order.
+
+    The rows are those of ``rows_of_words`` (1 <= n <= 8), and the whole
+    array is checked at once by ``_bad_words``.  When every matrix passes,
+    each ``Graph`` is made without a second check.  When any fails, every
+    ``Graph`` is made by the constructor, so the objects before the first
+    bad matrix are yielded and that one raises the constructor's message.
+    """
+    if not 1 <= n <= 8:
+        raise ValueError(f"a packed word holds 1 to 8 rows, got n = {n}")
+    rows = rows_of_words(n, words)
+    if _bad_words(n, words).any():
+        return map(Graph, repeat(n), rows)
+    return map(_checked_graph, repeat(n), rows)
 
 
 # ---------------------------------------------------------------------------

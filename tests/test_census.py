@@ -229,6 +229,21 @@ class TestRunCensus:
         assert outcomes[0][0] == 1 + 2 + 8 + 64 + 1024 + 32768
         assert all(outcome == outcomes[0] for outcome in outcomes)
 
+    @pytest.mark.parametrize("n, block", [(5, 1 << 4), (5, 1 << 10), (6, 1 << 4),
+                                          (6, 1 << 10), (8, 1 << 16)])
+    def test_guard_samples_are_the_irregular_multiples_of_the_stride(self, n, block):
+        # blocks that start off a multiple of the stride: 2^16 % 100 = 36
+        total = 1 << (n * (n - 1) // 2)
+        starts = range(0, total, block) if n < 8 else [k << 16 for k in (1, 2, 3, 7, 4095)]
+        for start in starts:
+            stop = min(start + block, total)
+            res = census._census_block((n, start, stop, CensusMode.ASSERT_EQUIVALENCE))
+            first = -(-start // census._GUARD_STRIDE) * census._GUARD_STRIDE
+            irregular = sum(len({row.bit_count() for row in reference_graph_rows(n, index)}) > 1
+                            for index in range(first, stop, census._GUARD_STRIDE))
+            assert res.guarded == irregular, (n, start)
+            assert res.graphs_seen == sum(res.counts.values()) == stop - start
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_disagreement_stops_the_census(self, workers, monkeypatch, tmp_path):
         log = tmp_path / "blocks.log"

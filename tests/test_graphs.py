@@ -1,13 +1,15 @@
 import random
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
+from spinweb import graphs
 from spinweb.graphs import (MAX_ORDER, BadOrder, Graph, Tournament, circulant_tournament,
-                            clebsch, complement, complete, cycle, matrix_stride,
-                            paley, petersen, union_complete)
+                            clebsch, complement, complete, cycle, graphs_from_words,
+                            matrix_stride, paley, petersen, union_complete)
 from tests.conftest import (connected_components, edge_count, edges, has_arc, has_edge,
-                            in_degree, out_degree, transpose_rows)
+                            in_degree, out_degree, reference_graph_rows, transpose_rows)
 
 
 def isomorphic(g: Graph, h: Graph) -> bool:
@@ -165,6 +167,70 @@ class TestPackedValidation:
             naive = tuple(sum(((rows[x] >> v) & 1) << x for x in range(n)) for v in range(n))
             assert transpose_rows(rows, n) == naive
             assert transpose_rows(naive, n) == tuple(rows)
+
+
+def word_rows(n):
+    """The rows of every graph index for n <= 5, and of windows of indices at n = 6-8."""
+    top = (1 << (n * (n - 1) // 2)) - 1
+    if n <= 5:
+        indices = range(top + 1)
+    else:
+        first = random.Random(1000 + n).randrange(200, top - 400)
+        indices = [*range(200), *range(first, first + 200), *range(top - 199, top + 1)]
+    return [reference_graph_rows(n, index) for index in indices]
+
+
+def packed_words(rows):
+    """The stride-8 packed matrix of each row tuple: byte i is row i."""
+    return np.array([sum(row << (8 * i) for i, row in enumerate(r)) for r in rows], "<u8")
+
+
+def flipped_rows(rows, bit):
+    rows = list(rows)
+    rows[bit // 8] ^= 1 << (bit % 8)
+    return tuple(rows)
+
+
+class TestPackedWords:
+    """The batch check of packed words agrees with the constructor on every word."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_valid_words_give_the_constructors_graphs(self, n):
+        rows = word_rows(n)
+        words = packed_words(rows)
+        assert not graphs._bad_words(n, words).any()
+        assert list(graphs_from_words(n, words)) == [Graph(n, r) for r in rows]
+        # bytes n..7 are not rows, so their bits change nothing
+        for bit in range(8 * n, 64):
+            assert list(graphs_from_words(n, words ^ np.uint64(1 << bit))) == \
+                [Graph(n, r) for r in rows]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_bit_flip_raises_the_constructors_message(self, n):
+        rows = word_rows(n)
+        words = packed_words(rows)
+        rng = random.Random(1100 + n)
+        for bit in range(8 * n):    # loops, asymmetric pairs and columns >= n of each row
+            assert graphs._bad_words(n, words ^ np.uint64(1 << bit)).all()
+            # the first of two bad words among good ones raises, after the good ones before it
+            first = rng.randrange(len(words))
+            later = rng.randrange(first, len(words))
+            other = rng.choice([b for b in range(8 * n) if b != bit])
+            mixed = words.copy()
+            mixed[later] ^= np.uint64(1 << other)
+            mixed[first] = words[first] ^ np.uint64(1 << bit)
+            message = validation_message(Graph, n, flipped_rows(rows[first], bit))
+            assert message is not None
+            made = []
+            with pytest.raises(ValueError) as caught:
+                made.extend(graphs_from_words(n, mixed))
+            assert str(caught.value) == message
+            assert made == [Graph(n, r) for r in rows[:first]]
+
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_words_hold_1_to_8_rows(self, n):
+        with pytest.raises(ValueError, match=f"holds 1 to 8 rows, got n = {n}$"):
+            graphs_from_words(n, np.zeros(1, "<u8"))
 
 
 class TestGraphType:
