@@ -28,15 +28,23 @@ pre-filter rejects non-regular graphs before any oracle linear algebra:
 a non-regular graph cannot pass Relation 1b nor be strongly regular, so
 both paths say "not a spin model" without further work.  To guard the
 pre-filter itself, every rejected graph whose index is a multiple of
-_GUARD_STRIDE (100) still runs both full paths.
+_GUARD_STRIDE (100) still runs both full paths.  The pre-filter reads no
+index: a table per index byte (``_degree_tables``, 4 KB at n = 8) holds
+what each of its 256 values adds to every vertex's degree, less vertex
+0's, as one int32, and since a block is aligned and of a power-of-two
+size, its sums are the outer sum of one table slice per index byte, zero
+exactly at the regular graphs.
 
 Enumeration order is fixed (n ascending, edge-bit index ascending, bits
 in graph6 pair order), and the guard sample is a deterministic function
 of the index, so results do not depend on the worker count or the block
 size.  A task is one block of at most 2^16 indices of one n: n <= 7
-makes 38 tasks, 32 of them the n = 7 blocks of about 2.6 ms each (shared
-2-vCPU Xeon), so a pool's workers finish within one small block of each
-other and each worker's numpy pre-filter arrays stay small.
+makes 38 tasks, 32 of them the n = 7 blocks of 1.2-2.1 ms each, at most
+0.06 ms of it the pre-filter (in one process, steady state, on a shared
+2-vCPU Xeon whose speed varies between runs), so a pool's workers finish
+within one small block of each other.
+A block's pre-filter makes one int32 sum and one boolean per index
+(320 KB for 2^16 indices) from slices of its tables.
 
 A graph6 stream is one task, its lines.  The tournament census is one
 task per n: every labeled tournament on up to _EXHAUSTIVE_TOURNAMENTS (5)
@@ -245,6 +253,27 @@ def pair_positions(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
+def _pair_tables(n: int, cell_of, dtype) -> np.ndarray:
+    """Per index byte, the sum over its pairs of the cell each of its 256 values selects.
+
+    ``cell_of(i, j)`` gives pair (i, j)'s cell with its index bit clear, and
+    set; entry v of table k is ``tables[k, v]``.  Bits of the last byte past
+    the n(n-1)/2 pairs select nothing, as in the per-bit reading of an
+    index.  Only the census's own sizes, 1 <= n <= MAX_BUILTIN_N, have
+    tables.
+    """
+    if not 1 <= n <= MAX_BUILTIN_N:
+        raise ValueError(f"a graph built from its index needs 1 <= n <= {MAX_BUILTIN_N}, got {n}")
+    cells = [cell for i, j in pair_positions(n) for cell in cell_of(i, j)]
+    cells += [0] * (-len(cells) % 16)               # pairs padded to whole bytes
+    cells = np.array(cells, dtype).reshape(-1, 8, 2)
+    tables = np.zeros((len(cells), 256), dtype)
+    for b in range(8):          # the cell of pair b that each value selects
+        tables += cells[:, b, (np.arange(256) >> b) & 1]
+    tables.setflags(write=False)
+    return tables
+
+
 @functools.cache
 def _byte_tables(n: int, directed: bool) -> np.ndarray:
     """Per index byte, the packed n x n bit matrix of each of its 256 values.
@@ -254,25 +283,14 @@ def _byte_tables(n: int, directed: bool) -> np.ndarray:
     n <= 8), so that the bytes of the OR of one entry per index byte are the
     rows.  Bit ``8 * i + j`` of an entry is set iff the byte's pairs put j
     in row i: both (i, j) and (j, i) for a set bit of a graph index; i -> j
-    for a set bit of a tournament index and j -> i for a clear one.  Bits of
-    the last byte past the n(n-1)/2 pairs select nothing, as in the per-bit
-    reading of an index.  Only the census's own sizes, 1 <= n <=
-    MAX_BUILTIN_N, have tables: 8 KB at n = 8.
+    for a set bit of a tournament index and j -> i for a clear one.  The
+    cells are distinct bits, so an entry, their sum, is their OR: 8 KB of
+    tables at n = 8.
     """
-    if not 1 <= n <= MAX_BUILTIN_N:
-        raise ValueError(f"a graph built from its index needs 1 <= n <= {MAX_BUILTIN_N}, got {n}")
-    cells = []                  # per pair: its cells with its index bit clear, and set
-    for i, j in pair_positions(n):
+    def cells(i, j):
         forward, backward = 1 << (8 * i + j), 1 << (8 * j + i)
-        cells += [backward, forward] if directed else [0, forward | backward]
-    cells += [0] * (-len(cells) % 16)               # pairs padded to whole bytes
-    cells = np.array(cells, "<u8").reshape(-1, 8, 2)
-    # an entry is the sum of one cell per pair; the cells are distinct bits, so it is their OR
-    tables = np.zeros((len(cells), 256), "<u8")
-    for b in range(8):          # the cell of pair b that each value selects
-        tables += cells[:, b, (np.arange(256) >> b) & 1]
-    tables.setflags(write=False)
-    return tables
+        return (backward, forward) if directed else (0, forward | backward)
+    return _pair_tables(n, cells, "<u8")
 
 
 def _packed_words(n: int, indices, directed: bool) -> np.ndarray:
@@ -306,27 +324,49 @@ def tournament_from_index(n: int, index: int) -> Tournament:
 
 
 @functools.cache
-def _degree_bit_masks(n: int) -> tuple[int, ...]:
-    masks = [0] * n
-    for b, (i, j) in enumerate(pair_positions(n)):
-        masks[i] |= 1 << b
-        masks[j] |= 1 << b
-    return tuple(masks)
+def _degree_tables(n: int) -> np.ndarray:
+    """Per index byte, the degrees that each of its 256 values adds, less vertex 0's.
+
+    Entry v of table k is ``tables[k, v]``, the int32 sum over the vertices
+    u of (d_u - d_0) * 16^u, where d_u counts the pairs at u among the
+    byte's set bits.  Summed over the bytes of an index, the entries give
+    sum_u (deg_u - deg_0) * 16^u for the graph's degrees, a base-16 number
+    whose digits lie in [-7, 7]: it is 0 iff the graph is regular.  A
+    degree is at most 7, so every value fits in 32 bits.
+    """
+    ones = sum(1 << 4 * u for u in range(n))        # a 1 in every vertex's field
+    def cells(i, j):            # (i, j) adds 1 to the fields of i and j, less field 0 from each
+        degrees = (1 << 4 * i) + (1 << 4 * j)
+        return 0, degrees - (degrees & 0xF) * ones
+    return _pair_tables(n, cells, np.int32)
 
 
-def _regular_mask(n: int, indices: np.ndarray) -> np.ndarray:
-    """Boolean mask of indices whose graphs have all degrees equal."""
-    masks = _degree_bit_masks(n)
-    deg0 = np.bitwise_count(indices & masks[0])
-    ok = np.ones(len(indices), dtype=bool)
-    for v in range(1, n):
-        ok &= np.bitwise_count(indices & masks[v]) == deg0
-    return ok
+def _regular_mask(n: int, start: int, stop: int) -> np.ndarray:
+    """Boolean mask, over the indices in [start, stop), of the graphs with all degrees equal.
+
+    The block's size must be a power of two and start a multiple of it, as
+    every census block is: then each index byte either stays fixed over the
+    block or runs over an aligned slice of its 256 values, and the block's
+    ``_degree_tables`` sums are the outer sum of one table slice per byte,
+    the highest byte outermost, in index order.
+    """
+    size = stop - start
+    if size < 1 or size & (size - 1) or start % size:
+        raise ValueError(f"not an aligned block of a power-of-two size: [{start}, {stop})")
+    tables = _degree_tables(n)
+    spread = np.zeros(1, np.int32)
+    for k in reversed(range(len(tables))):
+        first = (start >> 8 * k) & 0xFF
+        spread = np.add.outer(spread, tables[k, first:first + min(256, max(1, size >> 8 * k))])
+    return spread.ravel() == 0
 
 
 def _census_block(args) -> CensusResult:
     """Census of the graphs with index in [start, stop) on n vertices.
 
+    The pre-filter's mask and the guard samples' slice are over offsets
+    from start, so the block makes no array of all its indices: only the
+    indices it checks, start plus the offsets marked, are materialised.
     The regular graphs and the guard samples go through the compare step
     in index order, so the disagreement a block reports is its first one.
     A block stopped by a disagreement has seen the graphs up to and
@@ -335,13 +375,13 @@ def _census_block(args) -> CensusResult:
     """
     n, start, stop, mode = args
     out = CensusResult(counts={VerdictCase.NOT_SPIN_MODEL.value: 0})   # the pre-filter's, first
-    indices = np.arange(start, stop, dtype=np.int64)
-    regular = _regular_mask(n, indices)
+    regular = _regular_mask(n, start, stop)
     checked = regular.copy()
     checked[-start % _GUARD_STRIDE::_GUARD_STRIDE] = True     # the multiples of the stride
-    chosen = indices[checked]
+    offsets = np.flatnonzero(checked)
+    chosen = start + offsets
     graphs = graphs_from_words(n, _packed_words(n, chosen, False))
-    rejected = (~regular[checked]).tolist()
+    rejected = (~regular[offsets]).tolist()
     checked_seen = _compare(out, zip(chosen.tolist(), repeat(None), graphs, rejected),
                             classify_symmetric, _LISTED.get(mode))
     last = stop if out.disagreement is None else out.disagreement.index + 1

@@ -117,6 +117,55 @@ class TestEnumeration:
                 census._byte_tables(n, False)
 
 
+def reference_degrees(n, indices):
+    """The degree vector of each index's graph, one row each, from the per-bit reading."""
+    return np.array([[row.bit_count() for row in reference_graph_rows(n, index)]
+                     for index in indices]).reshape(-1, n)
+
+
+def is_regular(degrees):
+    return (degrees == degrees[:, :1]).all(axis=1)
+
+
+class TestRegularMask:
+    def test_every_index_up_to_5_at_every_block_size(self):
+        for n in range(1, 6):
+            total = 1 << (n * (n - 1) // 2)
+            expected = is_regular(reference_degrees(n, range(total)))
+            for block in (1 << 4, 1 << 10, 1 << 16):
+                masks = [census._regular_mask(n, start, min(start + block, total))
+                         for start in range(0, total, block)]
+                assert np.array_equal(np.concatenate(masks), expected), (n, block)
+
+    @pytest.mark.parametrize("n, windows", [
+        (6, [(0, 1 << 15)]),                                 # the only block
+        (7, [(k << 16, (k + 1) << 16) for k in (0, 1, 7, 31)]
+            + [(0, 1 << 18), (28 << 16, 32 << 16)]),          # three bytes vary in 2^18
+        (8, [(k << 16, (k + 1) << 16) for k in (0, 1, 7, 4095)]
+            + [(4 << 16, 8 << 16), (4092 << 16, 4096 << 16)])])
+    def test_aligned_windows_at_6_to_8(self, n, windows):
+        # the graph of hi + lo, hi a multiple of 2^16 and lo below it, is the
+        # edge-disjoint union of theirs, so its degrees are the sum of theirs
+        total = 1 << (n * (n - 1) // 2)
+        low = reference_degrees(n, range(min(total, 1 << 16)))
+        high = reference_degrees(n, range(0, total, 1 << 16))
+        for start, stop in windows:
+            indices = np.arange(start, stop)
+            expected = is_regular(high[indices >> 16] + low[indices & 0xFFFF])
+            assert np.array_equal(census._regular_mask(n, start, stop), expected), (start, stop)
+
+    @pytest.mark.parametrize("start, stop", [(0, 24), (16, 48), (3, 7), (5, 5)])
+    def test_refuses_blocks_off_alignment(self, start, stop):
+        message = rf"^not an aligned block of a power-of-two size: \[{start}, {stop}\)$"
+        with pytest.raises(ValueError, match=message):
+            census._regular_mask(5, start, stop)
+
+    def test_tables_stop_at_the_census_bound(self):
+        for n in (0, 9):
+            with pytest.raises(ValueError, match=f"needs 1 <= n <= 8, got {n}"):
+                census._degree_tables(n)
+
+
 class TestRunCensus:
     def test_config_rejects_large_n(self):
         with pytest.raises(ValueError):
@@ -227,6 +276,18 @@ class TestRunCensus:
                                  [(h.n, h.index, h.graph6, h.verdict) for h in res.hits],
                                  res.disagreement))
         assert outcomes[0][0] == 1 + 2 + 8 + 64 + 1024 + 32768
+        assert all(outcome == outcomes[0] for outcome in outcomes)
+
+    def test_block_size_does_not_change_results_at_7(self, monkeypatch):
+        # at n = 7 a 2^18 block varies three index bytes, a 2^10 block two
+        outcomes = []
+        for block in (1 << 10, 1 << 16, 1 << 18):
+            monkeypatch.setattr(census, "_BLOCK", block)
+            res = run_census(CensusConfig(max_n=7, mode=CensusMode.LIST_SPIN_MODELS))
+            outcomes.append((res.graphs_seen, res.counts, res.guarded,
+                             [(h.n, h.index, h.graph6, h.verdict) for h in res.hits],
+                             res.disagreement))
+        assert outcomes[0][0] == sum(1 << (n * (n - 1) // 2) for n in range(1, 8))
         assert all(outcome == outcomes[0] for outcome in outcomes)
 
     @pytest.mark.parametrize("n, block", [(5, 1 << 4), (5, 1 << 10), (6, 1 << 4),
