@@ -1,13 +1,22 @@
 """Command-line interface: classify, verify, dims, generate, census.
 
-Exit codes: classify returns 0 for a spin model, 1 for not, 2 on error;
-verify returns 0 iff all four relations hold; census returns 1 when an
-asserted equivalence finds a counterexample.  ``--graph6 -`` reads graph6
-lines from stdin, one result per line; a malformed line, and for ``dims``
-and ``classify --exact-dim`` an edgeless one (its dim V3 is undefined), is
-reported as ``line N: <message>`` on stderr, the other lines are still
-processed, and the exit code is then 2.  ``census --input`` reports
-malformed lines the same way but keeps its exit code.
+classify, verify and dims answer each input through one driver,
+``_each_input``, and so follow one policy.  An input's answer is text, or
+under ``--json`` one line whose JSON object begins with ``input`` (the
+input's label) and ``n``.  The exit code is the worst answer's: classify
+0 for a spin model and 1 for not, verify 0 iff all four relations hold
+and 1 otherwise, dims 0.  ``--graph6 -`` reads graph6 lines from stdin; a
+malformed line, and for ``dims`` and ``classify --exact-dim`` an edgeless
+one (its dim V3 is undefined), is reported as ``line N: <message>`` on
+stderr, in line order after the answers; the other lines are still
+answered, and the exit code is then 2.  A single ``--gen`` or ``--graph6``
+input that is edgeless there is the command's error.
+
+census returns 1 when an asserted equivalence finds a counterexample;
+``census --input`` reports malformed lines as above but keeps its exit
+code.  Every command's error is one ``error:`` line on stderr and exit
+code 2.  A reader that closes stdout early (``| head``) gets exit code 141
+(128 + SIGPIPE) and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -101,29 +110,35 @@ def _inputs(ns) -> tuple[list[tuple[int | None, str, Graph | Tournament]],
     return [(None, ns.graph6, parse_graph6(ns.graph6))], []
 
 
-def _dim(obj, lineno: int | None, line_errors: list[tuple[int, str]]) -> int | None:
-    """dim V3 of obj; None, with a line error, for an edgeless stdin line.
-
-    A single input's ``ZeroGenerator`` propagates: it is the command's error.
-    """
-    try:
-        return dim_v3(obj)
-    except ZeroGenerator as exc:
-        if lineno is None:
-            raise
-        line_errors.append((lineno, str(exc)))
-        return None
-
-
 def _report_line_errors(line_errors: list[tuple[int, str]]) -> None:
     for lineno, message in line_errors:
         print(f"line {lineno}: {message}", file=sys.stderr)
 
 
-def _finish(status: int, line_errors: list[tuple[int, str]]) -> int:
-    """Report bad input lines in line order; any of them makes the exit code 2."""
+def _each_input(ns, answer) -> int:
+    """Print ``answer(label, obj)`` for every input; return the worst status.
+
+    ``answer`` returns ``(status, out)``: ``out`` is the JSON fields under
+    ``--json``, which follow ``input`` and ``n`` on the input's line, and the
+    text otherwise.  An edgeless stdin line whose dim V3 the command needs
+    is a line error like a malformed one; a single input's ``ZeroGenerator``
+    propagates, as the command's error.  The line errors are reported in
+    line order at the end, and any of them makes the exit code 2.
+    """
+    inputs, line_errors = _inputs(ns)
+    worst = 0
+    for lineno, label, obj in inputs:
+        try:
+            status, out = answer(label, obj)
+        except ZeroGenerator as exc:
+            if lineno is None:
+                raise
+            line_errors.append((lineno, str(exc)))
+            continue
+        print(json.dumps({"input": label, "n": obj.n, **out}) if ns.json else out)
+        worst = max(worst, status)
     _report_line_errors(sorted(line_errors))
-    return 2 if line_errors else status
+    return 2 if line_errors else worst
 
 
 def _family_json(verdict: Verdict):
@@ -145,19 +160,13 @@ def _dim_text(verdict: Verdict, exact: int | None) -> str:
 
 
 def cmd_classify(ns) -> int:
-    inputs, line_errors = _inputs(ns)
-    worst = 0
-    for lineno, label, obj in inputs:
+    def answer(label, obj):
         verdict = (classify_tournament(obj) if isinstance(obj, Tournament)
                    else classify_symmetric(obj))
-        exact = None
-        if ns.exact_dim and verdict.is_spin_model:
-            exact = _dim(obj, lineno, line_errors)
-            if exact is None:
-                continue
+        exact = dim_v3(obj) if ns.exact_dim and verdict.is_spin_model else None
+        status = 0 if verdict.is_spin_model else 1
         if ns.json:
-            print(json.dumps({
-                "input": label, "n": obj.n,
+            return status, {
                 "is_spin_model": verdict.is_spin_model,
                 "case": verdict.case.value,
                 "applied_to": verdict.applied_to.value if verdict.applied_to else None,
@@ -165,24 +174,21 @@ def cmd_classify(ns) -> int:
                 "dim_v3": exact,
                 "q_value": verdict.q_value,
                 "reason": verdict.reason,
-            }))
-        elif verdict.is_spin_model:
-            print(f"spin model: {verdict.case.value} case; "
-                  f"family {verdict.family.kind.value}; {_dim_text(verdict, exact)}")
-        else:
-            print(f"not a spin model: {verdict.reason}")
-        worst = max(worst, 0 if verdict.is_spin_model else 1)
-    return _finish(worst, line_errors)
+            }
+        if verdict.is_spin_model:
+            return status, (f"spin model: {verdict.case.value} case; "
+                            f"family {verdict.family.kind.value}; {_dim_text(verdict, exact)}")
+        return status, f"not a spin model: {verdict.reason}"
+    return _each_input(ns, answer)
 
 
 def cmd_verify(ns) -> int:
-    inputs, line_errors = _inputs(ns)
-    worst = 0
-    for _, label, obj in inputs:
+    def answer(label, obj):
         report = full_report(obj)
+        status = 0 if report.is_spin_model else 1
         if ns.json:
-            print(json.dumps({
-                "input": label, "n": obj.n, "directed": report.directed,
+            return status, {
+                "directed": report.directed,
                 "relations": {rel: check.holds for rel, check in report.checks()},
                 "is_spin_model": report.is_spin_model,
                 "coefficients": {
@@ -196,34 +202,27 @@ def cmd_verify(ns) -> int:
                         "rhs": str(check.witness.rhs),
                         "detail": check.witness.detail})
                     for rel, check in report.checks()},
-            }))
-        else:
-            print(f"{label}:")
-            for rel, check in report.checks():
-                if check.holds:
-                    coeff = ""
-                    if rel in ("1b", "2b") and check.coefficients:
-                        coeff = " (" + ", ".join(
-                            f"{key}={value}" for key, value in check.coefficients.items()) + ")"
-                    print(f"  {rel}: holds{coeff}")
-                else:
-                    print(f"  {rel}: FAILS  [{check.witness.detail}]")
-            print(f"  spin model: {'yes' if report.is_spin_model else 'no'}")
-        worst = max(worst, 0 if report.is_spin_model else 1)
-    return _finish(worst, line_errors)
+            }
+        lines = [f"{label}:"]
+        for rel, check in report.checks():
+            if check.holds:
+                coeff = ""
+                if rel in ("1b", "2b") and check.coefficients:
+                    coeff = " (" + ", ".join(
+                        f"{key}={value}" for key, value in check.coefficients.items()) + ")"
+                lines.append(f"  {rel}: holds{coeff}")
+            else:
+                lines.append(f"  {rel}: FAILS  [{check.witness.detail}]")
+        lines.append(f"  spin model: {'yes' if report.is_spin_model else 'no'}")
+        return status, "\n".join(lines)
+    return _each_input(ns, answer)
 
 
 def cmd_dims(ns) -> int:
-    inputs, line_errors = _inputs(ns)
-    for lineno, label, obj in inputs:
-        value = _dim(obj, lineno, line_errors)
-        if value is None:
-            continue
-        if ns.json:
-            print(json.dumps({"input": label, "n": obj.n, "dim_v3": value}))
-        else:
-            print(value)
-    return _finish(0, line_errors)
+    def answer(label, obj):
+        value = dim_v3(obj)
+        return 0, {"dim_v3": value} if ns.json else value
+    return _each_input(ns, answer)
 
 
 def cmd_generate(ns) -> int:
@@ -361,7 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{ns.command}"](ns)
+        status = globals()[f"cmd_{ns.command}"](ns)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed the output early (``| head``), which is no bad
+        # input; stdout goes to devnull, since the interpreter flushes it at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141                              # 128 + SIGPIPE, as a shell reports
     except (ValueError, OSError) as exc:    # CliError, Graph6Error, BadOrder, ZeroGenerator too
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -185,6 +185,89 @@ class TestDimsGenerate:
         assert code == 2 and "unknown generator" in err
 
 
+# a spin model (C5), a non-spin model (the star K_1,3), a blank line, an
+# edgeless graph (K_1) and a malformed line; stream_golden.txt holds, under
+# "== FORM", the stdout of each command form on it
+PINNED_STREAM = b"DqK\nCF\n\n@\nnot graph6!!\n"
+STREAM_GOLDEN = GOLDEN.with_name("stream_golden.txt")
+EDGELESS_LINE_4 = "line 4: edgeless input: C_P = 0 and the rank is not dim V3"
+MALFORMED_LINE_5 = "line 5: byte 32 outside graph6 range 63..126"
+
+
+def stream_golden() -> dict[str, str]:
+    sections = re.split(r"^== ", STREAM_GOLDEN.read_text(), flags=re.M)[1:]
+    return dict(section.split("\n", 1) for section in sections)
+
+
+class TestStreamPolicy:
+    """classify, verify and dims answer every good stdin line, report every bad
+    one as `line N:` in line order, and then exit 2."""
+
+    @pytest.mark.parametrize("form", list(stream_golden()))
+    def test_bad_lines_are_reported_and_exit_2(self, capsys, monkeypatch, form):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(PINNED_STREAM)))
+        code, out, err = run(capsys, *form.split(), "--graph6", "-")
+        assert code == 2
+        assert out == stream_golden()[form]
+        needs_dim = form.startswith("dims") or "--exact-dim" in form
+        assert err.splitlines() == ([EDGELESS_LINE_4] if needs_dim else []) + [MALFORMED_LINE_5]
+
+    @pytest.mark.parametrize("form", list(stream_golden()))
+    def test_good_lines_alone_exit_0_or_1(self, capsys, monkeypatch, form):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"DqK\nCF\n\n")))
+        code, out, err = run(capsys, *form.split(), "--graph6", "-")
+        assert code == (0 if form.startswith("dims") else 1) and err == ""
+        answers = stream_golden()[form].splitlines(keepends=True)
+        assert out == "".join(answers[:12 if form == "verify" else 2])    # DqK's and CF's
+
+    @pytest.mark.parametrize("argv", [["dims"], ["dims", "--json"], ["classify", "--exact-dim"],
+                                      ["classify", "--exact-dim", "--json"]])
+    def test_single_edgeless_input_is_the_commands_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--gen", "complete:1")
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: edgeless input: C_P = 0 and the rank is not dim V3"]
+
+
+class TestClosedOutput:
+    """A reader that closes stdout early is no bad input: nothing on stderr, exit 141."""
+
+    @staticmethod
+    def start(argv, stdin: bytes, read_lines: int) -> tuple[list[bytes], str, int]:
+        """Run ``python -m spinweb.cli argv`` on stdin, its stdout block-buffered;
+        close its stdout after ``read_lines`` lines; return those lines, its
+        stderr and its exit code."""
+        src = Path(cli.__file__).resolve().parent.parent
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(src)
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as out:
+            if read_lines == 0:
+                out.close()
+            proc = subprocess.Popen([sys.executable, "-m", "spinweb.cli", *argv],
+                                    stdin=subprocess.PIPE, stdout=write_end,
+                                    stderr=subprocess.PIPE, env=env)
+            os.close(write_end)
+            proc.stdin.write(stdin)
+            proc.stdin.close()
+            lines = [out.readline() for _ in range(read_lines)]
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        return lines, err, proc.wait(timeout=60)
+
+    @pytest.mark.parametrize("command, first", [
+        ("classify", b"spin model: pentagon case; family Kauffman; dim V3 = 13\n"),
+        ("verify", b"DqK:\n")], ids=["classify", "verify"])
+    def test_closed_after_the_first_line(self, command, first):
+        # some 300 KB of answers, far more than a pipe and stdout's buffer hold
+        lines, err, code = self.start([command, "--graph6", "-"], b"DqK\n" * 6000, 1)
+        assert (lines, err, code) == ([first], "", 141)
+
+    def test_closed_before_the_only_answer(self):
+        # the answer waits in stdout's buffer until the command ends
+        lines, err, code = self.start(["dims", "--graph6", "-"], b"DqK\n", 0)
+        assert (lines, err, code) == ([], "", 141)
+
+
 # Runs each command in one fresh interpreter, in order, and prints per command
 # its exit code, its output and whether any numpy submodule was loaded after it;
 # numpy is imported before spinweb when the second argument is "1".
