@@ -516,37 +516,31 @@ def run_tournament_census(ns=(3, 5), mode=CensusMode.ASSERT_EQUIVALENCE) -> Cens
 # ---------------------------------------------------------------------------
 
 def iter_regular_labeled_graphs(n: int, k: int):
-    """Yield every labeled k-regular graph on n vertices by backtracking."""
+    """Yield every labeled k-regular graph on n vertices by backtracking.
+
+    Vertex v takes its k - deg(v) missing neighbours above v, in
+    ``combinations`` order, from the vertices above v whose degree is still
+    below k; each choice passes a grown copy of the rows on to v + 1.
+    """
     if k >= n or (n * k) % 2 == 1:
         return
-    rows = [0] * n
-    residual = [k] * n
 
-    def extend(v: int):
+    def extend(rows: list[int], v: int):
         if v == n:
-            yield Graph(n, tuple(rows))
+            yield Graph(n, rows)
             return
-        need = residual[v]
-        if need == 0:
-            yield from extend(v + 1)
+        need = k - rows[v].bit_count()
+        if not need:                    # v is full: the rows pass on unchanged
+            yield from extend(rows, v + 1)
             return
-        candidates = [u for u in range(v + 1, n) if residual[u] > 0]
-        if len(candidates) < need:
-            return
-        for chosen in combinations(candidates, need):
+        for chosen in combinations([u for u in range(v + 1, n) if rows[u].bit_count() < k], need):
+            grown = rows[:]
             for u in chosen:
-                rows[v] |= 1 << u
-                rows[u] |= 1 << v
-                residual[u] -= 1
-            residual[v] = 0
-            yield from extend(v + 1)
-            residual[v] = need
-            for u in chosen:
-                rows[v] &= ~(1 << u)
-                rows[u] &= ~(1 << v)
-                residual[u] += 1
+                grown[u] |= 1 << v
+                grown[v] |= 1 << u
+            yield from extend(grown, v + 1)
 
-    yield from extend(0)
+    yield from extend([0] * n, 0)
 
 
 def iter_all_regular_labeled_graphs(n: int):

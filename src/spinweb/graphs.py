@@ -5,33 +5,35 @@ per vertex, bit b of ``adj[a]`` set iff a is adjacent to b, so that
 common-neighbor counts are word-parallel ``(adj[a] & adj[b]).bit_count()``
 calls.  That popcount trick is the performance foundation of the census.
 
-Every ``Graph`` and ``Tournament`` is validated when it is made.  Its
-constructor makes one call (``_checked_square``) of word-parallel
-operations on its rows packed into one int: row a occupies bits
-a*stride .. a*stride + stride - 1, with stride = max(8, the next power of
-two >= n), so that for n <= 8 the packed matrix is just ``bytes(rows)``
-read little-endian.  The packed matrix is
-transposed, in the same call, by log2(stride) masked delta-swaps (step s
-exchanges the cells (i, j) and (i + s, j - s) for i with bit s clear and j
-with bit s set); the masks of each n are kept in a dict after its first
-graph, and a stride-128 matrix (Higman-Sims) needs seven swap masks of 2 KB.
-Bits outside 0..n-1 and loops are one AND with a cached mask of the
-forbidden cells (the diagonal and columns n .. stride - 1 of each row); a
-row that does not fit in stride bits, or is negative, fails the packing.
-Either way the rows are then walked one by one to name the first bad
-row, so that its bits outside 0..n-1 are reported before its loop and a
-row's errors before any later row's.  Symmetry (or, for a tournament,
-exactly one arc per pair) is one XOR with the transpose, masked to the cells
-above the diagonal.  The lowest set bit of a failing mask names the same
-first pair, with the same message, as a pair-by-pair scan.
+Every ``Graph`` and ``Tournament`` is validated when it is made, by one
+function for both kinds (``_check_square``), and keeps its rows as a
+tuple, so a list the caller changes later does not change it.  The check
+raises the first fault in a fixed order: an order outside 1..MAX_ORDER,
+a row count other than n, then row by row bits outside 0..n-1 before a
+loop, then the first bad pair.  It works on the rows packed into one int:
+row a occupies bits a*stride .. a*stride + stride - 1, with stride =
+max(8, the next power of two >= n), so that for n <= 8 the packed matrix
+is just ``bytes(rows)`` read little-endian.  Bits outside 0..n-1 and loops
+are one AND with a cached mask of the forbidden cells (the diagonal and
+columns n .. stride - 1 of each row); a row that does not fit in stride
+bits, or is negative, fails the packing.  Either way the rows are then
+walked one by one to name the first bad row.  The pair rule is one XOR
+with the transpose, masked to the cells a < b: a graph's cells must read
+0 (symmetry), a tournament's 1 (exactly one arc per pair), and the lowest
+set bit of a failing mask names the same first pair, with the same
+message, as a pair-by-pair scan.  The transpose (``_transposed``) is
+log2(stride) masked delta-swaps: step s exchanges the cells (i, j) and
+(i + s, j - s) for i with bit s clear and j with bit s set, and
+``_swap_masks`` builds each mask from that definition, once per stride;
+a stride-128 matrix (Higman-Sims) needs seven swap masks of 2 KB.
 
 A census block checks its graphs a whole array at a time instead:
 ``graphs_from_words`` takes their stride-8 matrices (n <= 8, one uint64
-word each) and runs the same forbidden-cell mask, delta-swaps and XOR over
-the array in one numpy pass (``_bad_words``).  When every word passes, its
-graphs are made without a second check; when any fails, every one is made
-by the constructor, so the first bad word raises the constructor's own
-message, after the graphs before it.
+word each) and runs the same forbidden-cell mask, the same transpose and
+the graph's XOR over the array in one numpy pass (``_bad_words``).  When
+every word passes, its graphs are made without a second check; when any
+fails, every one is made by the constructor, so the first bad word raises
+the constructor's own message, after the graphs before it.
 
 Every order is at most MAX_ORDER = 511, checked where a graph enters: by
 the ``Graph`` and ``Tournament`` constructors, at the top of each sized
@@ -143,17 +145,9 @@ class Graph(Record):
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
-        if not 1 <= n <= MAX_ORDER:
-            raise ValueError(f"graph needs 1 to {MAX_ORDER} vertices, got {n}")
-        if len(adj) != n:
-            raise ValueError("adjacency row count != n")
-        packed, transposed, upper = _checked_square(adj, n)
-        bad = (packed ^ transposed) & upper
-        if bad:
-            a, b = _first_cell(bad, n)
-            raise ValueError(f"asymmetric adjacency at ({a},{b})")
+        _check_square(adj, n, directed=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "adj", tuple(adj))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -175,17 +169,9 @@ class Tournament(Record):
     __slots__ = ("n", "arc")
 
     def __init__(self, n: int, arc: tuple[int, ...]):
-        if not 1 <= n <= MAX_ORDER:
-            raise ValueError(f"tournament needs 1 to {MAX_ORDER} vertices, got {n}")
-        if len(arc) != n:
-            raise ValueError("arc row count != n")
-        packed, transposed, upper = _checked_square(arc, n)
-        bad = (packed ^ transposed ^ upper) & upper
-        if bad:
-            a, b = _first_cell(bad, n)
-            raise ValueError(f"pair ({a},{b}) must carry exactly one arc")
+        _check_square(arc, n, directed=True)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arc", arc)
+        object.__setattr__(self, "arc", tuple(arc))
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> "Tournament":
@@ -309,9 +295,6 @@ def circulant_tournament(n: int, outset) -> Tournament:
 # packed n x n bit matrices: validation and transposes
 # ---------------------------------------------------------------------------
 
-_LOW_SWAP_BYTES = {4: 0xF0, 2: 0xCC, 1: 0xAA}   # columns of a byte with bit s set
-
-
 def matrix_stride(n: int) -> int:
     """Bits per row of a packed n x n matrix: max(8, next power of two >= n)."""
     return max(8, 1 << (n - 1).bit_length())
@@ -325,18 +308,20 @@ def _swap_masks(stride: int) -> tuple[tuple[int, int], ...]:
     which lies s * (stride - 1) bits higher, for every row i with bit s clear
     and column j with bit s set; the mask holds the lower cell of each pair.
     """
-    width = stride // 8
     steps = []
-    s = stride // 2
-    while s:
-        if s >= 8:
-            row = (bytes(s // 8) + b"\xff" * (s // 8)) * (stride // (2 * s))
-        else:
-            row = bytes([_LOW_SWAP_BYTES[s]]) * width
-        rows = (row * s + bytes(width * s)) * (stride // (2 * s))
-        steps.append((s * (stride - 1), int.from_bytes(rows, "little")))
-        s //= 2
+    for s in (stride >> e for e in range(1, stride.bit_length())):     # stride/2, ..., 1
+        row = sum(1 << j for j in range(stride) if j & s).to_bytes(stride // 8, "little")
+        cells = b"".join(bytes(len(row)) if i & s else row for i in range(stride))
+        steps.append((s * (stride - 1), int.from_bytes(cells, "little")))
     return tuple(steps)
+
+
+def _transposed(packed, swaps):
+    """The transpose of a packed square matrix, or of each one of a '<u8' array."""
+    for shift, mask in swaps:
+        swap = (packed ^ (packed >> shift)) & mask
+        packed = packed ^ swap ^ (swap << shift)
+    return packed
 
 
 def _square_masks(n: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
@@ -354,11 +339,18 @@ def _square_masks(n: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
 _SQUARES: dict[int, tuple] = {}     # n -> _square_masks(n), filled by its first graph
 
 
-def _checked_square(rows, n: int) -> tuple[int, int, int]:
-    """Pack n validated rows; returns (packed, transposed, mask of cells a < b).
+def _check_square(rows, n: int, directed: bool) -> None:
+    """Raise the first fault of n rows as a graph, or as a tournament if ``directed``.
 
-    Raises the error of the first bad row: bits outside 0..n-1, else a loop.
+    In order: an order outside 1..MAX_ORDER, a row count other than n, then
+    row by row bits outside 0..n-1 before a loop, then the first pair
+    a < b that is asymmetric (a graph) or carries no arc or two (a tournament).
     """
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"{'tournament' if directed else 'graph'} needs 1 to {MAX_ORDER} "
+                         f"vertices, got {n}")
+    if len(rows) != n:
+        raise ValueError(f"{'arc' if directed else 'adjacency'} row count != n")
     stride, forbidden, upper, swaps = _SQUARES.get(n) or _SQUARES.setdefault(n, _square_masks(n))
     try:
         if stride == 8:
@@ -370,22 +362,16 @@ def _checked_square(rows, n: int) -> tuple[int, int, int]:
     except (ValueError, OverflowError):     # a row is negative or wider than stride
         packed = forbidden
     if packed & forbidden:
-        mask = (1 << n) - 1
         for a, row in enumerate(rows):
-            if row & ~mask:
+            if row >> n:                    # a bit at or above n, or a negative row
                 raise ValueError(f"row {a} has bits outside 0..n-1")
             if (row >> a) & 1:
                 raise ValueError(f"loop at vertex {a}")
-    transposed = packed
-    for shift, mask in swaps:
-        swap = (transposed ^ (transposed >> shift)) & mask
-        transposed ^= swap ^ (swap << shift)
-    return packed, transposed, upper
-
-
-def _first_cell(bits: int, n: int) -> tuple[int, int]:
-    """(row, column) of the lowest set bit of a packed n x n matrix."""
-    return divmod((bits & -bits).bit_length() - 1, matrix_stride(n))
+    bad = (packed ^ _transposed(packed, swaps) ^ (upper if directed else 0)) & upper
+    if bad:
+        a, b = divmod((bad & -bad).bit_length() - 1, stride)
+        raise ValueError(f"pair ({a},{b}) must carry exactly one arc" if directed
+                         else f"asymmetric adjacency at ({a},{b})")
 
 
 def rows_of_words(n: int, words: np.ndarray) -> Iterator[tuple[int, ...]]:
@@ -412,16 +398,12 @@ def _checked_graph(n: int, adj: tuple[int, ...]) -> Graph:
 def _bad_words(n: int, words: np.ndarray) -> np.ndarray:
     """Per stride-8 packed n x n matrix of a '<u8' array, whether it is no graph.
 
-    One numpy pass with the masks of ``_checked_square``: a matrix is bad
-    when a forbidden cell is set, or a cell a < b < n of its XOR with the
-    transpose, made by the same delta-swaps.  Bytes n..7 are not read.
+    One numpy pass with the masks and the transpose of ``_check_square``: a
+    matrix is bad when a forbidden cell is set, or a cell a < b < n of its
+    XOR with the transpose.  Bytes n..7 are not read.
     """
     _, forbidden, upper, swaps = _SQUARES.get(n) or _SQUARES.setdefault(n, _square_masks(n))
-    transposed = words
-    for shift, mask in swaps:
-        swap = (transposed ^ (transposed >> shift)) & mask
-        transposed = transposed ^ swap ^ (swap << shift)
-    return ((words & forbidden) | ((words ^ transposed) & upper)) != 0
+    return ((words & forbidden) | ((words ^ _transposed(words, swaps)) & upper)) != 0
 
 
 def graphs_from_words(n: int, words: np.ndarray) -> Iterator[Graph]:

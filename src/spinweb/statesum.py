@@ -22,7 +22,7 @@ In the undirected case the spanning alphabet is {One, Delta, P}: both
 families are multilinear in their slots and Q = One - Delta - P pointwise,
 so adding Q never enlarges a span.  In the directed case Q is the
 transpose of P, and the alphabet is {One, Delta, P, Q}: the 64 words
-over which ``full_report`` and the ``check_*`` functions fit, and name,
+over which ``full_report``'s 3-box fits (``_span_check``) fit, and name,
 their coefficients, which stay pinned in that alphabet.  The identity
 One = Delta + P + Q holds there too, so any one letter can be left out
 without changing a span or a rank.  The yes/no and rank questions read

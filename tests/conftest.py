@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from spinweb.census import _BLOCK, pair_positions
 from spinweb.graph6 import parse_graph6
-from spinweb.graphs import Graph, Tournament, _checked_square, complement, matrix_stride
+from spinweb.graphs import (Graph, Tournament, _swap_masks, _transposed, complement,
+                            matrix_stride)
 from spinweb.linalg import is_consistent
 from spinweb.statesum import (DIRECTED_ALPHABET, UNDIRECTED_ALPHABET, RelationCheck,
                               _generator, _letter_rows, _representative_triples,
@@ -75,12 +76,11 @@ def reference_tournament_rows(n, index):
 
 def transpose_rows(rows, n: int) -> tuple[int, ...]:
     """Rows of the transpose of the n x n bit matrix with rows ``rows`` (< 2^n),
-    by the packed delta-swap transpose that validation uses.  The diagonal,
-    which a transpose keeps and validation refuses, is set aside around it."""
-    diagonal = [row & (1 << a) for a, row in enumerate(rows)]
-    _, transposed, _ = _checked_square([row ^ d for row, d in zip(rows, diagonal)], n)
+    by the packed delta-swap transpose that validation uses."""
     stride, mask = matrix_stride(n), (1 << n) - 1
-    return tuple((transposed >> (a * stride)) & mask | d for a, d in enumerate(diagonal))
+    transposed = _transposed(sum(row << (a * stride) for a, row in enumerate(rows)),
+                             _swap_masks(stride))
+    return tuple((transposed >> (a * stride)) & mask for a in range(n))
 
 
 def connected_components(g: Graph) -> list[list[int]]:

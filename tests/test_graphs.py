@@ -168,6 +168,20 @@ class TestPackedValidation:
             assert transpose_rows(rows, n) == naive
             assert transpose_rows(naive, n) == tuple(rows)
 
+    @pytest.mark.parametrize("stride", [8 << e for e in range(7)])
+    def test_swap_masks_match_their_definition(self, stride):
+        """Step s = stride/2 .. 1 shifts by s * (stride - 1) and masks the
+        cells (i, j) with bit s of i clear and bit s of j set; 512 is
+        McLaughlin's stride, beyond every VALIDATION_SIZES order."""
+        cells = [(i, j) for i in reversed(range(stride)) for j in reversed(range(stride))]
+        steps = []
+        s = stride // 2
+        while s:
+            bits = "".join("1" if not i & s and j & s else "0" for i, j in cells)
+            steps.append((s * (stride - 1), int(bits, 2)))
+            s //= 2
+        assert graphs._swap_masks(stride) == tuple(steps)
+
 
 def word_rows(n):
     """The rows of every graph index for n <= 5, and of windows of indices at n = 6-8."""
@@ -245,6 +259,14 @@ class TestGraphType:
     def test_rejects_empty_vertex_set(self):
         with pytest.raises(ValueError):
             Graph(0, ())
+
+    def test_rows_from_a_list_stay_as_given(self):
+        for make, given in ((Graph, [2, 1]), (Tournament, [2, 0])):
+            rows = list(given)
+            obj = make(2, rows)
+            rows[0] = 0
+            assert obj == make(2, tuple(given))
+            assert hash(obj) == hash(make(2, tuple(given)))
 
 
 class TestOrderLimit:
